@@ -746,6 +746,17 @@ def transport_stats_line(runner: SweepRunner) -> str:
     )
 
 
+def ladder_stats_line(runner: SweepRunner) -> str:
+    """The ``--stats`` line naming the fused-ladder tier that served each rung."""
+    tiers = runner.ladder_counters()
+    return (
+        f"ladder: {tiers['ladder_passes']} fused pass(es), "
+        f"{tiers['ladder_stack_groups']} stack group(s); rungs by tier: "
+        f"{tiers['ladder_stack_rungs']} stack, {tiers['ladder_shared_rungs']} shared, "
+        f"{tiers['ladder_fallback_rungs']} per-rung"
+    )
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = parse_args(argv)
@@ -859,6 +870,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     if args.stats:
         print(transport_stats_line(runner))
+        print(ladder_stats_line(runner))
         print(resilience_stats_line(runner))
     if runner.quarantined:
         print(

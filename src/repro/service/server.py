@@ -396,6 +396,7 @@ class SweepService:
             "quarantined": len(runner.quarantined),
         })
         lines.append(runner_counters.render(prefix="runner_"))
+        lines.append(runner.ladder_counters().render(prefix="runner_"))
         gauges = CounterRegistry({
             "queue_depth": len(self.queue),
             "breaker_open": 0 if self.breaker.state == "closed" else 1,

@@ -77,6 +77,60 @@ variant L1's hit path inline against hoisted kernel state
 (``_dispatch_variant_d_fast`` / ``_dispatch_variant_i_fast``) — both
 bit-identical to the scalar path by the same suites.
 
+**Stack-distance tier for static LRU rungs.**  Profiling ladders are
+mostly *static* rungs — a resizable L1 pinned to one (sets, ways)
+configuration for the whole run — and static rungs under LRU need not be
+simulated one by one.  In an exhaustive pilot-mode pass (memoized decode,
+no sampling, exactly one resized side) the variant-side rungs whose cache
+is a cold :class:`~repro.cache.cache.Cache` or
+:class:`~repro.resizing.resizable_cache.ResizableCache` with LRU
+replacement, a static (or no) strategy and a cold stock L2 are grouped by
+their enabled set count.  Every group with at least two distinct way
+counts is replayed by one per-set LRU stack pass (Mattson et al., IBM
+Systems Journal 1970) over the pilot-reduced stream, with each set's
+stack capped at the group's largest way count.  The pass is exact:
+
+* *Inclusion.*  At a fixed set count every access maps to the same set in
+  every rung, and an A-way LRU set holds exactly the A most recently used
+  blocks of that set — the top A entries of its stack.  So an A-way rung
+  hits if and only if the access's stack distance is less than A.
+* *Victims.*  On an A-way miss the block leaving the rung's set is its
+  least recently used one: the stack entry at depth A−1, provided the
+  set's stack holds at least A entries (otherwise the set was not full
+  and nothing is evicted).  Entries below the cap are in no rung's set,
+  so dropping them loses nothing.
+* *Dirty victims.*  A block is dirty in an A-way rung when it was written
+  since its last A-miss fill.  Each stack entry keeps a threshold t: a
+  write sets t = 0 (the block is resident and dirty in every rung); a read
+  found at depth d sets t = max(t, d) (rungs with A ≤ d missed and
+  refilled it clean, the others hit and kept their state); a cold read
+  sets t = ∞.  The entry is dirty in an A-way rung if and only if t < A,
+  so the victim at depth A−1 is written back exactly when its t < A.
+
+Each geometry in the group then drives only its own ordered stream — its
+misses, its dirty victims and the shared invariant-side misses — through
+an inline L2, write-back buffer and memory loop (:func:`_drive_misses`,
+the same statements as the miss branches of the ``_dispatch_variant_*``
+kernels).  That is exact because a rung's L2, buffer and memory state
+depend on nothing but that stream.  Rungs with an identical enabled
+geometry are simulated once: their streams are identical, so one
+representative's L2 is driven and every rung of the geometry receives
+the same per-interval counts, then closes its own interval (energy
+depends on the organization, so each rung keeps its own accountant).  A
+set-count group with a single way count skips the stack pass — alone it
+costs more than the per-rung kernel — but its duplicate geometries are
+still shared.  The tier leaves the rungs' variant L1 objects (and the L2
+of every rung that is not a representative) idle, like the invariant-side
+caches above: results never read them.
+
+Everything else keeps the per-rung kernels, selected from properties of
+the rungs, never from an option: dynamic rungs, FIFO and RANDOM
+replacement, sampled plans (:meth:`LadderEngine._walk_intervals`), and the
+both-sides general mode.  :func:`stats_snapshot` counts which tier served
+each rung (``ladder_stack_rungs``, ``ladder_shared_rungs``,
+``ladder_fallback_rungs``) plus ``ladder_passes`` and
+``ladder_stack_groups``; the runner merges them into ``--stats``.
+
 Amortization: a per-config ladder costs ``K × (slice + decode + predict +
 full dispatch + close)``; the fused pass costs ``slice + decode + predict
 + pilot + K × (reduced dispatch + close)``.  The shared side is roughly
@@ -95,22 +149,32 @@ flag selects; the CLI exposes it through ``--ladder-mode`` instead.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import gc
+from contextlib import contextmanager
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.cache import (
     PACKED_FILLED,
     PACKED_WRITEBACK_SHIFT,
     PACKED_WRITEBACK_VALID,
+    Cache,
 )
 from repro.cache.hierarchy import (
     HIER_COUNT_MASK,
     HIER_L2_ACCESSES_SHIFT,
     HIER_MEM_ACCESSES_SHIFT,
 )
+from repro.cache.replacement import ReplacementPolicy
+from repro.common.counters import CounterRegistry
 from repro.common.errors import SimulationError
+from repro.metrics.counts import IntervalCounts
+from repro.resizing.resizable_cache import ResizableCache
+from repro.resizing.static_strategy import StaticResizing
+from repro.resizing.strategy import NoResizing
 from repro.sim.engine import (
     _OP_FETCH,
     _OP_LOAD,
+    _OP_STORE,
     decode_interval,
     dispatch_cache_ops_fast,
 )
@@ -124,6 +188,31 @@ from repro.workloads.trace import Trace
 #: the invariant side into these).
 _OP_IMISS = 3  #: L1i miss (pilot-resolved): operand is the fetch PC.
 _OP_DMISS = 4  #: L1d miss (pilot-resolved): operands are address, l1_packed.
+
+#: Cache types whose LRU behaviour the stack tier reproduces exactly, and
+#: the strategies that never resize after the initial configuration.
+_STACK_CACHES = (Cache, ResizableCache)
+_STATIC_STRATEGIES = (StaticResizing, NoResizing)
+
+#: Dirty threshold of a stack entry that is clean in every rung (see the
+#: module docstring: dirty in an A-way rung iff threshold < A).
+_NEVER_DIRTY = 1 << 62
+
+#: Per-process tier counters (merged across workers by the runner): fused
+#: passes, stack groups, and each rung under the one tier that served it.
+TIER_COUNTERS = (
+    "ladder_passes",
+    "ladder_stack_groups",
+    "ladder_stack_rungs",
+    "ladder_shared_rungs",
+    "ladder_fallback_rungs",
+)
+_STATS = CounterRegistry(dict.fromkeys(TIER_COUNTERS, 0))
+
+
+def stats_snapshot() -> Dict[str, int]:
+    """A copy of the module's tier counters (merged across workers by the runner)."""
+    return dict(_STATS)
 
 
 class LadderEngine:
@@ -195,6 +284,7 @@ class LadderEngine:
             resolve = _resolve_general
             fold = _fold_general
             rungs = [(ctx, ctx.hierarchy, None, None) for ctx in contexts]
+        _STATS["ladder_passes"] += 1
         plan = first.sampling_plan(len(trace))
         if plan is None:
             # Exhaustive replay: try the memoized whole-trace pre-decode
@@ -205,13 +295,21 @@ class LadderEngine:
             decoded = decoded_for(trace, first.block_mask, first.predictor)
             if decoded is not None:
                 pilot_res = None
+                units: list = []
                 if side is not None:
                     pilot_res = pilot_for(trace, decoded, side, pilot_cache)
-                self._walk_decoded(first, rungs, resolve, fold, decoded, pilot_res)
+                    rungs, units = _plan_stack_tier(rungs, side, fold)
+                _STATS["ladder_fallback_rungs"] += len(rungs)
+                self._walk_decoded(
+                    first, side, rungs, units, resolve, fold, decoded, pilot_res
+                )
                 return
+        _STATS["ladder_fallback_rungs"] += len(rungs)
         self._walk_intervals(trace, first, rungs, resolve, fold, plan)
 
-    def _walk_decoded(self, first, rungs, resolve, fold, decoded, pilot_res) -> None:
+    def _walk_decoded(
+        self, first, side, rungs, units, resolve, fold, decoded, pilot_res
+    ) -> None:
         """The exhaustive interval walk over memoized pre-decoded streams.
 
         Interval totals come from the decode's per-row prefix arrays; the
@@ -222,6 +320,11 @@ class LadderEngine:
         idle-invariant-side caveat).  Without one (gate refusal), the
         shared ``resolve`` runs per interval exactly as the scalar walk
         would run it.
+
+        ``rungs`` replay through their own kernels via ``fold``; each of
+        ``units`` (:class:`_StackGroup` or :class:`_SharedKernel`, built by
+        :func:`_plan_stack_tier`) replays once per interval and hands the
+        same fold deltas to every rung of each geometry it simulates.
         """
         n = decoded.n
         interval_instructions = first.interval_instructions
@@ -231,7 +334,7 @@ class LadderEngine:
         mispredict_prefix = decoded.mispredict_prefix
         memref_prefix = decoded.memref_prefix
         store_prefix = decoded.store_prefix
-        side = None if pilot_res is None else pilot_res.side
+        unit_contexts = [ctx for unit in units for ctx in unit.contexts()]
 
         total_seen = 0
         position = 0
@@ -259,6 +362,7 @@ class LadderEngine:
                     )
                     shared = (misses, writebacks)
 
+            fetches = (op_prefix[stop] - op_prefix[position]) - memory_refs
             total_seen += chunk
             position = stop
             close = chunk == interval_instructions
@@ -275,7 +379,35 @@ class LadderEngine:
                     ctx.total_seen = total_seen
                     ctx.close_interval()
 
+            for unit in units:
+                for members, deltas in unit.replay(reduced, shared, fetches):
+                    (
+                        l1i_accesses, l1i_misses, l1i_memory, l1d_misses,
+                        l1d_memory, l1d_writebacks, l2_accesses, memory_accesses,
+                    ) = deltas
+                    for ctx in members:
+                        counts = ctx.counts
+                        counts.instructions += chunk
+                        counts.branches += branches
+                        counts.branch_mispredicts += branch_mispredicts
+                        counts.l1d_accesses += memory_refs
+                        counts.l1d_stores += stores
+                        counts.l1i_accesses += l1i_accesses
+                        counts.l1i_misses += l1i_misses
+                        counts.l1i_memory_accesses += l1i_memory
+                        counts.l1d_misses += l1d_misses
+                        counts.l1d_memory_accesses += l1d_memory
+                        counts.l1d_writebacks += l1d_writebacks
+                        counts.l2_accesses += l2_accesses
+                        counts.memory_accesses += memory_accesses
+                        if close:
+                            ctx.total_seen = total_seen
+                            ctx.close_interval()
+
         for ctx, _, _, _ in rungs:
+            ctx.total_seen = total_seen
+            ctx.close_interval(final=True)
+        for ctx in unit_contexts:
             ctx.total_seen = total_seen
             ctx.close_interval(final=True)
 
@@ -380,6 +512,389 @@ class LadderEngine:
             ctx.total_seen = total_seen
             ctx.close_interval(final=True)
 
+
+# ---------------------------------------------------------------------------
+# The stack-distance tier (static LRU rungs; see the module docstring)
+# ---------------------------------------------------------------------------
+
+
+def _stack_key(ctx, side):
+    """A rung's ``(set-count group, ways)`` key, or None when it must fall back.
+
+    Only the rung's own properties decide: its variant-side cache must be
+    a cold stock cache under LRU whose configuration never changes, over
+    a cold stock LRU L2 and main memory.  The group part names everything the
+    rung's miss stream and L2 behaviour depend on besides the way count.
+    """
+    runtime = ctx.d_runtime if side == "i" else ctx.i_runtime
+    cache = runtime.cache
+    hierarchy = ctx.hierarchy
+    l2 = hierarchy.l2
+    strategy = runtime.strategy
+    if (
+        type(cache) not in _STACK_CACHES
+        or type(l2) is not Cache
+        or l2.replacement is not ReplacementPolicy.LRU
+        or l2.stats.accesses
+        or hierarchy._memory_state() is None
+        or not (strategy is None or type(strategy) in _STATIC_STRATEGIES)
+    ):
+        return None
+    stats, set_blocks, off, idx, mask, ways = cache._kernel_state()[:6]
+    if cache.replacement is not ReplacementPolicy.LRU or stats.accesses or any(set_blocks):
+        return None
+    return (hierarchy.config, l2.geometry, off, idx, mask), ways
+
+
+def _plan_stack_tier(rungs, side, fold):
+    """Split a pilot-mode ladder into per-rung fallbacks and shared units.
+
+    Returns ``(fallback_rungs, units)``.  Eligible rungs (see
+    :func:`_stack_key`) are grouped by set count: a group with at least two
+    distinct way counts becomes one :class:`_StackGroup`; a group with one
+    way count runs the per-rung kernel once for its first rung
+    (:class:`_SharedKernel`) — or stays a plain fallback rung when it is
+    alone.
+    """
+    fallback = []
+    groups: Dict[tuple, Dict[int, list]] = {}
+    for rung in rungs:
+        key = _stack_key(rung[0], side)
+        if key is None:
+            fallback.append(rung)
+        else:
+            group, ways = key
+            groups.setdefault(group, {}).setdefault(ways, []).append(rung)
+    units = []
+    for group, by_ways in groups.items():
+        if len(by_ways) > 1:
+            units.append(_StackGroup(side, group[2], group[4], by_ways))
+            _STATS["ladder_stack_groups"] += 1
+            _STATS["ladder_stack_rungs"] += len(by_ways)
+            _STATS["ladder_shared_rungs"] += sum(len(r) for r in by_ways.values()) - len(by_ways)
+            continue
+        (members,) = by_ways.values()
+        if len(members) == 1:
+            fallback.append(members[0])
+        else:
+            units.append(_SharedKernel(members, fold))
+            _STATS["ladder_fallback_rungs"] += 1
+            _STATS["ladder_shared_rungs"] += len(members) - 1
+    return fallback, units
+
+
+class _SharedKernel:
+    """Rungs of one enabled geometry replayed by one rung's own kernel."""
+
+    __slots__ = ("rung", "members", "fold")
+
+    def __init__(self, members, fold):
+        self.rung = members[0]
+        self.members = [rung[0] for rung in members]
+        self.fold = fold
+
+    def contexts(self):
+        return self.members
+
+    def replay(self, reduced, shared, fetches):
+        _, aux, kernel_a, kernel_b = self.rung
+        scratch = IntervalCounts()
+        self.fold(scratch, reduced, shared, aux, kernel_a, kernel_b)
+        return ((self.members, (
+            scratch.l1i_accesses, scratch.l1i_misses, scratch.l1i_memory_accesses,
+            scratch.l1d_misses, scratch.l1d_memory_accesses, scratch.l1d_writebacks,
+            scratch.l2_accesses, scratch.memory_accesses,
+        )),)
+
+
+class _StackGroup:
+    """Static LRU rungs of one set count, replayed from one stack pass.
+
+    ``ways`` lists the group's distinct way counts in ascending order;
+    ``members[j]`` are the contexts of the rungs with ``ways[j]`` ways and
+    ``drives[j]`` the L2/memory state of the first of them, the one whose
+    L2 the geometry's miss stream drives.  ``stacks`` (one MRU-first block
+    list per set, capped at the largest way count) and ``dirty_after``
+    (block -> dirty threshold) persist across intervals.
+    """
+
+    __slots__ = ("side", "off", "mask", "ways", "members", "drives", "stacks", "dirty_after")
+
+    def __init__(self, side, off, mask, by_ways):
+        self.side = side
+        self.off = off
+        self.mask = mask
+        self.ways = sorted(by_ways)
+        self.members = [[rung[0] for rung in by_ways[ways]] for ways in self.ways]
+        self.drives = []
+        for ways in self.ways:
+            hierarchy = by_ways[ways][0][1]
+            self.drives.append((hierarchy.l2._kernel_state(), hierarchy._memory_state()))
+        self.stacks = [[] for _ in range(mask + 1)]
+        self.dirty_after: Dict[int, int] = {}
+
+    def contexts(self):
+        return [ctx for members in self.members for ctx in members]
+
+    def replay(self, reduced, shared, fetches):
+        """One interval: the stack pass, then each geometry's L2 stream."""
+        if self.side == "i":
+            streams, victims, misses, dirty = _stack_pass_d(
+                reduced, self.stacks, self.dirty_after, self.off, self.mask, self.ways
+            )
+        else:
+            streams, victims, misses = _stack_pass_i(
+                reduced, self.stacks, self.off, self.mask, self.ways
+            )
+        out = []
+        for j, (l2_state, mem_state) in enumerate(self.drives):
+            l1i_memory, l1d_memory, l2_accesses, memory_accesses = _drive_misses(
+                streams[j], victims[j], l2_state, mem_state
+            )
+            if self.side == "i":
+                i_fetches, i_misses = shared
+                deltas = (
+                    i_fetches, i_misses, l1i_memory, misses[j], l1d_memory, dirty[j],
+                    l2_accesses, memory_accesses,
+                )
+            else:
+                d_misses, d_writebacks = shared
+                deltas = (
+                    fetches, misses[j], l1i_memory, d_misses, l1d_memory, d_writebacks,
+                    l2_accesses, memory_accesses,
+                )
+            out.append((self.members[j], deltas))
+        return out
+
+
+def _stack_pass_d(reduced, stacks, dirty_after, off, mask, ways):
+    """Per-set LRU stack pass of a d-cache ladder's reduced stream.
+
+    Loads and stores are the variant accesses; pilot-resolved i-misses go
+    to every geometry's stream unchanged.  Returns ``(streams, victims,
+    misses, dirty)``: per way count, the ordered miss stream (see
+    :func:`_drive_misses` for the entry encoding), the dirty victims'
+    block addresses in stream order, the d-miss count and the dirty-victim
+    count.
+    """
+    count = len(ways)
+    streams = [[] for _ in range(count)]
+    victims = [[] for _ in range(count)]
+    misses = [0] * count
+    dirty = [0] * count
+    levels = [
+        (j, ways[j], streams[j].append, victims[j].append) for j in range(count)
+    ]
+    appends = [entries.append for entries in streams]
+    min_ways = ways[0]
+    cap = ways[-1]
+    op_imiss, op_store = _OP_IMISS, _OP_STORE
+    never_dirty = _NEVER_DIRTY
+    stream = iter(reduced)
+    for code in stream:
+        operand = next(stream)
+        if code == op_imiss:
+            entry = operand << 2
+            for append in appends:
+                append(entry)
+            continue
+        block = operand >> off
+        stack = stacks[block & mask]
+        if stack and stack[0] == block:
+            if code == op_store:
+                dirty_after[block] = 0
+            continue
+        if block in stack:
+            depth = stack.index(block)
+            if depth >= min_ways:
+                # Missed by every geometry with at most ``depth`` ways; the
+                # stack is deeper than each of them, so each one evicts.
+                for j, level_ways, append, victim_append in levels:
+                    if level_ways > depth:
+                        break
+                    misses[j] += 1
+                    victim = stack[level_ways - 1]
+                    if dirty_after[victim] < level_ways:
+                        dirty[j] += 1
+                        append((operand << 2) | 3)
+                        victim_append(victim << off)
+                    else:
+                        append((operand << 2) | 1)
+            del stack[depth]
+            stack.insert(0, block)
+            if code == op_store:
+                dirty_after[block] = 0
+            elif dirty_after[block] < depth:
+                dirty_after[block] = depth
+        else:
+            size = len(stack)
+            for j, level_ways, append, victim_append in levels:
+                misses[j] += 1
+                if size >= level_ways:
+                    victim = stack[level_ways - 1]
+                    if dirty_after[victim] < level_ways:
+                        dirty[j] += 1
+                        append((operand << 2) | 3)
+                        victim_append(victim << off)
+                        continue
+                append((operand << 2) | 1)
+            if size >= cap:
+                stack.pop()
+            stack.insert(0, block)
+            dirty_after[block] = 0 if code == op_store else never_dirty
+    return streams, victims, misses, dirty
+
+
+def _stack_pass_i(reduced, stacks, off, mask, ways):
+    """Per-set LRU stack pass of an i-cache ladder's reduced stream.
+
+    Fetches are the variant accesses (an L1i is never written, so no
+    victim is ever dirty); pilot-resolved d-misses go to every geometry's
+    stream unchanged, dirty victim included.  Returns ``(streams, victims,
+    misses)`` per way count, as :func:`_stack_pass_d` does.
+    """
+    count = len(ways)
+    streams = [[] for _ in range(count)]
+    victims = [[] for _ in range(count)]
+    misses = [0] * count
+    levels = [(j, ways[j], streams[j].append) for j in range(count)]
+    appends = [entries.append for entries in streams]
+    victim_appends = [entries.append for entries in victims]
+    min_ways = ways[0]
+    cap = ways[-1]
+    op_fetch = _OP_FETCH
+    wb_valid, wb_shift = PACKED_WRITEBACK_VALID, PACKED_WRITEBACK_SHIFT
+    stream = iter(reduced)
+    for code in stream:
+        operand = next(stream)
+        if code != op_fetch:
+            l1_packed = next(stream)
+            if l1_packed & wb_valid:
+                entry = (operand << 2) | 3
+                victim = l1_packed >> wb_shift
+                for append in victim_appends:
+                    append(victim)
+            else:
+                entry = (operand << 2) | 1
+            for append in appends:
+                append(entry)
+            continue
+        block = operand >> off
+        stack = stacks[block & mask]
+        if block in stack:
+            depth = stack.index(block)
+            if depth == 0:
+                continue
+            if depth >= min_ways:
+                entry = operand << 2
+                for j, level_ways, append in levels:
+                    if level_ways > depth:
+                        break
+                    misses[j] += 1
+                    append(entry)
+            del stack[depth]
+        else:
+            entry = operand << 2
+            for j, _, append in levels:
+                misses[j] += 1
+                append(entry)
+            if len(stack) >= cap:
+                stack.pop()
+        stack.insert(0, block)
+    return streams, victims, misses
+
+
+def _drive_misses(stream, victims, l2_state, mem_state):
+    """Drive one geometry's ordered L1-miss stream through its LRU L2 and memory.
+
+    Each ``stream`` entry is one L1 miss, ``address << 2 | kind``: kind 0
+    is an i-miss, 1 a d-miss with no dirty victim, 3 a d-miss whose dirty
+    victim's block address is the next one in ``victims``.  Each resolves
+    exactly as the miss branches of :func:`_dispatch_variant_d_fast` /
+    :func:`_dispatch_variant_i_fast` resolve it inline — L2 read fill with
+    victim spill, and for a dirty L1 victim the write-back buffer push and
+    the L2 write-allocate — with the same stat flushes; the L2 is LRU (a
+    stack-tier precondition), so a hit is a pop and re-insert.  Returns
+    ``(l1i_memory, l1d_memory, l2_accesses, memory_accesses)``.
+    """
+    l2_stats, l2_sets, l2_off, l2_idx, l2_mask, l2_ways = l2_state[:6]
+    l2_shift1 = l2_off + 1
+    entry_shift = l2_off + 2
+    wb_buffer = mem_state[4]
+    wb_pending = wb_buffer._pending
+    wb_entries = wb_buffer.num_entries
+    next_victim = iter(victims).__next__
+    l2m = l2_wb = l2_whits = l2_wm = 0
+    wb_over = 0
+    l1i_memory = 0
+    l1d_memory = 0
+    for entry in stream:
+        b2 = entry >> entry_shift
+        t2 = b2 >> l2_idx
+        bl2 = l2_sets[b2 & l2_mask]
+        p2 = bl2.pop(t2, None)
+        if p2 is not None:
+            bl2[t2] = p2
+            if not entry & 2:
+                continue
+            transfers = 0
+        else:
+            l2m += 1
+            transfers = 1
+            if len(bl2) >= l2_ways:
+                if bl2.pop(next(iter(bl2))) & 1:
+                    l2_wb += 1
+                    transfers = 2
+            bl2[t2] = b2 << l2_shift1
+        if entry & 2:
+            # Dirty L1 victim: buffer push, then the L2 write-allocate.
+            wb_addr = next_victim()
+            if len(wb_pending) >= wb_entries:
+                wb_over += 1
+                wb_pending.popleft()
+            wb_pending.append(wb_addr)
+            b3 = wb_addr >> l2_off
+            t3 = b3 >> l2_idx
+            bl3 = l2_sets[b3 & l2_mask]
+            p3 = bl3.pop(t3, None)
+            if p3 is not None:
+                l2_whits += 1
+                bl3[t3] = p3 | 1
+            else:
+                l2_wm += 1
+                transfers += 1
+                if len(bl3) >= l2_ways:
+                    if bl3.pop(next(iter(bl3))) & 1:
+                        l2_wb += 1
+                        transfers += 1
+                bl3[t3] = (b3 << l2_shift1) | 1
+        if entry & 1:
+            l1d_memory += transfers
+        else:
+            l1i_memory += transfers
+
+    reads = len(stream)
+    writes = len(victims)
+    if reads:
+        l2_stats.accesses += reads + writes
+        l2_stats.reads += reads
+        l2_stats.writes += writes
+        l2_stats.hits += reads - l2m + l2_whits
+        l2_stats.misses += l2m + l2_wm
+        l2_stats.read_misses += l2m
+        l2_stats.write_misses += l2_wm
+        l2_stats.fills += l2m + l2_wm
+        l2_stats.writebacks += l2_wb
+    if l2m or l2_wm or l2_wb:
+        mem_reads, mem_writes, mem_bytes, l2_block, _ = mem_state
+        mem_reads.value += l2m + l2_wm
+        mem_writes.value += l2_wb
+        mem_bytes.value += (l2m + l2_wm + l2_wb) * l2_block
+    if writes:
+        wb_buffer.enqueued += writes
+        wb_buffer.overflows += wb_over
+        wb_buffer.drained += wb_over
+    return l1i_memory, l1d_memory, reads + writes, l1i_memory + l1d_memory
 
 def _resolve_general(ops):
     """General mode: nothing to pre-resolve, every rung replays all ops."""
@@ -1125,12 +1640,36 @@ def run_fused(
         raise SimulationError("sample_every must be at least 1")
     if sample_warmup < 0:
         raise SimulationError("sample_warmup cannot be negative")
-    contexts = [
-        simulator._prepare_run(
-            trace, d_setup, i_setup, interval_instructions, warmup_instructions,
-            sample_every=sample_every, sample_warmup=sample_warmup,
-        )
-        for d_setup, i_setup in setups
-    ]
-    LadderEngine().replay_many(trace, contexts)
-    return [Simulator._finalize_run(context) for context in contexts]
+    with _collector_paused():
+        contexts = [
+            simulator._prepare_run(
+                trace, d_setup, i_setup, interval_instructions, warmup_instructions,
+                sample_every=sample_every, sample_warmup=sample_warmup,
+            )
+            for d_setup, i_setup in setups
+        ]
+        LadderEngine().replay_many(trace, contexts)
+        return [Simulator._finalize_run(context) for context in contexts]
+
+
+@contextmanager
+def _collector_paused():
+    """Hold off Python's cyclic garbage collector for one fused pass.
+
+    Building K rungs allocates thousands of containers per rung (per-set
+    dicts of every L1 and L2) that all stay alive until the pass ends.
+    With the collector running, those allocations trigger collections that
+    promote the live contexts and then sweep the whole heap again and
+    again; on a cold 20k-instruction ``run-all`` that is about a fifth of
+    the wall time.  Nothing in a pass depends on the collector (reference
+    counting frees everything acyclic), so it is paused for the pass and
+    restored to its previous state afterwards; any cyclic garbage the
+    pass left is collected by the next regular collection.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()

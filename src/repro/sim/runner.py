@@ -85,7 +85,7 @@ from repro.resizing.selective_sets import SelectiveSets
 from repro.resizing.selective_ways import SelectiveWays
 from repro.resizing.static_strategy import StaticResizing
 from repro.resizing.strategy import NoResizing, ResizingStrategy
-from repro.sim import faults, predecode
+from repro.sim import faults, ladder, predecode
 from repro.sim import shm as shm_transport
 from repro.sim.future import SimFuture
 from repro.sim.jobcache import JobCache
@@ -474,6 +474,33 @@ class LadderJob:
                     "timing; only the L1 setups may differ between rungs"
                 )
 
+    def merge_key(self):
+        """What a ladder must share with this one to join its fused pass.
+
+        The sharing contract's fields plus the resized side ("d", "i",
+        "both", or None when every rung is fixed): ladders with equal keys
+        fold into one :class:`LadderJob` without changing any rung's
+        result, and one resized side keeps the merged pass in a pilot
+        mode.  None when a field is unhashable (such ladders never merge).
+        """
+        first = self.rungs[0]
+        resizes_d = any(rung.d_setup.organization is not None for rung in self.rungs)
+        resizes_i = any(rung.i_setup.organization is not None for rung in self.rungs)
+        if resizes_d and resizes_i:
+            side = "both"
+        else:
+            side = "d" if resizes_d else "i" if resizes_i else None
+        key = (
+            first.trace, first.system, first.interval_instructions,
+            first.warmup_instructions, first.technology, first.timing,
+            first.sample_every, first.sample_warmup, side,
+        )
+        try:
+            hash(key)
+        except TypeError:
+            return None
+        return key
+
     def describe(self) -> dict:
         """Small human-readable summary (mirrors :meth:`SimJob.describe`)."""
         summary = dict(self.rungs[0].describe())
@@ -679,6 +706,7 @@ def _stats_snapshot() -> Dict[str, int]:
     snapshot = dict(_STATS)
     snapshot.update(shm_transport.stats_snapshot())
     snapshot.update(predecode.stats_snapshot())
+    snapshot.update(ladder.stats_snapshot())
     return snapshot
 
 #: Process-level on-disk trace memo consulted by :func:`resolve_trace` when
@@ -1067,6 +1095,10 @@ class SweepRunner:
         # ever created (keyed by job fingerprint) so duplicate submissions
         # share one execution.
         self._pending: List[Union[_PendingEntry, _LadderEntry]] = []
+        #: Pending ladder entries by :meth:`LadderJob.merge_key`, so a
+        #: compatible ladder submitted before the next drain joins one
+        #: fused pass; reset whenever the pending batch is taken.
+        self._open_ladders: Dict[tuple, _LadderEntry] = {}
         self._deferred: List[_DeferredEntry] = []
         self._memo: Dict[str, SimFuture] = {}
         self._draining = False
@@ -1149,6 +1181,12 @@ class SweepRunner:
         per-config submission of the same rung and vice versa.  Rungs must
         satisfy the :class:`LadderJob` sharing contract (same trace,
         system, interval/warmup, technology, timing).
+
+        A ladder whose :meth:`LadderJob.merge_key` matches one already
+        pending (the selective-ways, selective-sets and hybrid ladders of
+        one trace and resized side, typically) is folded into that entry:
+        the two replay as one pass, which is what lets the fused engine
+        share a stack pass and identical geometries across them.
         """
         jobs = list(jobs)
         if labels is None:
@@ -1191,9 +1229,18 @@ class SweepRunner:
             missing_futures.append([future])
         if missing_jobs:
             self.fused_rungs += len(missing_jobs)
-            self._pending.append(
-                _LadderEntry(LadderJob(missing_jobs), missing_fingerprints, missing_futures)
-            )
+            job = LadderJob(missing_jobs)
+            key = job.merge_key()
+            entry = self._open_ladders.get(key) if key is not None else None
+            if entry is not None:
+                entry.job = LadderJob(entry.job.rungs + missing_jobs)
+                entry.fingerprints.extend(missing_fingerprints)
+                entry.futures.extend(missing_futures)
+            else:
+                entry = _LadderEntry(job, missing_fingerprints, missing_futures)
+                self._pending.append(entry)
+                if key is not None:
+                    self._open_ladders[key] = entry
         return futures
 
     # -------------------------------------------------------------- execution
@@ -1284,6 +1331,7 @@ class SweepRunner:
                         )
                 return
             batch, self._pending = self._pending, []
+            self._open_ladders = {}
             self._run_batch(batch)
 
     def _abort_in_flight(self) -> None:
@@ -1293,6 +1341,7 @@ class SweepRunner:
         self._close_pool()
         self._segments.release_all()
         self._pending.clear()
+        self._open_ladders = {}
         self._deferred.clear()
 
     def _write_checkpoint(self, final: bool = False) -> None:
@@ -1330,6 +1379,19 @@ class SweepRunner:
             atomic_write_json(self.checkpoint_path, manifest, indent=2, sort_keys=True)
         except OSError:
             pass
+
+    def ladder_counters(self) -> CounterRegistry:
+        """Which fused-ladder replay tier served the rungs this runner simulated.
+
+        The :data:`repro.sim.ladder.TIER_COUNTERS` out of
+        :attr:`worker_stats` (absent ones as zero): fused passes, stack
+        groups, and every rung counted under exactly one of the stack,
+        shared-geometry and per-rung fallback tiers.  ``--stats`` and the
+        service's ``GET /metrics`` both render this registry.
+        """
+        return CounterRegistry(
+            {name: self.worker_stats.get(name, 0) for name in ladder.TIER_COUNTERS}
+        )
 
     @property
     def pending_count(self) -> int:

@@ -7,6 +7,7 @@ and must reproduce the cold run's outputs exactly.
 
 import json
 import os
+import re
 
 import pytest
 
@@ -137,6 +138,16 @@ class TestResilienceFlags:
         assert "resilience:" in out
         assert "0 retrie(s)" in out and "0 worker death(s)" in out
         assert "0 quarantined job(s)" in out and "self-healed" in out
+
+    def test_stats_names_the_ladder_tier_of_every_rung(self, tmp_path, capsys):
+        assert main(["run-figure", "figure4", *TINY,
+                     "--cache-dir", str(tmp_path / "cache"), "--stats"]) == 0
+        out = capsys.readouterr().out
+        line = next(line for line in out.splitlines() if line.startswith("ladder:"))
+        fused = int(re.search(r"(\d+) ladder rung\(s\) fused", out).group(1))
+        tiers = re.search(r"(\d+) stack, (\d+) shared, (\d+) per-rung", line)
+        assert sum(int(count) for count in tiers.groups()) == fused
+        assert "0 stack group(s)" not in line
 
     def test_resume_names_quarantined_fingerprints(self, tmp_path, capsys):
         # A checkpoint whose previous attempt quarantined a job: --resume

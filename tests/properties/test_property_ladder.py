@@ -8,13 +8,21 @@ byte-identical ``SimulationResult.to_dict()`` payloads against standalone
 :meth:`Simulator.run` executions of every rung.  Any divergence — a
 mis-shared branch outcome, a pilot-side op wrongly dropped, an interval
 closed in the wrong order — fails with a shrunken minimal example.
+
+The coalesced property draws whole ladders of several organizations into
+one pass over a drawn L1 associativity, with duplicate rungs and FIFO,
+RANDOM and dynamic rungs mixed in: that pins the stack-distance tier
+(hits, victims, dirty thresholds), the shared geometries and the fallback
+selection to standalone runs.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from repro.cache.replacement import ReplacementPolicy
 from repro.common.config import SystemConfig
 from repro.resizing.dynamic_strategy import DynamicResizing
 from repro.resizing.hybrid import HybridSetsAndWays
+from repro.resizing.resizable_cache import ResizableCache
 from repro.resizing.selective_sets import SelectiveSets
 from repro.resizing.selective_ways import SelectiveWays
 from repro.resizing.static_strategy import StaticResizing
@@ -116,6 +124,94 @@ def test_fused_ladder_agrees_with_standalone_runs(
             _build_setups(factory, target, with_baseline, with_dynamic),
             interval_instructions=interval,
             warmup_instructions=warmup,
+        )
+    ]
+    assert fused == standalone
+
+
+class _ReplacementSetup(L1Setup):
+    """A resizable L1 under a drawn replacement policy."""
+
+    def __init__(self, organization, strategy, replacement):
+        super().__init__(organization, strategy)
+        self.replacement = replacement
+
+    def build(self, geometry, name):
+        return ResizableCache(geometry, self.organization, self.replacement, name=name)
+
+
+_FACTORY_SETS = st.lists(_ORGANIZATIONS, min_size=1, max_size=3, unique=True)
+
+#: Extra rungs riding a coalesced pass: a duplicate static rung, rungs
+#: under each replacement policy, a dynamic rung.
+_EXTRAS = st.lists(
+    st.sampled_from(["duplicate", "lru", "fifo", "random", "dynamic"]), max_size=3
+)
+
+
+def _coalesced_setups(system, factories, side, with_baseline, extras):
+    geometry = system.l1d if side == "d" else system.l1i
+    rungs = [
+        L1Setup(factory(geometry), StaticResizing(config))
+        for factory in factories
+        for config in factory(geometry).ladder()
+    ]
+    smallest = factories[0](geometry).ladder()[-1]
+    for extra in extras:
+        if extra == "duplicate":
+            rungs.append(L1Setup(factories[0](geometry), StaticResizing(smallest)))
+        elif extra == "dynamic":
+            rungs.append(L1Setup(
+                factories[0](geometry),
+                DynamicResizing(0.02, 8 * 1024, sense_interval_accesses=256),
+            ))
+        else:
+            rungs.append(_ReplacementSetup(
+                factories[0](geometry), StaticResizing(smallest),
+                ReplacementPolicy.parse(extra),
+            ))
+    setups = [(rung, None) if side == "d" else (None, rung) for rung in rungs]
+    if with_baseline:
+        setups.insert(0, (None, None))
+    return setups
+
+
+@given(
+    application=_APPLICATIONS,
+    length=_LENGTHS,
+    interval=_INTERVALS,
+    associativity=st.sampled_from([1, 2, 4, 8, 16]),
+    factories=_FACTORY_SETS,
+    side=st.sampled_from(["d", "i"]),
+    with_baseline=_WITH_BASELINE,
+    extras=_EXTRAS,
+)
+@settings(max_examples=15, deadline=None)
+def test_coalesced_ladders_agree_with_standalone_runs(
+    application, length, interval, associativity, factories, side, with_baseline, extras,
+):
+    system = _SYSTEM.with_l1(
+        l1d=_SYSTEM.l1d.with_capacity(_SYSTEM.l1d.capacity_bytes, associativity),
+        l1i=_SYSTEM.l1i.with_capacity(_SYSTEM.l1i.capacity_bytes, associativity),
+    )
+    trace = TraceSpec(application, length).materialize()
+    warmup = length // 7
+
+    standalone = [
+        Simulator(system).run(
+            trace, d_setup=d_setup, i_setup=i_setup,
+            interval_instructions=interval, warmup_instructions=warmup,
+        ).to_dict()
+        for d_setup, i_setup in _coalesced_setups(
+            system, factories, side, with_baseline, extras
+        )
+    ]
+    fused = [
+        result.to_dict()
+        for result in run_fused(
+            Simulator(system), trace,
+            _coalesced_setups(system, factories, side, with_baseline, extras),
+            interval_instructions=interval, warmup_instructions=warmup,
         )
     ]
     assert fused == standalone

@@ -32,6 +32,10 @@ class TestHealthAndErrors:
         assert metrics["service_accepted"] == 0
         assert metrics["runner_simulated"] == 0
         assert metrics["queue_depth"] == 0
+        # The fused-ladder tier counters render from the runner's registry
+        # even when no ladder ever ran.
+        assert metrics["runner_ladder_passes"] == 0
+        assert metrics["runner_ladder_stack_rungs"] == 0
 
     def test_protocol_errors(self, service_factory):
         harness = service_factory()

@@ -7,11 +7,15 @@ Three layers are covered here:
   for every rung, across all three paper organizations, both L1 targets
   (exercising both pilot sides), warmup boundaries, odd final intervals,
   dynamic rungs and the heterogeneous general path — and equal to *both*
-  single-run engines, since engines are bit-identical by contract.
+  single-run engines, since engines are bit-identical by contract.  The
+  coalesced grid replays all three organizations' full ladders in one
+  pass at several associativities, so the stack-distance tier, shared
+  geometries and every fallback (FIFO, RANDOM, dynamic) ride together.
 * **Job layer** — :class:`LadderJob` validation, worker execution and the
   per-rung cache fan-out of :meth:`SweepRunner.submit_ladder`, including
-  the partially-warm case (only missing rungs are fused) and the
-  ``fused_rungs`` / ``fused_skipped`` counters.
+  the partially-warm case (only missing rungs are fused), the
+  ``fused_rungs`` / ``fused_skipped`` counters, and the coalescing of
+  compatible ladders submitted before one drain.
 * **Sweep integration** — ``submit_profile_static`` collapsing a ladder
   into one fused execution while remaining byte-identical to the
   per-config mode, with both modes serving each other's warm caches.
@@ -19,13 +23,16 @@ Three layers are covered here:
 
 import pytest
 
-from repro.common.config import SystemConfig
+from repro.cache.replacement import ReplacementPolicy
+from repro.common.config import CoreConfig, CoreKind, SystemConfig
 from repro.common.errors import SimulationError
 from repro.resizing.dynamic_strategy import DynamicResizing
 from repro.resizing.hybrid import HybridSetsAndWays
+from repro.resizing.resizable_cache import ResizableCache
 from repro.resizing.selective_sets import SelectiveSets
 from repro.resizing.selective_ways import SelectiveWays
 from repro.resizing.static_strategy import StaticResizing
+from repro.sim import ladder
 from repro.sim.jobcache import JobCache
 from repro.sim.ladder import LadderEngine, run_fused
 from repro.sim.runner import (
@@ -68,6 +75,46 @@ def _ladder_setups(system, factory, target):
     for config in factory(geometry).ladder():
         setup = L1Setup(factory(geometry), StaticResizing(config))
         setups.append((setup, None) if target == DCACHE else (None, setup))
+    return setups
+
+
+class _ReplacementSetup(L1Setup):
+    """A resizable L1 under a non-LRU replacement policy (no inclusion)."""
+
+    def __init__(self, organization, strategy, replacement):
+        super().__init__(organization, strategy)
+        self.replacement = replacement
+
+    def build(self, geometry, name):
+        return ResizableCache(geometry, self.organization, self.replacement, name=name)
+
+
+def _coalesced_setups(system, target):
+    """Every organization's full ladder in one pass, plus the fallbacks.
+
+    A fixed baseline rung, a duplicate of the largest selective-ways rung,
+    FIFO and RANDOM rungs and a dynamic rung ride along, so one fused pass
+    mixes stack groups, shared geometries and per-rung kernels.
+    """
+    geometry = system.l1d if target == DCACHE else system.l1i
+    rungs = []
+    for factory in ORGANIZATIONS:
+        for config in factory(geometry).ladder():
+            rungs.append(L1Setup(factory(geometry), StaticResizing(config)))
+    smallest = SelectiveWays(geometry).ladder()[-1]
+    rungs.append(L1Setup(SelectiveWays(geometry), StaticResizing(
+        SelectiveWays(geometry).ladder()[0]
+    )))
+    for replacement in (ReplacementPolicy.FIFO, ReplacementPolicy.RANDOM):
+        rungs.append(_ReplacementSetup(
+            SelectiveWays(geometry), StaticResizing(smallest), replacement
+        ))
+    rungs.append(L1Setup(
+        SelectiveSets(geometry),
+        DynamicResizing(0.02, 8 * 1024, sense_interval_accesses=256),
+    ))
+    setups = [(None, None)]
+    setups += [(rung, None) if target == DCACHE else (None, rung) for rung in rungs]
     return setups
 
 
@@ -115,6 +162,45 @@ class TestEngineEquivalence:
             ]
             assert resizes <= 1
             assert flushes == 0
+
+    @pytest.mark.parametrize("associativity", [1, 2, 4, 8])
+    @pytest.mark.parametrize("target", [DCACHE, ICACHE])
+    def test_coalesced_ladders_match_standalone(self, trace, associativity, target):
+        """All organizations' ladders in one pass, through every replay tier."""
+        base = SystemConfig()
+        system = base.with_l1(
+            l1d=base.l1d.with_capacity(base.l1d.capacity_bytes, associativity),
+            l1i=base.l1i.with_capacity(base.l1i.capacity_bytes, associativity),
+        )
+        interval, warmup = 997, 1_234
+        standalone = [
+            Simulator(system).run(
+                trace, d_setup=d_setup, i_setup=i_setup,
+                interval_instructions=interval, warmup_instructions=warmup,
+            ).to_dict()
+            for d_setup, i_setup in _coalesced_setups(system, target)
+        ]
+        before = ladder.stats_snapshot()
+        fused = [
+            result.to_dict()
+            for result in run_fused(
+                Simulator(system), trace, _coalesced_setups(system, target),
+                interval_instructions=interval, warmup_instructions=warmup,
+            )
+        ]
+        tiers = {key: value - before[key] for key, value in ladder.stats_snapshot().items()}
+        assert fused == standalone
+        # Every rung is served by exactly one tier; FIFO, RANDOM and the
+        # dynamic rung always fall back; a direct-mapped cache has one way
+        # count per set count, so only associative ladders form stack groups.
+        assert tiers["ladder_passes"] == 1
+        assert (
+            tiers["ladder_stack_rungs"] + tiers["ladder_shared_rungs"]
+            + tiers["ladder_fallback_rungs"]
+        ) == len(standalone)
+        assert tiers["ladder_fallback_rungs"] >= 3
+        assert tiers["ladder_shared_rungs"] >= 2  # baseline and duplicate rung
+        assert (tiers["ladder_stack_groups"] > 0) == (associativity > 1)
 
     def test_fused_matches_standalone_dynamic_rungs(self, system, trace):
         """Dynamic strategies resize mid-run; the pilot path must still agree."""
@@ -333,6 +419,63 @@ class TestSubmitLadder:
         assert runner.fused_rungs == 2
         runner.drain()
         assert runner.simulate_count == 2
+
+    def test_compatible_ladders_coalesce_into_one_job(self, system, ladder_jobs):
+        """Ladders sharing the contract and resized side fold before a drain."""
+        ways_jobs = _rung_jobs(system, SelectiveWays(system.l1d))
+        runner = SweepRunner()
+        first = runner.submit_ladder(ladder_jobs)
+        second = runner.submit_ladder(ways_jobs)
+        (entry,) = runner._pending
+        # The shared baseline rung dedups; every other rung joins the pass.
+        assert second[0] is first[0]
+        assert len(entry.job.rungs) == len(ladder_jobs) + len(ways_jobs) - 1
+        assert runner.fused_rungs == len(entry.job.rungs)
+        results = runner.gather(first + second)
+        assert runner.simulate_count == len(entry.job.rungs)
+        standalone = SweepRunner().run(list(ladder_jobs) + list(ways_jobs))
+        assert [r.to_dict() for r in results] == [r.to_dict() for r in standalone]
+
+    def test_incompatible_ladders_stay_separate(self, system, ladder_jobs):
+        """Another resized side or another core kind never joins the pass."""
+        trace = ladder_jobs[0].trace
+        organization = SelectiveSets(system.l1i)
+        i_side = [
+            SimJob(
+                trace=trace, system=system, interval_instructions=500,
+                i_setup=L1SetupSpec(
+                    organization=organization.name,
+                    strategy=StrategySpec.static(config),
+                ),
+            )
+            for config in organization.ladder()
+        ]
+        in_order = SystemConfig(core=CoreConfig(kind=CoreKind.IN_ORDER_BLOCKING))
+        other_core = [
+            SimJob(
+                trace=job.trace, system=in_order, d_setup=job.d_setup,
+                interval_instructions=500,
+            )
+            for job in ladder_jobs[1:]
+        ]
+        runner = SweepRunner()
+        futures = runner.submit_ladder(ladder_jobs)
+        futures += runner.submit_ladder(i_side)
+        futures += runner.submit_ladder(other_core)
+        assert runner.pending_count == 3
+        assert [len(entry.job.rungs) for entry in runner._pending] == [
+            len(ladder_jobs), len(i_side), len(other_core),
+        ]
+        results = runner.gather(futures)
+        standalone = SweepRunner().run(list(ladder_jobs) + i_side + other_core)
+        assert [r.to_dict() for r in results] == [r.to_dict() for r in standalone]
+
+    def test_ladders_never_join_a_drained_batch(self, ladder_jobs):
+        runner = SweepRunner()
+        runner.gather(runner.submit_ladder(ladder_jobs[:3]))
+        runner.submit_ladder(ladder_jobs[3:])
+        (entry,) = runner._pending
+        assert len(entry.job.rungs) == len(ladder_jobs) - 3
 
     def test_ladder_failure_fails_every_missing_rung(self, ladder_jobs):
         from repro.common.errors import WorkloadError
