@@ -15,7 +15,7 @@ from repro.common.units import KIB
 from repro.experiments.context import D_CACHE, SELECTIVE_SETS, ExperimentContext
 from repro.resizing.selective_sets import SelectiveSets
 from repro.sim.simulator import Simulator
-from repro.sim.sweep import profile_static, run_baseline
+from repro.sim.sweep import Sweep
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.profiles import get_profile
 
@@ -33,11 +33,9 @@ def _mean_reduction_for_subarray(subarray_bytes: int) -> float:
     reductions = []
     for application in _APPS:
         trace = WorkloadGenerator(get_profile(application)).generate(n_instructions)
-        baseline = run_baseline(simulator, trace, warmup_instructions=warmup)
-        profile = profile_static(
-            simulator, trace, organization, target=D_CACHE,
-            baseline=baseline, warmup_instructions=warmup,
-        )
+        sweep = Sweep(simulator, warmup_instructions=warmup)
+        baseline = sweep.baseline(trace)
+        profile = sweep.profile(trace, organization, target=D_CACHE, baseline=baseline)
         reductions.append(profile.energy_delay_reduction())
     return sum(reductions) / len(reductions)
 

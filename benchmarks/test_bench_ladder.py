@@ -1,19 +1,20 @@
-"""Fused-ladder microbenchmark: one trace pass vs K per-config replays.
+"""Fused-ladder microbenchmark: one trace pass vs K separate runs.
 
-These benchmarks time the ISSUE-5 tentpole directly: a K=8 profiling-style
+These benchmarks time the fused ladder directly: a K=8 profiling-style
 ladder (static configurations of one L1 over a fixed trace) replayed the
-per-config way — K independent ``Simulator.run`` calls, each decoding the
-trace, modelling the branches and walking the intervals — against the fused
-:func:`repro.sim.ladder.run_fused` pass that decodes once, runs the branch
-predictor once, pilot-resolves the invariant L1i once, and feeds all K
-cache hierarchies from the shared op stream.
+per-config way — K separate ``Simulator.run`` calls with the default
+engine, each a one-rung ladder that dispatches the full op stream to its
+hierarchy and walks the intervals (the whole-trace pre-decode memo is
+shared between them, as it is in any real sweep) — against the fused
+:func:`repro.sim.ladder.run_fused` pass that pilot-resolves the invariant
+L1i once and feeds all K cache hierarchies from the shared, reduced op
+stream (replaying static LRU rungs from one stack-distance pass).
 
 Like the replay benchmarks, the trace length is fixed (not
 ``REPRO_BENCH_INSTRUCTIONS``) so the measured loop is the same workload
 everywhere; both modes are gated individually by the committed baseline
-means, and ``test_fused_ladder_speedup`` asserts the ISSUE-5 acceptance
-floor of >=1.5x at K=8 (the fused pass measures ~1.8-1.9x on an idle
-single-core host; the floor is deliberately loose for noisy CI runners).
+means, and ``test_fused_ladder_speedup`` asserts an acceptance floor of
+>=1.5x at K=8 (the floor is deliberately loose for noisy CI runners).
 The speedup is worthless if the paths diverge, so every measurement also
 asserts rung-for-rung ``to_dict()`` equality.
 """
@@ -41,7 +42,7 @@ from repro.sim.simulator import L1Setup, Simulator
 #: Fixed microbenchmark trace length (matches the replay benchmarks).
 LADDER_INSTRUCTIONS = 30_000
 
-#: Rung count the acceptance floor is defined at (ISSUE 5).
+#: Rung count the acceptance floor is defined at.
 LADDER_RUNGS = 8
 
 #: Required fused-over-per-config speedup at K=8.
@@ -71,14 +72,7 @@ def _setups():
 
 
 def _run_per_config(trace):
-    # The comparator pins the engine to "columnar-scalar" so each of the K
-    # replays really does decode the trace and model the branches, which is
-    # what this benchmark's per-config arm is defined to measure (module
-    # docstring).  The default engine's whole-trace decode memo would let
-    # replays 2..K share replay 1's decode — that is the fused pass's
-    # amortization leaking into its own baseline, not a K-independent-runs
-    # measurement.
-    simulator = Simulator(_SYSTEM, engine="columnar-scalar")
+    simulator = Simulator(_SYSTEM)
     return [
         simulator.run(trace, d_setup=d_setup, i_setup=i_setup)
         for d_setup, i_setup in _setups()
@@ -93,7 +87,7 @@ def _bench_mode(benchmark, trace, runner, mode):
     results = benchmark.pedantic(
         runner, args=(trace,), rounds=3, iterations=1, warmup_rounds=1
     )
-    benchmark.extra_info["ladder_mode"] = mode
+    benchmark.extra_info["arm"] = mode
     benchmark.extra_info["rungs"] = LADDER_RUNGS
     benchmark.extra_info["rung_instructions_per_second"] = round(
         LADDER_RUNGS * len(trace) / benchmark.stats.stats.mean

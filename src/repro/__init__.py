@@ -85,19 +85,9 @@ from repro.sim.runner import (
 from repro.sim.simulator import L1Setup, Simulator
 from repro.sim.tracecache import TraceCache
 from repro.sim.sweep import (
-    FUSED,
-    LADDER_MODES,
-    PER_CONFIG,
     StaticProfile,
     StaticProfileFuture,
     Sweep,
-    profile_static,
-    run_baseline,
-    run_dynamic,
-    submit_baseline,
-    submit_dynamic,
-    submit_profile_static,
-    submit_with_setups,
 )
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.profiles import (
@@ -156,9 +146,6 @@ __all__ = [
     # the unified sweep facade (canonical entry point)
     "Sweep",
     "StaticProfile",
-    "run_baseline",
-    "profile_static",
-    "run_dynamic",
     # sweep engine
     "SimJob",
     "TraceSpec",
@@ -180,17 +167,10 @@ __all__ = [
     # deferred-submission job graph
     "SimFuture",
     "StaticProfileFuture",
-    "submit_baseline",
-    "submit_with_setups",
-    "submit_profile_static",
-    "submit_dynamic",
     # fused ladder replay
     "LadderEngine",
     "LadderJob",
     "run_fused",
-    "FUSED",
-    "PER_CONFIG",
-    "LADDER_MODES",
     # workloads
     "WorkloadProfile",
     "WorkloadGenerator",

@@ -13,12 +13,9 @@ Examples::
         --applications gcc --no-cache
 
     # Replay through the historical per-record loop instead of the
-    # columnar fast path (results are bit-identical either way)
+    # columnar fast path, profiling ladders included: each rung then runs
+    # on its own (results are bit-identical either way)
     python -m repro run-figure figure4 --engine reference
-
-    # Debug a profiling ladder one configuration at a time instead of the
-    # fused single-pass default (results are bit-identical either way)
-    python -m repro run-figure figure4 --ladder-mode per-config
 
     # Run a declarative experiment spec (yours or a committed one) through
     # the design-of-experiments orchestrator
@@ -61,7 +58,6 @@ from repro.benchgate import (
 )
 from repro.common.errors import ConfigurationError, ReproError
 from repro.sim.engine import DEFAULT_ENGINE, available_engines
-from repro.sim.sweep import FUSED, LADDER_MODES, PER_CONFIG
 from repro.experiments import (
     DoEOrchestrator,
     ExperimentContext,
@@ -127,16 +123,9 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
             "--engine", choices=available_engines(), default=None,
             help=f"replay engine for the simulator hot loop (default: "
                  f"{DEFAULT_ENGINE}); engines are bit-identical, the choice "
-                 f"only affects speed",
-        )
-        sub.add_argument(
-            "--ladder-mode", choices=LADDER_MODES, default=FUSED,
-            help=f"how profiling ladders execute (default: {FUSED}): "
-                 f"'{FUSED}' decodes each trace once and feeds every rung "
-                 f"of the ladder in one fused pass; '{PER_CONFIG}' submits "
-                 f"one job per configuration (the debugging path, and the "
-                 f"one that honours --engine inside ladders).  Results are "
-                 f"bit-identical and both modes share the job cache",
+                 f"only affects speed.  Under {DEFAULT_ENGINE} a profiling "
+                 f"ladder is one fused trace pass feeding every rung; any "
+                 f"other engine replays each rung as its own run",
         )
         sub.add_argument(
             "--instructions", type=int, default=60_000,
@@ -479,7 +468,6 @@ def build_context(args: argparse.Namespace) -> ExperimentContext:
         applications=applications,
         runner=runner,
         engine=args.engine,
-        ladder_mode=args.ladder_mode,
         trace_files=trace_files,
         sample_every=args.sample_every,
         sample_warmup=args.sample_warmup,
@@ -627,12 +615,9 @@ def list_output() -> str:
     for name in available_engines():
         suffix = "  [default]" if name == DEFAULT_ENGINE else ""
         lines.append(f"  {name}{suffix}")
-    lines.append("ladder modes (--ladder-mode NAME; bit-identical results, speed only):")
-    for name in LADDER_MODES:
-        if name == FUSED:
-            lines.append(f"  {name}  [default]  one trace pass feeds a whole profiling ladder")
-        else:
-            lines.append(f"  {name}  one job per ladder configuration (debugging path)")
+    lines.append("ladder modes (chosen by --engine; bit-identical results, speed only):")
+    lines.append(f"  fused     {DEFAULT_ENGINE}: one trace pass feeds a whole profiling ladder")
+    lines.append("  per-rung  any other engine: each ladder rung replays on its own")
     lines.append(
         "external traces (--trace-file [NAME=]PATH; docs/TRACE_FORMAT.md):\n"
         "  .rtxt   text records, one per line\n"

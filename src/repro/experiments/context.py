@@ -42,12 +42,10 @@ from repro.sim.runner import (
 from repro.sim.simulator import Simulator
 from repro.sim.sweep import (
     DCACHE,
-    FUSED,
     ICACHE,
     StaticProfile,
     StaticProfileFuture,
     Sweep,
-    require_ladder_mode,
     make_job,
 )
 from repro.workloads.ingest import ExternalTraceSpec
@@ -80,7 +78,6 @@ class ExperimentContext:
         timing: Optional[CoreTimingParameters] = None,
         runner: Optional[SweepRunner] = None,
         engine: Optional[str] = None,
-        ladder_mode: str = FUSED,
         trace_files: Optional[Mapping[str, str]] = None,
         sample_every: int = 1,
         sample_warmup: int = 0,
@@ -126,14 +123,9 @@ class ExperimentContext:
         #: Replay engine every simulation of this context uses (None = the
         #: package default).  Engines are bit-identical, so this only
         #: affects speed; it reaches jobs through the memoised simulators.
+        #: Profiling ladders fuse under the default and replay rung by rung
+        #: under any other engine (see :mod:`repro.sim.ladder`).
         self.engine = engine
-        #: How profiling ladders execute: ``"fused"`` (default — one trace
-        #: pass feeds every rung, see :mod:`repro.sim.ladder`) or
-        #: ``"per-config"`` (one job per rung).  Bit-identical either way.
-        try:
-            self.ladder_mode = require_ladder_mode(ladder_mode)
-        except SimulationError as exc:
-            raise ConfigurationError(str(exc)) from exc
         #: Every simulation the context performs goes through this runner, so
         #: handing in a parallel and/or cache-backed SweepRunner accelerates
         #: the whole evaluation without touching any experiment module.
@@ -233,7 +225,6 @@ class ExperimentContext:
                 warmup_instructions=self.warmup_instructions,
                 sample_every=self.sample_every,
                 sample_warmup=self.sample_warmup,
-                ladder_mode=self.ladder_mode,
                 max_slowdown=self.max_slowdown,
             )
             self._sweeps[key] = cached

@@ -31,21 +31,10 @@ from repro.sim.runner import (
 from repro.sim.simulator import L1Setup, Simulator
 from repro.sim.tracecache import TraceCache
 from repro.sim.sweep import (
-    FUSED,
-    LADDER_MODES,
-    PER_CONFIG,
     StaticProfile,
     StaticProfileFuture,
     Sweep,
     make_job,
-    profile_static,
-    run_baseline,
-    run_dynamic,
-    run_with_setups,
-    submit_baseline,
-    submit_dynamic,
-    submit_profile_static,
-    submit_with_setups,
 )
 
 __all__ = [
@@ -55,10 +44,6 @@ __all__ = [
     # the unified sweep facade (canonical entry point)
     "Sweep",
     "StaticProfile",
-    "run_baseline",
-    "run_with_setups",
-    "profile_static",
-    "run_dynamic",
     "make_job",
     # sweep engine
     "SimJob",
@@ -74,18 +59,11 @@ __all__ = [
     # deferred-submission job graph
     "SimFuture",
     "StaticProfileFuture",
-    "submit_baseline",
-    "submit_with_setups",
-    "submit_profile_static",
-    "submit_dynamic",
     # fused ladder replay
     "LadderEngine",
     "LadderJob",
     "execute_ladder_job",
     "run_fused",
-    "FUSED",
-    "PER_CONFIG",
-    "LADDER_MODES",
     # replay engines
     "ReplayEngine",
     "ReferenceEngine",

@@ -9,48 +9,36 @@ for any trace and setup, every engine produces exactly the same
 enforced by the cross-engine equivalence suite in
 ``tests/sim/test_engines.py`` and ``tests/properties/test_property_engines.py``).
 
-Three engines ship:
+Two engines ship:
 
 * :class:`ReferenceEngine` — the historical per-record loop: iterate the
   trace's row view, unpack one :class:`InstructionRecord` per instruction.
-  Kept as the executable specification the fast paths are checked against.
-* :class:`ColumnarScalarEngine` — replays straight from the trace's
-  structure-of-arrays columns.  Each interval is pre-decoded *once* into a
-  flat cache-operation stream (fetch-block-change detection, memory-op
-  extraction with the store bit resolved), so the execute loop touches only
-  instructions that actually reach the caches and never materialises a
-  record object.  Branches are resolved *during* the decode — the branch
-  predictor shares no state with the caches, so predicting while decoding
-  is bit-identical to predicting in program-order between cache events —
-  which keeps branch events out of the dispatch stream entirely.
-  Instructions with no event (no new fetch block, no branch, no memory
-  reference — typically around half the stream) cost one flag test instead
-  of a full loop body.  The dispatch loop runs the L1 hit paths inline
-  against hoisted kernel state (:func:`dispatch_cache_ops_fast`) and feeds
-  only actual misses to the hierarchy's allocation-free packed kernel
-  (``_miss_packed``, see :mod:`repro.cache.hierarchy`), decoding the
-  packed outcome ints with bit ops, so a replayed memory access allocates
-  nothing end to end; the reference engine keeps exercising the
+  Kept as the executable specification (the one oracle) every fast path is
+  checked against.
+* :class:`ColumnarEngine` (the default) — a single run is a one-rung fused
+  ladder: :meth:`repro.sim.ladder.LadderEngine.replay_many` with the run's
+  context as the only rung, so single runs and profiling ladders share one
+  walk (described in :mod:`repro.sim.ladder`).  The walk replays from the
+  trace's structure-of-arrays columns: each interval is decoded *once*
+  into a flat cache-operation stream (:func:`decode_interval` —
+  fetch-block-change detection, memory-op extraction with the store bit
+  resolved, branches resolved against the predictor during the decode,
+  since the predictor shares no state with the caches), or sliced in O(1)
+  from the whole-trace pre-decode memo (:mod:`repro.sim.predecode`,
+  vectorized when NumPy is importable, memoized in memory and in the
+  on-disk trace cache).  The dispatch kernels run the L1 hit paths inline
+  against hoisted kernel state and feed only misses to the hierarchy's
+  allocation-free packed kernel (``_miss_packed``, see
+  :mod:`repro.cache.hierarchy`); the reference engine keeps exercising the
   object-returning wrapper path.
-* :class:`ColumnarEngine` (the default) — the columnar engine plus the
-  whole-trace pre-decode memo (:mod:`repro.sim.predecode`): the
-  configuration-invariant decode phase is computed once per (trace, block
-  mask) — vectorized when NumPy is importable — memoized in memory and in
-  the on-disk trace cache, and every exhaustive replay of that trace
-  slices its intervals out of the precomputed stream in O(1).
-
-The decode and dispatch passes are exposed as module-level helpers
-(:func:`decode_interval`, :func:`dispatch_cache_ops`,
-:func:`dispatch_cache_ops_fast`) because the fused multi-configuration
-ladder engine (:mod:`repro.sim.ladder`) reuses them: one decode pass feeds
-K per-configuration dispatch loops, which is exactly why the cache-only op
-stream exists as a separate artifact.
 
 Engine selection: ``Simulator(engine=...)`` / ``Simulator.run(engine=...)``
 accept an engine name or instance; :class:`~repro.sim.runner.SimJob` carries
 the name so sweeps replay with the engine the caller chose (CLI:
-``--engine {reference,columnar,columnar-scalar}``).  Custom engines
-register with :func:`register_engine`.
+``--engine {reference,columnar}``).  Job-layer ladders fuse only under
+``columnar``; any other engine replays each rung as its own run (see
+:func:`repro.sim.runner.execute_ladder_job`).  Custom engines register
+with :func:`register_engine`.
 
 Interval semantics live in :class:`ReplayContext.close_interval`, shared by
 every engine, so timing/energy aggregation, warmup accounting and resizing
@@ -63,19 +51,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, Type, Union
 
-from repro.cache.cache import (
-    PACKED_FILLED,
-    PACKED_WRITEBACK_SHIFT,
-    PACKED_WRITEBACK_VALID,
-)
-from repro.cache.hierarchy import (
-    HIER_COUNT_MASK,
-    HIER_L2_ACCESSES_SHIFT,
-    HIER_MEM_ACCESSES_SHIFT,
-)
 from repro.common.errors import SimulationError
 from repro.metrics.counts import IntervalCounts
-from repro.sim.predecode import decoded_for
 from repro.workloads.trace import (
     FLAG_BRANCH,
     FLAG_MEM,
@@ -181,383 +158,6 @@ def decode_interval(pcs, flags, addresses, chunk, block_mask, last_fetch_block, 
                 memory_refs += 1
                 append(addresses[k])
     return ops, last_fetch_block, branches, branch_mispredicts, memory_refs, stores
-
-
-def dispatch_cache_ops(ops, instruction_fetch, data_access):
-    """Drive one hierarchy through a decoded cache-op stream, in order.
-
-    ``instruction_fetch`` / ``data_access`` are the hierarchy's bound packed
-    kernels; every outcome is decoded with shift-and-mask ops so the loop
-    allocates nothing per access, including on misses.  Returns the interval
-    miss statistics as a flat tuple ``(l1i_accesses, l1i_misses,
-    l1i_memory, l1d_misses, l1d_memory, l1d_writebacks, l2_accesses,
-    memory_accesses)`` — one tuple per interval, accumulated into
-    :class:`~repro.metrics.counts.IntervalCounts` by the caller.  The fused
-    ladder engine calls this once per configuration per interval on the
-    same op stream.
-    """
-    l2a_shift, mem_shift = HIER_L2_ACCESSES_SHIFT, HIER_MEM_ACCESSES_SHIFT
-    count_mask = HIER_COUNT_MASK
-    op_fetch, op_load = _OP_FETCH, _OP_LOAD
-    l1i_accesses = 0
-    l1i_misses = 0
-    l1i_memory = 0
-    l1d_misses = 0
-    l1d_memory = 0
-    l1d_writebacks = 0
-    l2_accesses = 0
-    memory_accesses = 0
-    stream = iter(ops)
-    for code in stream:
-        operand = next(stream)
-        if code == op_fetch:
-            packed = instruction_fetch(operand)
-            l1i_accesses += 1
-            if not packed & 1:
-                l1i_misses += 1
-                l2_accesses += (packed >> l2a_shift) & count_mask
-                transfers = (packed >> mem_shift) & count_mask
-                memory_accesses += transfers
-                l1i_memory += transfers
-        else:
-            packed = data_access(operand, code != op_load)
-            if not packed & 1:
-                l1d_misses += 1
-                fills = (packed >> l2a_shift) & count_mask
-                l2_accesses += fills
-                transfers = (packed >> mem_shift) & count_mask
-                memory_accesses += transfers
-                l1d_memory += transfers
-                if fills > 1:
-                    l1d_writebacks += fills - 1
-    return (
-        l1i_accesses, l1i_misses, l1i_memory,
-        l1d_misses, l1d_memory, l1d_writebacks,
-        l2_accesses, memory_accesses,
-    )
-
-
-def dispatch_cache_ops_fast(ops, hierarchy):
-    """:func:`dispatch_cache_ops` with the L1 hit paths run inline.
-
-    Around nine of every ten ops hit their L1, and for a hit the packed
-    kernel's whole job is a dict probe plus an LRU refresh — yet each one
-    costs two Python call frames (hierarchy wrapper → cache kernel) and a
-    handful of per-call stat attribute stores.  This variant hoists both
-    L1 kernels' state (:meth:`repro.cache.cache.Cache._kernel_state`) into
-    locals for the duration of one interval, runs the full L1 access
-    inline — dict ops, victim choice and fill included, mirroring
-    ``access_packed`` statement for statement — and only calls out to the
-    hierarchy's shared ``_miss_packed`` fill path for actual misses: the
-    kernel is fed nothing but the residue.  Misses with a *clean* L1
-    victim — the dominant shape — are themselves resolved entirely inline
-    whatever the L2 outcome: an L2 read hit is one dict probe plus
-    refresh, and an L2 read miss adds the L2 fill/victim-spill dict ops
-    and main-memory counter bumps (``hierarchy._memory_state``; the
-    replay path never consumes the miss latency, which is all
-    ``_miss_packed`` computes beyond that).  ``_miss_packed`` is left
-    only the dirty-L1-victim spills, plus every miss on hierarchies
-    whose L2 or memory models are non-stock.
-    Cache stat deltas accumulate in locals and are flushed into each
-    cache's ``stats`` before returning, so at every interval boundary
-    (where strategies and accounting look) the counters are exactly the
-    per-call kernel's.
-
-    Hierarchies whose L1s do not expose ``_kernel_state`` (object-API-only
-    caches adapted by the hierarchy) fall back to the per-call loop.
-    Bit-identical either way — the equivalence suites pin it.
-    """
-    l1i_state = getattr(hierarchy.l1i, "_kernel_state", None)
-    l1d_state = getattr(hierarchy.l1d, "_kernel_state", None)
-    if l1i_state is None or l1d_state is None:
-        return dispatch_cache_ops(
-            ops, hierarchy.instruction_fetch_packed, hierarchy.data_access_packed
-        )
-    (i_stats, i_sets, i_off, i_idx, i_mask, i_ways, i_refresh, i_random, i_selector) = (
-        l1i_state()
-    )
-    (d_stats, d_sets, d_off, d_idx, d_mask, d_ways, d_refresh, d_random, d_selector) = (
-        l1d_state()
-    )
-    l2_state = getattr(hierarchy.l2, "_kernel_state", None)
-    if l2_state is not None:
-        (l2_stats, l2_sets, l2_off, l2_idx, l2_mask, l2_ways, l2_refresh,
-         l2_random, l2_selector) = l2_state()
-        l2_shift1 = l2_off + 1
-        mem_state = hierarchy._memory_state()
-    else:
-        l2_stats = l2_sets = l2_off = l2_idx = l2_mask = None
-        l2_ways = l2_refresh = l2_random = l2_selector = l2_shift1 = None
-        mem_state = None
-    inline_mem = mem_state is not None
-    if inline_mem:
-        wb_pending = mem_state[4]._pending
-        wb_entries = mem_state[4].num_entries
-    else:
-        wb_pending = wb_entries = None
-    l2_hits = l2m = l2_wb = l2_whits = l2_wm = 0
-    wb_enq = wb_over = wb_drain = 0
-    miss_fill = hierarchy._miss_packed
-    i_shift1 = i_off + 1
-    d_shift1 = d_off + 1
-    l2a_shift, mem_shift = HIER_L2_ACCESSES_SHIFT, HIER_MEM_ACCESSES_SHIFT
-    count_mask = HIER_COUNT_MASK
-    filled, wb_valid, wb_shift = PACKED_FILLED, PACKED_WRITEBACK_VALID, PACKED_WRITEBACK_SHIFT
-    op_fetch, op_load = _OP_FETCH, _OP_LOAD
-
-    ia = ih = iwb = 0
-    da = dw = dh = dwm = dwb = 0
-    l1i_misses = 0
-    l1i_memory = 0
-    l1d_misses = 0
-    l1d_memory = 0
-    l1d_writebacks = 0
-    l2_accesses = 0
-    memory_accesses = 0
-    stream = iter(ops)
-    for code in stream:
-        operand = next(stream)
-        if code == op_fetch:
-            ia += 1
-            block = operand >> i_off
-            tag = block >> i_idx
-            blocks = i_sets[block & i_mask]
-            packed = blocks.get(tag)
-            if packed is not None:
-                ih += 1
-                if i_refresh:
-                    del blocks[tag]
-                    blocks[tag] = packed
-                continue
-            victim = None
-            if len(blocks) >= i_ways:
-                victim_tag = i_selector.choose_victim(blocks) if i_random else next(iter(blocks))
-                victim = blocks.pop(victim_tag)
-            blocks[tag] = block << i_shift1
-            if victim is not None and victim & 1:
-                iwb += 1
-                l1_packed = filled | wb_valid | ((victim >> 1) << wb_shift)
-            else:
-                # Clean victim: with no dirty L1 victim to spill, the whole
-                # miss is the L2 read plus (on an L2 miss) pure memory
-                # counter bumps — the replay path never consumes the
-                # latency — so both L2 outcomes resolve inline without the
-                # _miss_packed frame.
-                if l2_sets is not None:
-                    b2 = operand >> l2_off
-                    t2 = b2 >> l2_idx
-                    bl2 = l2_sets[b2 & l2_mask]
-                    p2 = bl2.get(t2)
-                    if p2 is not None:
-                        if l2_refresh:
-                            del bl2[t2]
-                            bl2[t2] = p2
-                        l2_hits += 1
-                        l1i_misses += 1
-                        l2_accesses += 1
-                        continue
-                    if inline_mem:
-                        # L2 read miss: fill (read -> clean), spill a dirty
-                        # L2 victim to memory — access_packed's miss body.
-                        l2m += 1
-                        v2 = None
-                        if len(bl2) >= l2_ways:
-                            vt2 = l2_selector.choose_victim(bl2) if l2_random else next(iter(bl2))
-                            v2 = bl2.pop(vt2)
-                        bl2[t2] = b2 << l2_shift1
-                        if v2 is not None and v2 & 1:
-                            l2_wb += 1
-                            transfers = 2
-                        else:
-                            transfers = 1
-                        l1i_misses += 1
-                        l2_accesses += 1
-                        memory_accesses += transfers
-                        l1i_memory += transfers
-                        continue
-                l1_packed = filled
-            packed = miss_fill(l1_packed, operand)
-            l1i_misses += 1
-            l2_accesses += (packed >> l2a_shift) & count_mask
-            transfers = (packed >> mem_shift) & count_mask
-            memory_accesses += transfers
-            l1i_memory += transfers
-        else:
-            is_write = code != op_load
-            da += 1
-            if is_write:
-                dw += 1
-            block = operand >> d_off
-            tag = block >> d_idx
-            blocks = d_sets[block & d_mask]
-            packed = blocks.get(tag)
-            if packed is not None:
-                dh += 1
-                if is_write:
-                    packed |= 1
-                    if d_refresh:
-                        del blocks[tag]
-                    blocks[tag] = packed
-                elif d_refresh:
-                    del blocks[tag]
-                    blocks[tag] = packed
-                continue
-            if is_write:
-                dwm += 1
-            victim = None
-            if len(blocks) >= d_ways:
-                victim_tag = d_selector.choose_victim(blocks) if d_random else next(iter(blocks))
-                victim = blocks.pop(victim_tag)
-            blocks[tag] = (block << d_shift1) | (1 if is_write else 0)
-            if victim is not None and victim & 1:
-                dwb += 1
-                if inline_mem:
-                    # Dirty victim: L2 read fill at the miss address, then
-                    # the victim staged through the write-back buffer and
-                    # written into L2 (write-allocate) — _miss_packed's
-                    # whole body as dict ops and counter bumps.
-                    b2 = operand >> l2_off
-                    t2 = b2 >> l2_idx
-                    bl2 = l2_sets[b2 & l2_mask]
-                    p2 = bl2.get(t2)
-                    if p2 is not None:
-                        if l2_refresh:
-                            del bl2[t2]
-                            bl2[t2] = p2
-                        l2_hits += 1
-                        transfers = 0
-                    else:
-                        l2m += 1
-                        v2 = None
-                        if len(bl2) >= l2_ways:
-                            vt2 = l2_selector.choose_victim(bl2) if l2_random else next(iter(bl2))
-                            v2 = bl2.pop(vt2)
-                        bl2[t2] = b2 << l2_shift1
-                        if v2 is not None and v2 & 1:
-                            l2_wb += 1
-                            transfers = 2
-                        else:
-                            transfers = 1
-                    wb_addr = victim >> 1
-                    wb_enq += 1
-                    if len(wb_pending) >= wb_entries:
-                        wb_over += 1
-                        wb_pending.popleft()
-                        wb_drain += 1
-                    wb_pending.append(wb_addr)
-                    b3 = wb_addr >> l2_off
-                    t3 = b3 >> l2_idx
-                    bl3 = l2_sets[b3 & l2_mask]
-                    p3 = bl3.get(t3)
-                    if p3 is not None:
-                        l2_whits += 1
-                        p3 |= 1
-                        if l2_refresh:
-                            del bl3[t3]
-                        bl3[t3] = p3
-                    else:
-                        l2_wm += 1
-                        v3 = None
-                        if len(bl3) >= l2_ways:
-                            vt3 = l2_selector.choose_victim(bl3) if l2_random else next(iter(bl3))
-                            v3 = bl3.pop(vt3)
-                        bl3[t3] = (b3 << l2_shift1) | 1
-                        transfers += 1
-                        if v3 is not None and v3 & 1:
-                            l2_wb += 1
-                            transfers += 1
-                    l1d_misses += 1
-                    l1d_writebacks += 1
-                    l2_accesses += 2
-                    memory_accesses += transfers
-                    l1d_memory += transfers
-                    continue
-                l1_packed = filled | wb_valid | ((victim >> 1) << wb_shift)
-            else:
-                if l2_sets is not None:
-                    b2 = operand >> l2_off
-                    t2 = b2 >> l2_idx
-                    bl2 = l2_sets[b2 & l2_mask]
-                    p2 = bl2.get(t2)
-                    if p2 is not None:
-                        if l2_refresh:
-                            del bl2[t2]
-                            bl2[t2] = p2
-                        l2_hits += 1
-                        l1d_misses += 1
-                        l2_accesses += 1
-                        continue
-                    if inline_mem:
-                        l2m += 1
-                        v2 = None
-                        if len(bl2) >= l2_ways:
-                            vt2 = l2_selector.choose_victim(bl2) if l2_random else next(iter(bl2))
-                            v2 = bl2.pop(vt2)
-                        bl2[t2] = b2 << l2_shift1
-                        if v2 is not None and v2 & 1:
-                            l2_wb += 1
-                            transfers = 2
-                        else:
-                            transfers = 1
-                        l1d_misses += 1
-                        l2_accesses += 1
-                        memory_accesses += transfers
-                        l1d_memory += transfers
-                        continue
-                l1_packed = filled
-            packed = miss_fill(l1_packed, operand)
-            l1d_misses += 1
-            fills = (packed >> l2a_shift) & count_mask
-            l2_accesses += fills
-            transfers = (packed >> mem_shift) & count_mask
-            memory_accesses += transfers
-            l1d_memory += transfers
-            if fills > 1:
-                l1d_writebacks += fills - 1
-
-    i_stats.accesses += ia
-    i_stats.reads += ia
-    i_stats.hits += ih
-    im = ia - ih
-    i_stats.misses += im
-    i_stats.read_misses += im
-    i_stats.fills += im
-    i_stats.writebacks += iwb
-    d_stats.accesses += da
-    d_stats.writes += dw
-    d_stats.reads += da - dw
-    d_stats.hits += dh
-    dm = da - dh
-    d_stats.misses += dm
-    d_stats.write_misses += dwm
-    d_stats.read_misses += dm - dwm
-    d_stats.fills += dm
-    d_stats.writebacks += dwb
-    if l2_hits or l2m or l2_whits or l2_wm:
-        l2_stats.accesses += l2_hits + l2m + l2_whits + l2_wm
-        l2_stats.reads += l2_hits + l2m
-        l2_stats.writes += l2_whits + l2_wm
-        l2_stats.hits += l2_hits + l2_whits
-        l2_stats.misses += l2m + l2_wm
-        l2_stats.read_misses += l2m
-        l2_stats.write_misses += l2_wm
-        l2_stats.fills += l2m + l2_wm
-        l2_stats.writebacks += l2_wb
-    if l2m or l2_wm or l2_wb:
-        mem_reads, mem_writes, mem_bytes, l2_block, wb_buffer = mem_state
-        mem_reads.value += l2m + l2_wm
-        mem_writes.value += l2_wb
-        mem_bytes.value += (l2m + l2_wm + l2_wb) * l2_block
-    if wb_enq:
-        wb_buffer = mem_state[4]
-        wb_buffer.enqueued += wb_enq
-        wb_buffer.overflows += wb_over
-        wb_buffer.drained += wb_drain
-    return (
-        ia, l1i_misses, l1i_memory,
-        l1d_misses, l1d_memory, l1d_writebacks,
-        l2_accesses, memory_accesses,
-    )
 
 
 class ReplayContext:
@@ -850,258 +450,25 @@ class ReferenceEngine(ReplayEngine):
         ctx.close_interval(final=True)
 
 
-def _columnar_replay_sampled(trace: Trace, ctx: ReplayContext, plan) -> None:
-    """Sampled columnar walk: decode and dispatch segment by segment.
+class ColumnarEngine(ReplayEngine):
+    """The default engine: a single run is a one-rung fused ladder.
 
-    The plan dictates which row ranges are replayed; decode/dispatch per
-    segment are identical to the exhaustive scalar path (segments are
-    pre-split to at most one interval), and the fetch-block dedup state
-    resets across skipped gaps.  Pre-decode never applies here — the
-    predictor state at a measured segment depends on exactly which warmup
-    rows were replayed, which is plan-specific, not trace-invariant.
-    """
-    pc_column, address_column, flag_column = trace.columns()
-    pc_view = memoryview(pc_column)
-    address_view = memoryview(address_column)
-    flag_view = memoryview(flag_column)
-
-    interval_instructions = ctx.interval_instructions
-    block_mask = ctx.block_mask
-    hierarchy = ctx.hierarchy
-    predict = ctx.predictor.predict_and_update
-    decode = decode_interval
-    dispatch = dispatch_cache_ops_fast
-
-    last_fetch_block = -1
-    total_seen = 0
-    prev_stop = 0
-    for start, stop, measured in plan:
-        if start != prev_stop:
-            last_fetch_block = -1
-        chunk = stop - start
-        pcs = pc_view[start:stop].tolist()
-        flags = flag_view[start:stop].tolist()
-        addresses = address_view[start:stop].tolist()
-
-        ops, last_fetch_block, branches, branch_mispredicts, memory_refs, stores = (
-            decode(pcs, flags, addresses, chunk, block_mask, last_fetch_block, predict)
-        )
-
-        counts = ctx.counts
-        counts.instructions += chunk
-        counts.branches += branches
-        counts.branch_mispredicts += branch_mispredicts
-        counts.l1d_accesses += memory_refs
-        counts.l1d_stores += stores
-        total_seen += chunk
-        prev_stop = stop
-
-        (
-            l1i_accesses, l1i_misses, l1i_memory,
-            l1d_misses, l1d_memory, l1d_writebacks,
-            l2_accesses, memory_accesses,
-        ) = dispatch(ops, hierarchy)
-
-        counts.l1i_accesses += l1i_accesses
-        counts.l1i_misses += l1i_misses
-        counts.l1i_memory_accesses += l1i_memory
-        counts.l1d_misses += l1d_misses
-        counts.l1d_memory_accesses += l1d_memory
-        counts.l1d_writebacks += l1d_writebacks
-        counts.l2_accesses += l2_accesses
-        counts.memory_accesses += memory_accesses
-
-        if not measured:
-            ctx.discard_interval()
-        elif chunk == interval_instructions:
-            ctx.total_seen = total_seen
-            ctx.close_interval()
-
-    ctx.total_seen = total_seen
-    ctx.close_interval(final=True)
-
-
-def _columnar_replay_scalar(trace: Trace, ctx: ReplayContext) -> None:
-    """Exhaustive columnar walk decoding each interval on the fly."""
-    pc_column, address_column, flag_column = trace.columns()
-    pc_view = memoryview(pc_column)
-    address_view = memoryview(address_column)
-    flag_view = memoryview(flag_column)
-
-    n = len(trace)
-    interval_instructions = ctx.interval_instructions
-    block_mask = ctx.block_mask
-    hierarchy = ctx.hierarchy
-    predict = ctx.predictor.predict_and_update
-    decode = decode_interval
-    dispatch = dispatch_cache_ops_fast
-
-    last_fetch_block = -1
-    total_seen = 0
-    position = 0
-    while position < n:
-        stop = position + interval_instructions
-        if stop > n:
-            stop = n
-        chunk = stop - position
-        pcs = pc_view[position:stop].tolist()
-        flags = flag_view[position:stop].tolist()
-        addresses = address_view[position:stop].tolist()
-        position = stop
-
-        ops, last_fetch_block, branches, branch_mispredicts, memory_refs, stores = (
-            decode(pcs, flags, addresses, chunk, block_mask, last_fetch_block, predict)
-        )
-
-        counts = ctx.counts
-        counts.instructions += chunk
-        counts.branches += branches
-        counts.branch_mispredicts += branch_mispredicts
-        counts.l1d_accesses += memory_refs
-        counts.l1d_stores += stores
-        total_seen += chunk
-
-        (
-            l1i_accesses, l1i_misses, l1i_memory,
-            l1d_misses, l1d_memory, l1d_writebacks,
-            l2_accesses, memory_accesses,
-        ) = dispatch(ops, hierarchy)
-
-        counts.l1i_accesses += l1i_accesses
-        counts.l1i_misses += l1i_misses
-        counts.l1i_memory_accesses += l1i_memory
-        counts.l1d_misses += l1d_misses
-        counts.l1d_memory_accesses += l1d_memory
-        counts.l1d_writebacks += l1d_writebacks
-        counts.l2_accesses += l2_accesses
-        counts.memory_accesses += memory_accesses
-
-        if chunk == interval_instructions:
-            ctx.total_seen = total_seen
-            ctx.close_interval()
-
-    ctx.total_seen = total_seen
-    ctx.close_interval(final=True)
-
-
-def _columnar_replay_decoded(ctx: ReplayContext, decoded) -> None:
-    """Exhaustive walk over a memoized whole-trace pre-decode.
-
-    The decode phase is already done (``decoded`` holds the whole-trace op
-    stream and per-row prefix totals, see :mod:`repro.sim.predecode`), so
-    each interval is an O(1) slice plus prefix differences — the run's own
-    predictor is never driven because the mispredict totals were resolved
-    during the (memoized) decode, which the ``decoded_for`` gate guarantees
-    is bit-identical for the fresh default predictor every run constructs.
-    """
-    n = decoded.n
-    interval_instructions = ctx.interval_instructions
-    hierarchy = ctx.hierarchy
-    dispatch = dispatch_cache_ops_fast
-    interval_ops = decoded.interval_ops
-    branch_prefix = decoded.branch_prefix
-    mispredict_prefix = decoded.mispredict_prefix
-    memref_prefix = decoded.memref_prefix
-    store_prefix = decoded.store_prefix
-
-    total_seen = 0
-    position = 0
-    while position < n:
-        stop = position + interval_instructions
-        if stop > n:
-            stop = n
-        chunk = stop - position
-        ops = interval_ops(position, stop)
-
-        counts = ctx.counts
-        counts.instructions += chunk
-        counts.branches += branch_prefix[stop] - branch_prefix[position]
-        counts.branch_mispredicts += (
-            mispredict_prefix[stop] - mispredict_prefix[position]
-        )
-        counts.l1d_accesses += memref_prefix[stop] - memref_prefix[position]
-        counts.l1d_stores += store_prefix[stop] - store_prefix[position]
-        total_seen += chunk
-        position = stop
-
-        (
-            l1i_accesses, l1i_misses, l1i_memory,
-            l1d_misses, l1d_memory, l1d_writebacks,
-            l2_accesses, memory_accesses,
-        ) = dispatch(ops, hierarchy)
-
-        counts.l1i_accesses += l1i_accesses
-        counts.l1i_misses += l1i_misses
-        counts.l1i_memory_accesses += l1i_memory
-        counts.l1d_misses += l1d_misses
-        counts.l1d_memory_accesses += l1d_memory
-        counts.l1d_writebacks += l1d_writebacks
-        counts.l2_accesses += l2_accesses
-        counts.memory_accesses += memory_accesses
-
-        if chunk == interval_instructions:
-            ctx.total_seen = total_seen
-            ctx.close_interval()
-
-    ctx.total_seen = total_seen
-    ctx.close_interval(final=True)
-
-
-class ColumnarScalarEngine(ReplayEngine):
-    """Replay straight from the trace columns, one decoded interval at a time.
-
-    Per interval the decode pass (:func:`decode_interval`) reads the
-    pc/flag/address columns exactly once (``memoryview`` slice → ``tolist``,
-    a C-level copy into unboxed list indexing), resolves every branch
-    against the predictor, and emits a flat op stream of only the events
-    that touch *cache* state, in program order: fetch-block changes and
-    memory ops with the store bit pre-resolved.  Pure counting
-    (instructions, branch/store/access totals) is summed during the decode,
-    so the execute pass (:func:`dispatch_cache_ops_fast`) is a tight
-    dispatch over pre-extracted locals with zero per-instruction object
-    churn: L1 hits run inline against hoisted kernel state, misses go
-    through the hierarchy's packed-int kernel, and each outcome is decoded
-    with shift-and-mask ops, allocating nothing even on misses.
-
-    This engine always decodes on the fly; :class:`ColumnarEngine` layers
-    the per-trace decode memo on top.  Kept registered so the equivalence
-    suites (and debugging) can pin the memoized path against it directly.
-    """
-
-    name = "columnar-scalar"
-
-    def replay(self, trace: Trace, ctx: ReplayContext) -> None:
-        plan = ctx.sampling_plan(len(trace))
-        if plan is not None:
-            _columnar_replay_sampled(trace, ctx, plan)
-        else:
-            _columnar_replay_scalar(trace, ctx)
-
-
-class ColumnarEngine(ColumnarScalarEngine):
-    """The columnar engine plus the whole-trace pre-decode memo (the default).
-
-    Exhaustive replays ask :func:`repro.sim.predecode.decoded_for` for the
-    memoized configuration-invariant decode of (trace, block mask) — built
-    once (vectorized when NumPy is importable), shared across every run of
-    the same trace in the process and across processes via the on-disk
-    trace memo — and walk it with :func:`_columnar_replay_decoded`.  Runs
-    the gate refuses (non-default predictor, sampled plans, oversized
-    traces) fall back to the scalar per-interval decode, bit-identically.
+    Replays through :meth:`repro.sim.ladder.LadderEngine.replay_many` with
+    the run's context as the only rung, so single runs and profiling
+    ladders share one walk.  With one rung the ladder takes its general
+    mode — the whole-trace pre-decode memo (:mod:`repro.sim.predecode`)
+    sliced per interval, or a live columnar decode for sampled plans and
+    runs the memo gate refuses, and the full op stream dispatched to the
+    run's hierarchy with the L1 hit paths inline — and builds no pilot
+    (see the :mod:`repro.sim.ladder` docstring for why).
     """
 
     name = "columnar"
 
     def replay(self, trace: Trace, ctx: ReplayContext) -> None:
-        plan = ctx.sampling_plan(len(trace))
-        if plan is not None:
-            _columnar_replay_sampled(trace, ctx, plan)
-            return
-        decoded = decoded_for(trace, ctx.block_mask, ctx.predictor)
-        if decoded is None:
-            _columnar_replay_scalar(trace, ctx)
-        else:
-            _columnar_replay_decoded(ctx, decoded)
+        from repro.sim.ladder import LadderEngine  # deferred: ladder imports the simulator stack
+
+        LadderEngine().replay_many(trace, [ctx])
 
 
 # ---------------------------------------------------------------------------
@@ -1113,7 +480,6 @@ DEFAULT_ENGINE = "columnar"
 
 _ENGINE_REGISTRY: Dict[str, Type[ReplayEngine]] = {
     ReferenceEngine.name: ReferenceEngine,
-    ColumnarScalarEngine.name: ColumnarScalarEngine,
     ColumnarEngine.name: ColumnarEngine,
 }
 

@@ -1,4 +1,4 @@
-"""Fused multi-configuration ladder replay.
+"""Fused multi-configuration ladder replay — the one replay walk.
 
 The paper extracts static sizes and the dynamic framework's miss/size
 bounds "offline through profiling", so every figure multiplies replay cost
@@ -8,25 +8,38 @@ simulations decodes the op stream, models the branches and walks the
 intervals K times to feed K cache kernels — all of it redundant, because
 none of that work depends on cache configuration.
 
-Architecture
-------------
+One replay path
+---------------
 :class:`LadderEngine` replays one trace through K
-:class:`~repro.sim.engine.ReplayContext` objects in a single pass.  Per
-interval it
+:class:`~repro.sim.engine.ReplayContext` objects in a single pass, and it
+is also how a single run replays: the default
+:class:`~repro.sim.engine.ColumnarEngine` is ``replay_many(trace, [ctx])``,
+a one-rung ladder.  :class:`~repro.sim.engine.ReferenceEngine` stays
+separate as the executable specification every result is checked against.
 
-1. slices the trace columns and runs :func:`~repro.sim.engine.decode_interval`
-   **once** — fetch-block dedup, branch prediction and memory-op extraction
-   are configuration-independent, so the resulting cache-op stream and the
-   branch/store/reference totals are shared verbatim by every rung;
-2. resolves the *invariant* L1 side once on a pilot cache (see below),
-   shrinking the stream to the ops that can differ per rung;
-3. dispatches the reduced stream to each rung's hierarchy through its
-   allocation-free packed kernels, accumulating that rung's interval
-   counts; and
-4. closes the interval on each context, so timing/energy aggregation,
-   warmup accounting and per-rung resizing decisions run exactly as they
-   would standalone (:meth:`ReplayContext.close_interval` is shared by
-   construction).
+The walk (:func:`_walk`) consumes one *segment source*: a sequence of
+``(rows, measured, stream, shared, totals)`` segments taken from a
+sampling plan — an exhaustive run is the contiguous, all-measured plan.
+There are two sources:
+
+* :func:`_memo_segments` slices each interval's op stream and totals out
+  of the memoized whole-trace pre-decode
+  (:func:`repro.sim.predecode.decoded_for`) in O(1), and, with a memoized
+  pilot pre-screen in hand, the pilot-reduced stream too;
+* :func:`_live_segments` decodes each segment live with
+  :func:`~repro.sim.engine.decode_interval` (branch prediction on the first
+  context's predictor) — sampled plans, whose predictor state depends on
+  the warmup rows replayed, and runs the memo gate refuses.
+
+Per segment the walk hands the shared stream to every *unit* — one rung's
+own kernel, several rungs of one geometry sharing a kernel, or a stack
+group (below) — then adds each unit's deltas to its rungs' interval counts
+and closes (measured, full interval) or discards (warmup) each rung's
+interval, so timing/energy aggregation, warmup accounting and per-rung
+resizing decisions run exactly as they would standalone
+(:meth:`ReplayContext.close_interval` is shared by construction).  The
+partial final chunk, ``total_seen`` threading and close/discard order
+exist once.
 
 The branch predictor is run once, on the first context's predictor: every
 standalone run starts from an identical fresh predictor and the predictor
@@ -34,12 +47,12 @@ shares no state with the caches, so each rung's per-interval mispredict
 totals are identical to its standalone run's by construction.  The same
 argument covers the fetch-block dedup state.
 
-**Pilot resolution of the invariant side.**  A profiling ladder resizes
-exactly one L1; the other is the full-size fixed cache in every rung.  A
-fixed L1's hit/miss (and dirty-victim) sequence depends only on its own
-access stream — which is shared — so it is *identical across rungs*.  The
-fused pass therefore drives the first context's copy of that cache (the
-"pilot") once per op and shares the outcome:
+**Modes: the pilot only for K ≥ 2.**  A profiling ladder resizes exactly
+one L1; the other is the full-size fixed cache in every rung.  A fixed
+L1's hit/miss (and dirty-victim) sequence depends only on its own access
+stream — which is shared — so it is *identical across rungs*.  With two or
+more rungs the pass therefore drives the first context's copy of that
+cache (the "pilot") once per op and shares the outcome:
 
 * an L1 *hit* touches no per-rung state at all (the packed replay path
   never consumes latency — cycles come from the interval counts), so the
@@ -49,15 +62,23 @@ fused pass therefore drives the first context's copy of that cache (the
   and each rung performs only the L2/memory fill — the part that really
   does depend on that rung's L2 contents.
 
-Per-rung work then shrinks to: variant-L1 kernel accesses, plus L2/memory
-fills for the (rare) invariant-side misses.  Everything
-configuration-*dependent* — cache contents, resize decisions, flush
-writebacks, energy, cycles — stays in per-rung state, which is why every
-rung's :class:`~repro.sim.results.SimulationResult` is **bit-identical**
-to a standalone run of the columnar engine (enforced by
-``tests/sim/test_ladder.py`` and ``tests/properties/test_property_ladder.py``).
-Heterogeneous ladders where *both* L1 setups vary across rungs fall back
-to re-dispatching the full shared stream per rung — still decoding once.
+A single context (every ``Simulator.run``) and a ladder whose rungs
+resize *both* sides take the general mode instead: each rung dispatches
+the full shared stream (:func:`dispatch_cache_ops_fast`).  For K = 1 that
+is the whole columnar replay and nothing more.  The rule is chosen from
+K, not from an option, and the reason was measured on 60k-instruction
+traces: one rung in pilot mode is 1.3–2.1x faster than the general walk
+when the pilot memo is warm but 2.2–2.9x slower when it is cold, and a
+service sending fresh single jobs over dozens of (trace, side,
+associativity) keys would mostly pay the cold price.  The general K = 1
+walk measured a median 1.002x of the retired standalone columnar walk.
+
+Everything configuration-*dependent* — cache contents, resize decisions,
+flush writebacks, energy, cycles — stays in per-rung state, which is why
+every rung's :class:`~repro.sim.results.SimulationResult` is
+**bit-identical** to a standalone run of the reference engine (enforced by
+``tests/sim/test_ladder.py``, ``tests/properties/test_property_ladder.py``
+and the engine-equivalence suites).
 
 One caveat: the invariant-side cache *objects* of rungs 1..K-1 are never
 driven (the pilot is rung 0's copy), so their internal hit/miss counters
@@ -67,22 +88,16 @@ introspecting ``hierarchy.miss_ratios()`` on a non-pilot context after a
 fused replay would show an idle invariant side.  When the memoized pilot
 pre-screen applies (:func:`repro.sim.predecode.pilot_for` — exhaustive
 replay, fresh fixed pilot), rung 0's copy joins them: the reduced stream
-comes from the memo and no live pilot is driven at all.
-
-Exhaustive fused replays additionally consume the whole-trace pre-decode
-memo (:func:`repro.sim.predecode.decoded_for`): the decode/predict phase
-is skipped entirely and each interval's op stream and totals are O(1)
-slices of the per-trace artifact, and the per-rung dispatch loops run the
-variant L1's hit path inline against hoisted kernel state
-(``_dispatch_variant_d_fast`` / ``_dispatch_variant_i_fast``) — both
-bit-identical to the scalar path by the same suites.
+comes from the memo and no live pilot is driven at all.  The per-rung
+kernels run the variant L1's hit path inline against hoisted kernel state
+(``_dispatch_variant_d_fast`` / ``_dispatch_variant_i_fast``).
 
 **Stack-distance tier for static LRU rungs.**  Profiling ladders are
 mostly *static* rungs — a resizable L1 pinned to one (sets, ways)
 configuration for the whole run — and static rungs under LRU need not be
-simulated one by one.  In an exhaustive pilot-mode pass (memoized decode,
-no sampling, exactly one resized side) the variant-side rungs whose cache
-is a cold :class:`~repro.cache.cache.Cache` or
+simulated one by one.  In an exhaustive pilot-mode pass over the memoized
+decode the variant-side rungs whose cache is a cold
+:class:`~repro.cache.cache.Cache` or
 :class:`~repro.resizing.resizable_cache.ResizableCache` with LRU
 replacement, a static (or no) strategy and a cold stock L2 are grouped by
 their enabled set count.  Every group with at least two distinct way
@@ -125,26 +140,28 @@ caches above: results never read them.
 
 Everything else keeps the per-rung kernels, selected from properties of
 the rungs, never from an option: dynamic rungs, FIFO and RANDOM
-replacement, sampled plans (:meth:`LadderEngine._walk_intervals`), and the
-both-sides general mode.  :func:`stats_snapshot` counts which tier served
-each rung (``ladder_stack_rungs``, ``ladder_shared_rungs``,
+replacement, live-decoded segments and the general mode.
+:func:`stats_snapshot` counts which tier served each rung of every
+:func:`run_fused` pass (``ladder_stack_rungs``, ``ladder_shared_rungs``,
 ``ladder_fallback_rungs``) plus ``ladder_passes`` and
-``ladder_stack_groups``; the runner merges them into ``--stats``.
+``ladder_stack_groups``; the runner merges them into ``--stats``.  Single
+runs are not ladder passes and are not counted.
 
-Amortization: a per-config ladder costs ``K × (slice + decode + predict +
+Amortization: K standalone runs cost ``K × (slice + decode + predict +
 full dispatch + close)``; the fused pass costs ``slice + decode + predict
 + pilot + K × (reduced dispatch + close)``.  The shared side is roughly
 the price of one replay, so the win grows with K (the job layer fuses
 only the rungs the job cache cannot already serve — see
 :meth:`repro.sim.runner.SweepRunner.submit_ladder`).
 
-:func:`run_fused` is the entry point: it builds one context per
-``(d_setup, i_setup)`` pair off a configured
+:func:`run_fused` is the entry point for ladders: it builds one context
+per ``(d_setup, i_setup)`` pair off a configured
 :class:`~repro.sim.simulator.Simulator` and finalizes each into its
 result.  :class:`LadderEngine` is deliberately *not* a registered
 :class:`~repro.sim.engine.ReplayEngine` — it replays many contexts at
-once, a different contract from the single-run engines the ``--engine``
-flag selects; the CLI exposes it through ``--ladder-mode`` instead.
+once.  The ``--engine`` flag picks how job-layer ladders run: under the
+default ``columnar`` engine they fuse; any other engine replays each rung
+as its own ``Simulator.run`` (:func:`repro.sim.runner.execute_ladder_job`).
 """
 
 from __future__ import annotations
@@ -167,20 +184,13 @@ from repro.cache.hierarchy import (
 from repro.cache.replacement import ReplacementPolicy
 from repro.common.counters import CounterRegistry
 from repro.common.errors import SimulationError
-from repro.metrics.counts import IntervalCounts
 from repro.resizing.resizable_cache import ResizableCache
 from repro.resizing.static_strategy import StaticResizing
 from repro.resizing.strategy import NoResizing
-from repro.sim.engine import (
-    _OP_FETCH,
-    _OP_LOAD,
-    _OP_STORE,
-    decode_interval,
-    dispatch_cache_ops_fast,
-)
+from repro.sim.engine import _OP_FETCH, _OP_LOAD, _OP_STORE, decode_interval
 from repro.sim.predecode import decoded_for, pilot_for
 from repro.sim.results import SimulationResult
-from repro.sim.simulator import L1Setup, ReplayContext, Simulator
+from repro.sim.simulator import L1Setup, ReplayContext, Simulator, validate_run
 from repro.workloads.trace import Trace
 
 #: Extra op codes of the pilot-reduced stream (the shared decode emits only
@@ -218,16 +228,19 @@ def stats_snapshot() -> Dict[str, int]:
 class LadderEngine:
     """Replays one trace through K replay contexts in a single decode pass."""
 
-    def replay_many(self, trace: Trace, contexts: Sequence[ReplayContext]) -> None:
+    def replay_many(self, trace: Trace, contexts: Sequence[ReplayContext]) -> Dict[str, int]:
         """Replay ``trace`` through every context, decoding each interval once.
 
-        All contexts must share the interval length and fetch-block
-        geometry (they do when built from one simulator, as
+        All contexts must share the interval length, fetch-block geometry
+        and sampling schedule (they do when built from one simulator, as
         :func:`run_fused` does); per-context cache/strategy state is free
-        to diverge — that is the point.
+        to diverge — that is the point.  Returns the pass's tier tally
+        (every :data:`TIER_COUNTERS` entry but ``ladder_passes``), which
+        :func:`run_fused` adds to the module counters.
         """
+        tally = dict.fromkeys(TIER_COUNTERS[1:], 0)
         if not contexts:
-            return
+            return tally
         first = contexts[0]
         for ctx in contexts[1:]:
             if (
@@ -246,269 +259,172 @@ class LadderEngine:
                     "fused ladder replay requires every rung to share the "
                     "sampling schedule (sample_every/sample_warmup)"
                 )
-        # Pilot-resolve whichever L1 side is fixed in every rung (a fixed
-        # cache's behaviour is shared by construction — see the module
-        # docstring).  A d-cache ladder pilots the L1i and vice versa; a
-        # ladder that resizes both sides in some rung gets the general
-        # mode, which re-dispatches the full shared stream per rung.
-        # Every mode is expressed as a (resolve, fold, rung-kernels)
-        # triple driven by one shared interval walk, so the interval
-        # semantics — partial final chunk, ``total_seen`` threading,
-        # per-rung close ordering — exist exactly once.
+        # With two or more rungs, pilot-resolve whichever L1 side is fixed
+        # in every rung (see the module docstring): a d-cache ladder pilots
+        # the L1i and vice versa.  One rung, or rungs resizing both sides,
+        # take the general mode — the full shared stream per rung.
+        side = None
+        if len(contexts) > 1:
+            if all(not ctx.i_runtime.is_resizable for ctx in contexts):
+                side = "i"
+            elif all(not ctx.d_runtime.is_resizable for ctx in contexts):
+                side = "d"
         hierarchy = first.hierarchy
-        if all(not ctx.i_runtime.is_resizable for ctx in contexts):
-            side = "i"
+        if side == "i":
             pilot_cache = hierarchy.l1i
             pilot = hierarchy._l1i_packed
             resolve = lambda ops: _resolve_pilot_i(ops, pilot)  # noqa: E731
-            fold = _fold_pilot_i
-            rungs = [
-                (ctx, ctx.hierarchy, ctx.hierarchy._l1d_packed,
-                 ctx.hierarchy._miss_packed)
-                for ctx in contexts
-            ]
-        elif all(not ctx.d_runtime.is_resizable for ctx in contexts):
-            side = "d"
+            fold = _dispatch_variant_d_fast
+        elif side == "d":
             pilot_cache = hierarchy.l1d
             pilot = hierarchy._l1d_packed
             resolve = lambda ops: _resolve_pilot_d(ops, pilot)  # noqa: E731
-            fold = _fold_pilot_d
-            rungs = [
-                (ctx, ctx.hierarchy, ctx.hierarchy._l1i_packed,
-                 ctx.hierarchy._miss_packed)
-                for ctx in contexts
-            ]
+            fold = _dispatch_variant_i_fast
         else:
-            side = None
             pilot_cache = None
             resolve = _resolve_general
-            fold = _fold_general
-            rungs = [(ctx, ctx.hierarchy, None, None) for ctx in contexts]
-        _STATS["ladder_passes"] += 1
-        plan = first.sampling_plan(len(trace))
-        if plan is None:
-            # Exhaustive replay: try the memoized whole-trace pre-decode
-            # (and, for pilot modes, the memoized pilot pre-screen — valid
-            # because the pilot is the fixed full-size L1, identical in
-            # every rung and every run of this trace).  Gate refusals fall
-            # back to the scalar walk, bit-identically.
-            decoded = decoded_for(trace, first.block_mask, first.predictor)
-            if decoded is not None:
-                pilot_res = None
-                units: list = []
-                if side is not None:
-                    pilot_res = pilot_for(trace, decoded, side, pilot_cache)
-                    rungs, units = _plan_stack_tier(rungs, side, fold)
-                _STATS["ladder_fallback_rungs"] += len(rungs)
-                self._walk_decoded(
-                    first, side, rungs, units, resolve, fold, decoded, pilot_res
-                )
-                return
-        _STATS["ladder_fallback_rungs"] += len(rungs)
-        self._walk_intervals(trace, first, rungs, resolve, fold, plan)
-
-    def _walk_decoded(
-        self, first, side, rungs, units, resolve, fold, decoded, pilot_res
-    ) -> None:
-        """The exhaustive interval walk over memoized pre-decoded streams.
-
-        Interval totals come from the decode's per-row prefix arrays; the
-        per-interval op stream is an O(1) slice.  With a pilot resolution
-        in hand the pilot pre-screen is skipped too — the reduced stream
-        and the shared hit/miss totals are sliced from the memo, and the
-        live pilot cache is never driven (rung 0 joins the documented
-        idle-invariant-side caveat).  Without one (gate refusal), the
-        shared ``resolve`` runs per interval exactly as the scalar walk
-        would run it.
-
-        ``rungs`` replay through their own kernels via ``fold``; each of
-        ``units`` (:class:`_StackGroup` or :class:`_SharedKernel`, built by
-        :func:`_plan_stack_tier`) replays once per interval and hands the
-        same fold deltas to every rung of each geometry it simulates.
-        """
-        n = decoded.n
-        interval_instructions = first.interval_instructions
-        interval_ops = decoded.interval_ops
-        op_prefix = decoded.op_prefix
-        branch_prefix = decoded.branch_prefix
-        mispredict_prefix = decoded.mispredict_prefix
-        memref_prefix = decoded.memref_prefix
-        store_prefix = decoded.store_prefix
-        unit_contexts = [ctx for unit in units for ctx in unit.contexts()]
-
-        total_seen = 0
-        position = 0
-        while position < n:
-            stop = position + interval_instructions
-            if stop > n:
-                stop = n
-            chunk = stop - position
-            branches = branch_prefix[stop] - branch_prefix[position]
-            branch_mispredicts = mispredict_prefix[stop] - mispredict_prefix[position]
-            memory_refs = memref_prefix[stop] - memref_prefix[position]
-            stores = store_prefix[stop] - store_prefix[position]
-
-            if pilot_res is None:
-                reduced, shared = resolve(interval_ops(position, stop))
-            else:
-                reduced = pilot_res.interval_entries(position, stop)
-                misses = pilot_res.miss_prefix[stop] - pilot_res.miss_prefix[position]
-                if side == "i":
-                    fetches = (op_prefix[stop] - op_prefix[position]) - memory_refs
-                    shared = (fetches, misses)
-                else:
-                    writebacks = (
-                        pilot_res.wb_prefix[stop] - pilot_res.wb_prefix[position]
-                    )
-                    shared = (misses, writebacks)
-
-            fetches = (op_prefix[stop] - op_prefix[position]) - memory_refs
-            total_seen += chunk
-            position = stop
-            close = chunk == interval_instructions
-
-            for ctx, aux, kernel_a, kernel_b in rungs:
-                counts = ctx.counts
-                counts.instructions += chunk
-                counts.branches += branches
-                counts.branch_mispredicts += branch_mispredicts
-                counts.l1d_accesses += memory_refs
-                counts.l1d_stores += stores
-                fold(counts, reduced, shared, aux, kernel_a, kernel_b)
-                if close:
-                    ctx.total_seen = total_seen
-                    ctx.close_interval()
-
-            for unit in units:
-                for members, deltas in unit.replay(reduced, shared, fetches):
-                    (
-                        l1i_accesses, l1i_misses, l1i_memory, l1d_misses,
-                        l1d_memory, l1d_writebacks, l2_accesses, memory_accesses,
-                    ) = deltas
-                    for ctx in members:
-                        counts = ctx.counts
-                        counts.instructions += chunk
-                        counts.branches += branches
-                        counts.branch_mispredicts += branch_mispredicts
-                        counts.l1d_accesses += memory_refs
-                        counts.l1d_stores += stores
-                        counts.l1i_accesses += l1i_accesses
-                        counts.l1i_misses += l1i_misses
-                        counts.l1i_memory_accesses += l1i_memory
-                        counts.l1d_misses += l1d_misses
-                        counts.l1d_memory_accesses += l1d_memory
-                        counts.l1d_writebacks += l1d_writebacks
-                        counts.l2_accesses += l2_accesses
-                        counts.memory_accesses += memory_accesses
-                        if close:
-                            ctx.total_seen = total_seen
-                            ctx.close_interval()
-
-        for ctx, _, _, _ in rungs:
-            ctx.total_seen = total_seen
-            ctx.close_interval(final=True)
-        for ctx in unit_contexts:
-            ctx.total_seen = total_seen
-            ctx.close_interval(final=True)
-
-    def _walk_intervals(self, trace, first, rungs, resolve, fold, plan) -> None:
-        """The single shared interval walk every fused mode runs on.
-
-        Per interval: slice the columns, decode once (branch prediction on
-        the first context's predictor), ``resolve`` the stream once for
-        all rungs (pilot modes shrink it; the general mode passes it
-        through), then ``fold`` it into each rung's counts and close that
-        rung's interval.  ``rungs`` are ``(context, aux, kernel_a,
-        kernel_b)`` tuples whose aux/kernel meaning is mode-specific — the
-        fold function and the rung list are built together in
-        :meth:`replay_many`.
-        """
-        interval_instructions = first.interval_instructions
-        block_mask = first.block_mask
-        predict = first.predictor.predict_and_update
-        decode = decode_interval
-
-        pc_column, address_column, flag_column = trace.columns()
-        pc_view = memoryview(pc_column)
-        address_view = memoryview(address_column)
-        flag_view = memoryview(flag_column)
+            fold = dispatch_cache_ops_fast
 
         n = len(trace)
-        if plan is not None:
-            # Sampled walk, same shape as ColumnarEngine's: the plan picks
-            # the row ranges, decode/resolve run once per segment, every
-            # rung folds and closes (measured) or discards (warmup).
+        interval_instructions = first.interval_instructions
+        plan = first.sampling_plan(n)
+        decoded = None
+        if plan is None:
+            plan = [
+                (start, min(start + interval_instructions, n), True)
+                for start in range(0, n, interval_instructions)
+            ]
+            decoded = decoded_for(trace, first.block_mask, first.predictor)
+        if decoded is None:
+            segments = _live_segments(trace, first, plan, resolve)
+            units = [_KernelUnit([ctx], fold) for ctx in contexts]
+        else:
+            # The memoized pilot pre-screen is valid because the pilot is
+            # the fixed full-size L1, identical in every rung and every run
+            # of this trace; a gate refusal resolves live per interval.
+            pilot_res = None
+            if side is not None:
+                pilot_res = pilot_for(trace, decoded, side, pilot_cache)
+            segments = _memo_segments(decoded, plan, side, resolve, pilot_res)
+            units = _plan_units(contexts, side, fold)
+        for unit in units:
+            unit.count(tally)
+        _walk(units, segments, interval_instructions)
+        return tally
+
+
+def _memo_segments(decoded, plan, side, resolve, pilot_res):
+    """Segments sliced from the memoized pre-decode (exhaustive plans only).
+
+    Interval totals come from the decode's per-row prefix arrays and the op
+    stream is an O(1) slice.  With a pilot resolution in hand the pilot
+    pre-screen is skipped too: the reduced stream and the shared hit/miss
+    totals are sliced from the memo and no live pilot is driven.  Without
+    one, ``resolve`` runs on each interval's stream.
+    """
+    interval_ops = decoded.interval_ops
+    op_prefix = decoded.op_prefix
+    branch_prefix = decoded.branch_prefix
+    mispredict_prefix = decoded.mispredict_prefix
+    memref_prefix = decoded.memref_prefix
+    store_prefix = decoded.store_prefix
+    for start, stop, measured in plan:
+        memory_refs = memref_prefix[stop] - memref_prefix[start]
+        fetches = (op_prefix[stop] - op_prefix[start]) - memory_refs
+        if pilot_res is None:
+            reduced, shared = resolve(interval_ops(start, stop))
+        else:
+            reduced = pilot_res.interval_entries(start, stop)
+            misses = pilot_res.miss_prefix[stop] - pilot_res.miss_prefix[start]
+            if side == "i":
+                shared = (fetches, misses)
+            else:
+                shared = (misses, pilot_res.wb_prefix[stop] - pilot_res.wb_prefix[start])
+        yield stop - start, measured, reduced, shared, (
+            branch_prefix[stop] - branch_prefix[start],
+            mispredict_prefix[stop] - mispredict_prefix[start],
+            memory_refs,
+            store_prefix[stop] - store_prefix[start],
+            fetches,
+        )
+
+
+def _live_segments(trace, first, plan, resolve):
+    """Segments decoded live from the trace columns, one plan entry at a time.
+
+    Segments are at most one interval long, so the decode keeps bounded
+    memory; the fetch-block dedup state resets across a skipped gap (the
+    previous block is unknowable), and branches are predicted on the
+    first context's predictor.
+    """
+    pc_column, address_column, flag_column = trace.columns()
+    pc_view = memoryview(pc_column)
+    address_view = memoryview(address_column)
+    flag_view = memoryview(flag_column)
+    block_mask = first.block_mask
+    predict = first.predictor.predict_and_update
+    last_fetch_block = -1
+    prev_stop = 0
+    for start, stop, measured in plan:
+        if start != prev_stop:
             last_fetch_block = -1
-            total_seen = 0
-            prev_stop = 0
-            for start, stop, measured in plan:
-                if start != prev_stop:
-                    last_fetch_block = -1
-                chunk = stop - start
-                pcs = pc_view[start:stop].tolist()
-                flags = flag_view[start:stop].tolist()
-                addresses = address_view[start:stop].tolist()
+        prev_stop = stop
+        chunk = stop - start
+        ops, last_fetch_block, branches, branch_mispredicts, memory_refs, stores = (
+            decode_interval(
+                pc_view[start:stop].tolist(), flag_view[start:stop].tolist(),
+                address_view[start:stop].tolist(), chunk, block_mask,
+                last_fetch_block, predict,
+            )
+        )
+        reduced, shared = resolve(ops)
+        # No fetch total: only stack groups read it, and they need the memo.
+        yield chunk, measured, reduced, shared, (
+            branches, branch_mispredicts, memory_refs, stores, None,
+        )
 
-                ops, last_fetch_block, branches, branch_mispredicts, memory_refs, stores = (
-                    decode(pcs, flags, addresses, chunk, block_mask, last_fetch_block, predict)
-                )
-                reduced, shared = resolve(ops)
-                total_seen += chunk
-                prev_stop = stop
-                close = measured and chunk == interval_instructions
 
-                for ctx, aux, kernel_a, kernel_b in rungs:
+def _walk(units, segments, interval_instructions) -> None:
+    """The one interval walk: every unit per segment, then each rung's close.
+
+    A measured segment of a full interval closes each rung's interval, a
+    warmup segment discards it, and a shorter measured segment (the final
+    partial chunk) stays open for the final close.
+    """
+    total_seen = 0
+    for chunk, measured, reduced, shared, totals in segments:
+        branches, branch_mispredicts, memory_refs, stores, fetches = totals
+        total_seen += chunk
+        close = measured and chunk == interval_instructions
+        for unit in units:
+            for members, deltas in unit.replay(reduced, shared, fetches):
+                (
+                    l1i_accesses, l1i_misses, l1i_memory, l1d_misses,
+                    l1d_memory, l1d_writebacks, l2_accesses, memory_accesses,
+                ) = deltas
+                for ctx in members:
                     counts = ctx.counts
                     counts.instructions += chunk
                     counts.branches += branches
                     counts.branch_mispredicts += branch_mispredicts
                     counts.l1d_accesses += memory_refs
                     counts.l1d_stores += stores
-                    fold(counts, reduced, shared, aux, kernel_a, kernel_b)
+                    counts.l1i_accesses += l1i_accesses
+                    counts.l1i_misses += l1i_misses
+                    counts.l1i_memory_accesses += l1i_memory
+                    counts.l1d_misses += l1d_misses
+                    counts.l1d_memory_accesses += l1d_memory
+                    counts.l1d_writebacks += l1d_writebacks
+                    counts.l2_accesses += l2_accesses
+                    counts.memory_accesses += memory_accesses
                     if close:
                         ctx.total_seen = total_seen
                         ctx.close_interval()
                     elif not measured:
                         ctx.discard_interval()
 
-            for ctx, _, _, _ in rungs:
-                ctx.total_seen = total_seen
-                ctx.close_interval(final=True)
-            return
-
-        last_fetch_block = -1
-        total_seen = 0
-        position = 0
-        while position < n:
-            stop = position + interval_instructions
-            if stop > n:
-                stop = n
-            chunk = stop - position
-            pcs = pc_view[position:stop].tolist()
-            flags = flag_view[position:stop].tolist()
-            addresses = address_view[position:stop].tolist()
-            position = stop
-
-            ops, last_fetch_block, branches, branch_mispredicts, memory_refs, stores = (
-                decode(pcs, flags, addresses, chunk, block_mask, last_fetch_block, predict)
-            )
-            reduced, shared = resolve(ops)
-            total_seen += chunk
-            close = chunk == interval_instructions
-
-            for ctx, aux, kernel_a, kernel_b in rungs:
-                counts = ctx.counts
-                counts.instructions += chunk
-                counts.branches += branches
-                counts.branch_mispredicts += branch_mispredicts
-                counts.l1d_accesses += memory_refs
-                counts.l1d_stores += stores
-                fold(counts, reduced, shared, aux, kernel_a, kernel_b)
-                if close:
-                    ctx.total_seen = total_seen
-                    ctx.close_interval()
-
-        for ctx, _, _, _ in rungs:
+    for unit in units:
+        for ctx in unit.contexts():
             ctx.total_seen = total_seen
             ctx.close_interval(final=True)
 
@@ -546,65 +462,59 @@ def _stack_key(ctx, side):
     return (hierarchy.config, l2.geometry, off, idx, mask), ways
 
 
-def _plan_stack_tier(rungs, side, fold):
-    """Split a pilot-mode ladder into per-rung fallbacks and shared units.
+def _plan_units(contexts, side, fold):
+    """Group a ladder's rungs into the units the walk replays.
 
-    Returns ``(fallback_rungs, units)``.  Eligible rungs (see
+    In the general mode (``side`` None) every rung is its own
+    :class:`_KernelUnit`.  In a pilot mode, eligible rungs (see
     :func:`_stack_key`) are grouped by set count: a group with at least two
     distinct way counts becomes one :class:`_StackGroup`; a group with one
-    way count runs the per-rung kernel once for its first rung
-    (:class:`_SharedKernel`) — or stays a plain fallback rung when it is
-    alone.
+    way count runs the per-rung kernel once for all its rungs
+    (:class:`_KernelUnit`).  Ineligible rungs keep their own kernel.
     """
-    fallback = []
+    if side is None:
+        return [_KernelUnit([ctx], fold) for ctx in contexts]
+    units = []
     groups: Dict[tuple, Dict[int, list]] = {}
-    for rung in rungs:
-        key = _stack_key(rung[0], side)
+    for ctx in contexts:
+        key = _stack_key(ctx, side)
         if key is None:
-            fallback.append(rung)
+            units.append(_KernelUnit([ctx], fold))
         else:
             group, ways = key
-            groups.setdefault(group, {}).setdefault(ways, []).append(rung)
-    units = []
+            groups.setdefault(group, {}).setdefault(ways, []).append(ctx)
     for group, by_ways in groups.items():
         if len(by_ways) > 1:
             units.append(_StackGroup(side, group[2], group[4], by_ways))
-            _STATS["ladder_stack_groups"] += 1
-            _STATS["ladder_stack_rungs"] += len(by_ways)
-            _STATS["ladder_shared_rungs"] += sum(len(r) for r in by_ways.values()) - len(by_ways)
-            continue
-        (members,) = by_ways.values()
-        if len(members) == 1:
-            fallback.append(members[0])
         else:
-            units.append(_SharedKernel(members, fold))
-            _STATS["ladder_fallback_rungs"] += 1
-            _STATS["ladder_shared_rungs"] += len(members) - 1
-    return fallback, units
+            (members,) = by_ways.values()
+            units.append(_KernelUnit(members, fold))
+    return units
 
 
-class _SharedKernel:
-    """Rungs of one enabled geometry replayed by one rung's own kernel."""
+class _KernelUnit:
+    """Rungs of one enabled geometry replayed by the first rung's own kernel.
 
-    __slots__ = ("rung", "members", "fold")
+    ``fold`` is the mode's dispatch kernel; it returns the interval deltas
+    every member receives.  A unit of one rung is a plain per-rung replay.
+    """
+
+    __slots__ = ("hierarchy", "members", "fold")
 
     def __init__(self, members, fold):
-        self.rung = members[0]
-        self.members = [rung[0] for rung in members]
+        self.hierarchy = members[0].hierarchy
+        self.members = members
         self.fold = fold
 
     def contexts(self):
         return self.members
 
+    def count(self, tally):
+        tally["ladder_fallback_rungs"] += 1
+        tally["ladder_shared_rungs"] += len(self.members) - 1
+
     def replay(self, reduced, shared, fetches):
-        _, aux, kernel_a, kernel_b = self.rung
-        scratch = IntervalCounts()
-        self.fold(scratch, reduced, shared, aux, kernel_a, kernel_b)
-        return ((self.members, (
-            scratch.l1i_accesses, scratch.l1i_misses, scratch.l1i_memory_accesses,
-            scratch.l1d_misses, scratch.l1d_memory_accesses, scratch.l1d_writebacks,
-            scratch.l2_accesses, scratch.memory_accesses,
-        )),)
+        return ((self.members, self.fold(reduced, shared, self.hierarchy)),)
 
 
 class _StackGroup:
@@ -625,16 +535,22 @@ class _StackGroup:
         self.off = off
         self.mask = mask
         self.ways = sorted(by_ways)
-        self.members = [[rung[0] for rung in by_ways[ways]] for ways in self.ways]
+        self.members = [by_ways[ways] for ways in self.ways]
         self.drives = []
-        for ways in self.ways:
-            hierarchy = by_ways[ways][0][1]
+        for members in self.members:
+            hierarchy = members[0].hierarchy
             self.drives.append((hierarchy.l2._kernel_state(), hierarchy._memory_state()))
         self.stacks = [[] for _ in range(mask + 1)]
         self.dirty_after: Dict[int, int] = {}
 
     def contexts(self):
         return [ctx for members in self.members for ctx in members]
+
+    def count(self, tally):
+        rungs = sum(len(members) for members in self.members)
+        tally["ladder_stack_groups"] += 1
+        tally["ladder_stack_rungs"] += len(self.ways)
+        tally["ladder_shared_rungs"] += rungs - len(self.ways)
 
     def replay(self, reduced, shared, fetches):
         """One interval: the stack pass, then each geometry's L2 stream."""
@@ -896,84 +812,15 @@ def _drive_misses(stream, victims, l2_state, mem_state):
         wb_buffer.drained += wb_over
     return l1i_memory, l1d_memory, reads + writes, l1i_memory + l1d_memory
 
+
+# ---------------------------------------------------------------------------
+# Pilot resolution and the per-rung dispatch kernels
+# ---------------------------------------------------------------------------
+
+
 def _resolve_general(ops):
     """General mode: nothing to pre-resolve, every rung replays all ops."""
     return ops, None
-
-
-def _fold_general(counts, ops, shared, hierarchy, kernel_a, kernel_b):
-    """Full per-rung dispatch through the engine's shared cache-op loop."""
-    (
-        l1i_accesses, l1i_misses, l1i_memory,
-        l1d_misses, l1d_memory, l1d_writebacks,
-        l2_accesses, memory_accesses,
-    ) = dispatch_cache_ops_fast(ops, hierarchy)
-    counts.l1i_accesses += l1i_accesses
-    counts.l1i_misses += l1i_misses
-    counts.l1i_memory_accesses += l1i_memory
-    counts.l1d_misses += l1d_misses
-    counts.l1d_memory_accesses += l1d_memory
-    counts.l1d_writebacks += l1d_writebacks
-    counts.l2_accesses += l2_accesses
-    counts.memory_accesses += memory_accesses
-
-
-def _fold_pilot_i(counts, reduced, shared, hierarchy, l1d_kernel, miss_fill):
-    """Fold one rung's interval when the L1i was pilot-resolved."""
-    fetches, i_misses = shared
-    counts.l1i_accesses += fetches
-    counts.l1i_misses += i_misses
-    state = getattr(hierarchy.l1d, "_kernel_state", None)
-    if state is not None:
-        l2_state = getattr(hierarchy.l2, "_kernel_state", None)
-        (
-            l1i_memory, l1d_misses, l1d_memory, l1d_writebacks,
-            l2_accesses, memory_accesses,
-        ) = _dispatch_variant_d_fast(
-            reduced, state(), miss_fill,
-            l2_state() if l2_state is not None else None,
-            hierarchy._memory_state() if l2_state is not None else None,
-        )
-    else:
-        (
-            l1i_memory, l1d_misses, l1d_memory, l1d_writebacks,
-            l2_accesses, memory_accesses,
-        ) = _dispatch_variant_d(reduced, l1d_kernel, miss_fill)
-    counts.l1i_memory_accesses += l1i_memory
-    counts.l1d_misses += l1d_misses
-    counts.l1d_memory_accesses += l1d_memory
-    counts.l1d_writebacks += l1d_writebacks
-    counts.l2_accesses += l2_accesses
-    counts.memory_accesses += memory_accesses
-
-
-def _fold_pilot_d(counts, reduced, shared, hierarchy, l1i_kernel, miss_fill):
-    """Fold one rung's interval when the L1d was pilot-resolved."""
-    d_misses, d_writebacks = shared
-    counts.l1d_misses += d_misses
-    counts.l1d_writebacks += d_writebacks
-    state = getattr(hierarchy.l1i, "_kernel_state", None)
-    if state is not None:
-        l2_state = getattr(hierarchy.l2, "_kernel_state", None)
-        (
-            l1i_accesses, l1i_misses, l1i_memory, l1d_memory,
-            l2_accesses, memory_accesses,
-        ) = _dispatch_variant_i_fast(
-            reduced, state(), miss_fill,
-            l2_state() if l2_state is not None else None,
-            hierarchy._memory_state() if l2_state is not None else None,
-        )
-    else:
-        (
-            l1i_accesses, l1i_misses, l1i_memory, l1d_memory,
-            l2_accesses, memory_accesses,
-        ) = _dispatch_variant_i(reduced, l1i_kernel, miss_fill)
-    counts.l1i_accesses += l1i_accesses
-    counts.l1i_misses += l1i_misses
-    counts.l1i_memory_accesses += l1i_memory
-    counts.l1d_memory_accesses += l1d_memory
-    counts.l2_accesses += l2_accesses
-    counts.memory_accesses += memory_accesses
 
 
 def _resolve_pilot_i(ops, l1i_kernel):
@@ -1042,83 +889,368 @@ def _resolve_pilot_d(ops, l1d_kernel):
     return reduced, (d_misses, d_writebacks)
 
 
-def _dispatch_variant_d(reduced, l1d_kernel, miss_fill):
-    """Per-rung dispatch when the L1i was pilot-resolved (d-cache ladder).
+def _l2_locals(hierarchy):
+    """The L2 and memory state a dispatch kernel hoists into locals.
 
-    Drives the rung's (variant) L1d kernel for every load/store and its
-    ``_miss_packed`` fill path for both d-misses and the pre-resolved
-    i-misses.  Returns ``(l1i_memory, l1d_misses, l1d_memory,
-    l1d_writebacks, l2_accesses, memory_accesses)``.
+    Returns ``(l2_stats, l2_sets, l2_off, l2_idx, l2_mask, l2_ways,
+    l2_refresh, l2_random, l2_selector, l2_shift1, mem_state, wb_pending,
+    wb_entries)``.  The L2 part is all None when the L2 exposes no kernel
+    state, and the memory part when the hierarchy's memory models are not
+    stock (:meth:`~repro.cache.hierarchy.CacheHierarchy._memory_state`):
+    the kernels then hand those misses to ``_miss_packed``.
     """
+    l2_state = getattr(hierarchy.l2, "_kernel_state", None)
+    if l2_state is None:
+        return (None,) * 13
+    state = l2_state()
+    mem_state = hierarchy._memory_state()
+    if mem_state is None:
+        return (*state, state[2] + 1, None, None, None)
+    wb_buffer = mem_state[4]
+    return (*state, state[2] + 1, mem_state, wb_buffer._pending, wb_buffer.num_entries)
+
+
+def _flush_l2(l2_stats, mem_state, l2_hits, l2m, l2_wb, l2_whits, l2_wm,
+              wb_enq, wb_over, wb_drain):
+    """Flush a kernel's L2, memory and write-back-buffer deltas into their stats."""
+    if l2_hits or l2m or l2_whits or l2_wm:
+        l2_stats.accesses += l2_hits + l2m + l2_whits + l2_wm
+        l2_stats.reads += l2_hits + l2m
+        l2_stats.writes += l2_whits + l2_wm
+        l2_stats.hits += l2_hits + l2_whits
+        l2_stats.misses += l2m + l2_wm
+        l2_stats.read_misses += l2m
+        l2_stats.write_misses += l2_wm
+        l2_stats.fills += l2m + l2_wm
+        l2_stats.writebacks += l2_wb
+    if l2m or l2_wm or l2_wb:
+        mem_reads, mem_writes, mem_bytes, l2_block, _ = mem_state
+        mem_reads.value += l2m + l2_wm
+        mem_writes.value += l2_wb
+        mem_bytes.value += (l2m + l2_wm + l2_wb) * l2_block
+    if wb_enq:
+        wb_buffer = mem_state[4]
+        wb_buffer.enqueued += wb_enq
+        wb_buffer.overflows += wb_over
+        wb_buffer.drained += wb_drain
+
+
+def dispatch_cache_ops_fast(ops, shared, hierarchy):
+    """The general-mode kernel: one hierarchy through a full decoded op stream.
+
+    Drives both L1s for every op in program order and returns the interval
+    miss statistics as a flat tuple ``(l1i_accesses, l1i_misses,
+    l1i_memory, l1d_misses, l1d_memory, l1d_writebacks, l2_accesses,
+    memory_accesses)``; ``shared`` is unused (nothing was pre-resolved).
+    A single run is exactly this kernel once per interval.
+
+    Around nine of every ten ops hit their L1, and for a hit the packed
+    kernel's whole job is a dict probe plus an LRU refresh — yet each one
+    costs two Python call frames (hierarchy wrapper → cache kernel) and a
+    handful of per-call stat attribute stores.  This kernel hoists both
+    L1 kernels' state (:meth:`repro.cache.cache.Cache._kernel_state`) into
+    locals for the duration of one interval, runs the full L1 access
+    inline — dict ops, victim choice and fill included, mirroring
+    ``access_packed`` statement for statement — and only calls out to the
+    hierarchy's shared ``_miss_packed`` fill path for actual misses: the
+    kernel is fed nothing but the residue.  Misses with a *clean* L1
+    victim — the dominant shape — are themselves resolved entirely inline
+    whatever the L2 outcome: an L2 read hit is one dict probe plus
+    refresh, and an L2 read miss adds the L2 fill/victim-spill dict ops
+    and main-memory counter bumps (``hierarchy._memory_state``; the
+    replay path never consumes the miss latency, which is all
+    ``_miss_packed`` computes beyond that).  ``_miss_packed`` is left
+    only the dirty-L1-victim spills, plus every miss on hierarchies
+    whose L2 or memory models are non-stock.
+    Cache stat deltas accumulate in locals and are flushed into each
+    cache's ``stats`` before returning, so at every interval boundary
+    (where strategies and accounting look) the counters are exactly the
+    per-call kernel's.
+    """
+    (i_stats, i_sets, i_off, i_idx, i_mask, i_ways, i_refresh, i_random, i_selector) = (
+        hierarchy.l1i._kernel_state()
+    )
+    (d_stats, d_sets, d_off, d_idx, d_mask, d_ways, d_refresh, d_random, d_selector) = (
+        hierarchy.l1d._kernel_state()
+    )
+    (l2_stats, l2_sets, l2_off, l2_idx, l2_mask, l2_ways, l2_refresh, l2_random,
+     l2_selector, l2_shift1, mem_state, wb_pending, wb_entries) = _l2_locals(hierarchy)
+    inline_mem = mem_state is not None
+    l2_hits = l2m = l2_wb = l2_whits = l2_wm = 0
+    wb_enq = wb_over = wb_drain = 0
+    miss_fill = hierarchy._miss_packed
+    i_shift1 = i_off + 1
+    d_shift1 = d_off + 1
     l2a_shift, mem_shift = HIER_L2_ACCESSES_SHIFT, HIER_MEM_ACCESSES_SHIFT
     count_mask = HIER_COUNT_MASK
-    op_imiss = _OP_IMISS
-    op_load = _OP_LOAD
+    filled, wb_valid, wb_shift = PACKED_FILLED, PACKED_WRITEBACK_VALID, PACKED_WRITEBACK_SHIFT
+    op_fetch, op_load = _OP_FETCH, _OP_LOAD
+
+    ia = ih = iwb = 0
+    da = dw = dh = dwm = dwb = 0
+    l1i_misses = 0
     l1i_memory = 0
     l1d_misses = 0
     l1d_memory = 0
     l1d_writebacks = 0
     l2_accesses = 0
     memory_accesses = 0
-    stream = iter(reduced)
+    stream = iter(ops)
     for code in stream:
         operand = next(stream)
-        if code == op_imiss:
-            packed = miss_fill(0, operand)
+        if code == op_fetch:
+            ia += 1
+            block = operand >> i_off
+            tag = block >> i_idx
+            blocks = i_sets[block & i_mask]
+            packed = blocks.get(tag)
+            if packed is not None:
+                ih += 1
+                if i_refresh:
+                    del blocks[tag]
+                    blocks[tag] = packed
+                continue
+            victim = None
+            if len(blocks) >= i_ways:
+                victim_tag = i_selector.choose_victim(blocks) if i_random else next(iter(blocks))
+                victim = blocks.pop(victim_tag)
+            blocks[tag] = block << i_shift1
+            if victim is not None and victim & 1:
+                iwb += 1
+                l1_packed = filled | wb_valid | ((victim >> 1) << wb_shift)
+            else:
+                # Clean victim: with no dirty L1 victim to spill, the whole
+                # miss is the L2 read plus (on an L2 miss) pure memory
+                # counter bumps — the replay path never consumes the
+                # latency — so both L2 outcomes resolve inline without the
+                # _miss_packed frame.
+                if l2_sets is not None:
+                    b2 = operand >> l2_off
+                    t2 = b2 >> l2_idx
+                    bl2 = l2_sets[b2 & l2_mask]
+                    p2 = bl2.get(t2)
+                    if p2 is not None:
+                        if l2_refresh:
+                            del bl2[t2]
+                            bl2[t2] = p2
+                        l2_hits += 1
+                        l1i_misses += 1
+                        l2_accesses += 1
+                        continue
+                    if inline_mem:
+                        # L2 read miss: fill (read -> clean), spill a dirty
+                        # L2 victim to memory — access_packed's miss body.
+                        l2m += 1
+                        v2 = None
+                        if len(bl2) >= l2_ways:
+                            vt2 = l2_selector.choose_victim(bl2) if l2_random else next(iter(bl2))
+                            v2 = bl2.pop(vt2)
+                        bl2[t2] = b2 << l2_shift1
+                        if v2 is not None and v2 & 1:
+                            l2_wb += 1
+                            transfers = 2
+                        else:
+                            transfers = 1
+                        l1i_misses += 1
+                        l2_accesses += 1
+                        memory_accesses += transfers
+                        l1i_memory += transfers
+                        continue
+                l1_packed = filled
+            packed = miss_fill(l1_packed, operand)
+            l1i_misses += 1
             l2_accesses += (packed >> l2a_shift) & count_mask
             transfers = (packed >> mem_shift) & count_mask
             memory_accesses += transfers
             l1i_memory += transfers
         else:
-            l1_packed = l1d_kernel(operand, code != op_load)
-            if not l1_packed & 1:
-                packed = miss_fill(l1_packed, operand)
-                l1d_misses += 1
-                fills = (packed >> l2a_shift) & count_mask
-                l2_accesses += fills
-                transfers = (packed >> mem_shift) & count_mask
-                memory_accesses += transfers
-                l1d_memory += transfers
-                if fills > 1:
-                    l1d_writebacks += fills - 1
-    return l1i_memory, l1d_misses, l1d_memory, l1d_writebacks, l2_accesses, memory_accesses
+            is_write = code != op_load
+            da += 1
+            if is_write:
+                dw += 1
+            block = operand >> d_off
+            tag = block >> d_idx
+            blocks = d_sets[block & d_mask]
+            packed = blocks.get(tag)
+            if packed is not None:
+                dh += 1
+                if is_write:
+                    packed |= 1
+                    if d_refresh:
+                        del blocks[tag]
+                    blocks[tag] = packed
+                elif d_refresh:
+                    del blocks[tag]
+                    blocks[tag] = packed
+                continue
+            if is_write:
+                dwm += 1
+            victim = None
+            if len(blocks) >= d_ways:
+                victim_tag = d_selector.choose_victim(blocks) if d_random else next(iter(blocks))
+                victim = blocks.pop(victim_tag)
+            blocks[tag] = (block << d_shift1) | (1 if is_write else 0)
+            if victim is not None and victim & 1:
+                dwb += 1
+                if inline_mem:
+                    # Dirty victim: L2 read fill at the miss address, then
+                    # the victim staged through the write-back buffer and
+                    # written into L2 (write-allocate) — _miss_packed's
+                    # whole body as dict ops and counter bumps.
+                    b2 = operand >> l2_off
+                    t2 = b2 >> l2_idx
+                    bl2 = l2_sets[b2 & l2_mask]
+                    p2 = bl2.get(t2)
+                    if p2 is not None:
+                        if l2_refresh:
+                            del bl2[t2]
+                            bl2[t2] = p2
+                        l2_hits += 1
+                        transfers = 0
+                    else:
+                        l2m += 1
+                        v2 = None
+                        if len(bl2) >= l2_ways:
+                            vt2 = l2_selector.choose_victim(bl2) if l2_random else next(iter(bl2))
+                            v2 = bl2.pop(vt2)
+                        bl2[t2] = b2 << l2_shift1
+                        if v2 is not None and v2 & 1:
+                            l2_wb += 1
+                            transfers = 2
+                        else:
+                            transfers = 1
+                    wb_addr = victim >> 1
+                    wb_enq += 1
+                    if len(wb_pending) >= wb_entries:
+                        wb_over += 1
+                        wb_pending.popleft()
+                        wb_drain += 1
+                    wb_pending.append(wb_addr)
+                    b3 = wb_addr >> l2_off
+                    t3 = b3 >> l2_idx
+                    bl3 = l2_sets[b3 & l2_mask]
+                    p3 = bl3.get(t3)
+                    if p3 is not None:
+                        l2_whits += 1
+                        p3 |= 1
+                        if l2_refresh:
+                            del bl3[t3]
+                        bl3[t3] = p3
+                    else:
+                        l2_wm += 1
+                        v3 = None
+                        if len(bl3) >= l2_ways:
+                            vt3 = l2_selector.choose_victim(bl3) if l2_random else next(iter(bl3))
+                            v3 = bl3.pop(vt3)
+                        bl3[t3] = (b3 << l2_shift1) | 1
+                        transfers += 1
+                        if v3 is not None and v3 & 1:
+                            l2_wb += 1
+                            transfers += 1
+                    l1d_misses += 1
+                    l1d_writebacks += 1
+                    l2_accesses += 2
+                    memory_accesses += transfers
+                    l1d_memory += transfers
+                    continue
+                l1_packed = filled | wb_valid | ((victim >> 1) << wb_shift)
+            else:
+                if l2_sets is not None:
+                    b2 = operand >> l2_off
+                    t2 = b2 >> l2_idx
+                    bl2 = l2_sets[b2 & l2_mask]
+                    p2 = bl2.get(t2)
+                    if p2 is not None:
+                        if l2_refresh:
+                            del bl2[t2]
+                            bl2[t2] = p2
+                        l2_hits += 1
+                        l1d_misses += 1
+                        l2_accesses += 1
+                        continue
+                    if inline_mem:
+                        l2m += 1
+                        v2 = None
+                        if len(bl2) >= l2_ways:
+                            vt2 = l2_selector.choose_victim(bl2) if l2_random else next(iter(bl2))
+                            v2 = bl2.pop(vt2)
+                        bl2[t2] = b2 << l2_shift1
+                        if v2 is not None and v2 & 1:
+                            l2_wb += 1
+                            transfers = 2
+                        else:
+                            transfers = 1
+                        l1d_misses += 1
+                        l2_accesses += 1
+                        memory_accesses += transfers
+                        l1d_memory += transfers
+                        continue
+                l1_packed = filled
+            packed = miss_fill(l1_packed, operand)
+            l1d_misses += 1
+            fills = (packed >> l2a_shift) & count_mask
+            l2_accesses += fills
+            transfers = (packed >> mem_shift) & count_mask
+            memory_accesses += transfers
+            l1d_memory += transfers
+            if fills > 1:
+                l1d_writebacks += fills - 1
 
-
-def _dispatch_variant_d_fast(reduced, kernel_state, miss_fill, l2_state=None, mem_state=None):
-    """:func:`_dispatch_variant_d` with the variant L1d's hit path inline.
-
-    ``kernel_state`` is the variant cache's hoisted
-    :meth:`~repro.cache.cache.Cache._kernel_state` tuple, fetched fresh by
-    the fold each interval (resizes land exactly at interval boundaries).
-    The access body mirrors ``access_packed`` statement for statement; stat
-    deltas are flushed into the cache's counters before returning, so the
-    boundary-observable state is identical to the per-call kernel's.
-
-    ``l2_state`` (the rung L2's hoisted kernel tuple, or None) enables the
-    inline L2 probe for misses with no dirty L1 victim, and ``mem_state``
-    (:meth:`~repro.cache.hierarchy.CacheHierarchy._memory_state`, or None)
-    extends it to the L2-miss outcome: the L2 fill/victim-spill and the
-    memory transfers are dict ops and counter bumps whose latency this
-    path never consumes, so the whole miss resolves without the
-    ``_miss_packed`` frame.  Only dirty-L1-victim spills still take it.
-    """
-    (d_stats, d_sets, d_off, d_idx, d_mask, d_ways, d_refresh, d_random, d_selector) = (
-        kernel_state
+    i_stats.accesses += ia
+    i_stats.reads += ia
+    i_stats.hits += ih
+    im = ia - ih
+    i_stats.misses += im
+    i_stats.read_misses += im
+    i_stats.fills += im
+    i_stats.writebacks += iwb
+    d_stats.accesses += da
+    d_stats.writes += dw
+    d_stats.reads += da - dw
+    d_stats.hits += dh
+    dm = da - dh
+    d_stats.misses += dm
+    d_stats.write_misses += dwm
+    d_stats.read_misses += dm - dwm
+    d_stats.fills += dm
+    d_stats.writebacks += dwb
+    _flush_l2(l2_stats, mem_state, l2_hits, l2m, l2_wb, l2_whits, l2_wm,
+              wb_enq, wb_over, wb_drain)
+    return (
+        ia, l1i_misses, l1i_memory,
+        l1d_misses, l1d_memory, l1d_writebacks,
+        l2_accesses, memory_accesses,
     )
-    if l2_state is not None:
-        (l2_stats, l2_sets, l2_off, l2_idx, l2_mask, l2_ways, l2_refresh,
-         l2_random, l2_selector) = l2_state
-        l2_shift1 = l2_off + 1
-    else:
-        l2_stats = l2_sets = l2_off = l2_idx = l2_mask = None
-        l2_ways = l2_refresh = l2_random = l2_selector = l2_shift1 = None
-        mem_state = None
+
+
+
+def _dispatch_variant_d_fast(reduced, shared, hierarchy):
+    """Per-rung kernel of a d-cache ladder (the L1i was pilot-resolved).
+
+    Drives the rung's variant L1d for every load/store and its L2/memory
+    for both d-misses and the pre-resolved i-misses; ``shared`` is the
+    pilot's ``(fetches, i_misses)``.  Returns the interval deltas in the
+    order :func:`dispatch_cache_ops_fast` does.
+
+    The variant cache's :meth:`~repro.cache.cache.Cache._kernel_state` is
+    fetched fresh each interval (resizes land exactly at interval
+    boundaries).  The access body mirrors ``access_packed`` statement for
+    statement; stat deltas are flushed into the cache's counters before
+    returning, so the boundary-observable state is identical to the
+    per-call kernel's.  With a stock L2 and memory (:func:`_l2_locals`)
+    every miss without a dirty L1 victim resolves inline — the L2
+    fill/victim-spill and the memory transfers are dict ops and counter
+    bumps whose latency this path never consumes — and only dirty-L1-victim
+    spills still take the ``_miss_packed`` frame.
+    """
+    fetches, i_misses = shared
+    (d_stats, d_sets, d_off, d_idx, d_mask, d_ways, d_refresh, d_random, d_selector) = (
+        hierarchy.l1d._kernel_state()
+    )
+    (l2_stats, l2_sets, l2_off, l2_idx, l2_mask, l2_ways, l2_refresh, l2_random,
+     l2_selector, l2_shift1, mem_state, wb_pending, wb_entries) = _l2_locals(hierarchy)
     inline_mem = mem_state is not None
-    if inline_mem:
-        wb_pending = mem_state[4]._pending
-        wb_entries = mem_state[4].num_entries
-    else:
-        wb_pending = wb_entries = None
+    miss_fill = hierarchy._miss_packed
     l2_hits = l2m = l2_wb = l2_whits = l2_wm = 0
     wb_enq = wb_over = wb_drain = 0
     d_shift1 = d_off + 1
@@ -1316,98 +1448,32 @@ def _dispatch_variant_d_fast(reduced, kernel_state, miss_fill, l2_state=None, me
     d_stats.read_misses += dm - dwm
     d_stats.fills += dm
     d_stats.writebacks += dwb
-    if l2_hits or l2m or l2_whits or l2_wm:
-        l2_stats.accesses += l2_hits + l2m + l2_whits + l2_wm
-        l2_stats.reads += l2_hits + l2m
-        l2_stats.writes += l2_whits + l2_wm
-        l2_stats.hits += l2_hits + l2_whits
-        l2_stats.misses += l2m + l2_wm
-        l2_stats.read_misses += l2m
-        l2_stats.write_misses += l2_wm
-        l2_stats.fills += l2m + l2_wm
-        l2_stats.writebacks += l2_wb
-    if l2m or l2_wm or l2_wb:
-        mem_reads, mem_writes, mem_bytes, l2_block, _ = mem_state
-        mem_reads.value += l2m + l2_wm
-        mem_writes.value += l2_wb
-        mem_bytes.value += (l2m + l2_wm + l2_wb) * l2_block
-    if wb_enq:
-        wb_buffer = mem_state[4]
-        wb_buffer.enqueued += wb_enq
-        wb_buffer.overflows += wb_over
-        wb_buffer.drained += wb_drain
-    return l1i_memory, l1d_misses, l1d_memory, l1d_writebacks, l2_accesses, memory_accesses
-
-
-def _dispatch_variant_i(reduced, l1i_kernel, miss_fill):
-    """Per-rung dispatch when the L1d was pilot-resolved (i-cache ladder).
-
-    Drives the rung's (variant) L1i kernel for every fetch op and its
-    ``_miss_packed`` fill path for both i-misses and the pre-resolved
-    d-misses (whose shared victim-writeback outcome rides in the stream).
-    Returns ``(l1i_accesses, l1i_misses, l1i_memory, l1d_memory,
-    l2_accesses, memory_accesses)``.
-    """
-    l2a_shift, mem_shift = HIER_L2_ACCESSES_SHIFT, HIER_MEM_ACCESSES_SHIFT
-    count_mask = HIER_COUNT_MASK
-    op_fetch = _OP_FETCH
-    l1i_accesses = 0
-    l1i_misses = 0
-    l1i_memory = 0
-    l1d_memory = 0
-    l2_accesses = 0
-    memory_accesses = 0
-    stream = iter(reduced)
-    for code in stream:
-        operand = next(stream)
-        if code == op_fetch:
-            l1_packed = l1i_kernel(operand, False)
-            l1i_accesses += 1
-            if not l1_packed & 1:
-                packed = miss_fill(l1_packed, operand)
-                l1i_misses += 1
-                l2_accesses += (packed >> l2a_shift) & count_mask
-                transfers = (packed >> mem_shift) & count_mask
-                memory_accesses += transfers
-                l1i_memory += transfers
-        else:
-            l1_packed = next(stream)
-            packed = miss_fill(l1_packed, operand)
-            fills = (packed >> l2a_shift) & count_mask
-            l2_accesses += fills
-            transfers = (packed >> mem_shift) & count_mask
-            memory_accesses += transfers
-            l1d_memory += transfers
-    return l1i_accesses, l1i_misses, l1i_memory, l1d_memory, l2_accesses, memory_accesses
-
-
-def _dispatch_variant_i_fast(reduced, kernel_state, miss_fill, l2_state=None, mem_state=None):
-    """:func:`_dispatch_variant_i` with the variant L1i's hit path inline.
-
-    Same contract as :func:`_dispatch_variant_d_fast`: hoisted kernel
-    state, inline ``access_packed`` body (the L1i is read-only, so the hit
-    path is just the probe plus LRU refresh and fills are never dirty),
-    the full inline L2 access — hit probe, and with ``mem_state`` the
-    read-miss fill/victim-spill and memory counter bumps — for misses
-    without a dirty L1 victim, stat deltas flushed before returning.
-    """
-    (i_stats, i_sets, i_off, i_idx, i_mask, i_ways, i_refresh, i_random, i_selector) = (
-        kernel_state
+    _flush_l2(l2_stats, mem_state, l2_hits, l2m, l2_wb, l2_whits, l2_wm,
+              wb_enq, wb_over, wb_drain)
+    return (
+        fetches, i_misses, l1i_memory, l1d_misses, l1d_memory, l1d_writebacks,
+        l2_accesses, memory_accesses,
     )
-    if l2_state is not None:
-        (l2_stats, l2_sets, l2_off, l2_idx, l2_mask, l2_ways, l2_refresh,
-         l2_random, l2_selector) = l2_state
-        l2_shift1 = l2_off + 1
-    else:
-        l2_stats = l2_sets = l2_off = l2_idx = l2_mask = None
-        l2_ways = l2_refresh = l2_random = l2_selector = l2_shift1 = None
-        mem_state = None
+
+
+def _dispatch_variant_i_fast(reduced, shared, hierarchy):
+    """Per-rung kernel of an i-cache ladder (the L1d was pilot-resolved).
+
+    Same contract as :func:`_dispatch_variant_d_fast`, with the sides
+    swapped: the variant L1i runs inline for every fetch (it is read-only,
+    so the hit path is just the probe plus LRU refresh and fills are never
+    dirty), pre-resolved d-misses carry the pilot's packed outcome and so
+    its shared dirty victim, and ``shared`` is the pilot's ``(d_misses,
+    d_writebacks)``.
+    """
+    d_misses, d_writebacks = shared
+    (i_stats, i_sets, i_off, i_idx, i_mask, i_ways, i_refresh, i_random, i_selector) = (
+        hierarchy.l1i._kernel_state()
+    )
+    (l2_stats, l2_sets, l2_off, l2_idx, l2_mask, l2_ways, l2_refresh, l2_random,
+     l2_selector, l2_shift1, mem_state, wb_pending, wb_entries) = _l2_locals(hierarchy)
     inline_mem = mem_state is not None
-    if inline_mem:
-        wb_pending = mem_state[4]._pending
-        wb_entries = mem_state[4].num_entries
-    else:
-        wb_pending = wb_entries = None
+    miss_fill = hierarchy._miss_packed
     l2_hits = l2m = l2_wb = l2_whits = l2_wm = 0
     wb_enq = wb_over = wb_drain = 0
     i_shift1 = i_off + 1
@@ -1587,27 +1653,12 @@ def _dispatch_variant_i_fast(reduced, kernel_state, miss_fill, l2_state=None, me
     i_stats.read_misses += im
     i_stats.fills += im
     i_stats.writebacks += iwb
-    if l2_hits or l2m or l2_whits or l2_wm:
-        l2_stats.accesses += l2_hits + l2m + l2_whits + l2_wm
-        l2_stats.reads += l2_hits + l2m
-        l2_stats.writes += l2_whits + l2_wm
-        l2_stats.hits += l2_hits + l2_whits
-        l2_stats.misses += l2m + l2_wm
-        l2_stats.read_misses += l2m
-        l2_stats.write_misses += l2_wm
-        l2_stats.fills += l2m + l2_wm
-        l2_stats.writebacks += l2_wb
-    if l2m or l2_wm or l2_wb:
-        mem_reads, mem_writes, mem_bytes, l2_block, _ = mem_state
-        mem_reads.value += l2m + l2_wm
-        mem_writes.value += l2_wb
-        mem_bytes.value += (l2m + l2_wm + l2_wb) * l2_block
-    if wb_enq:
-        wb_buffer = mem_state[4]
-        wb_buffer.enqueued += wb_enq
-        wb_buffer.overflows += wb_over
-        wb_buffer.drained += wb_drain
-    return ia, l1i_misses, l1i_memory, l1d_memory, l2_accesses, memory_accesses
+    _flush_l2(l2_stats, mem_state, l2_hits, l2m, l2_wb, l2_whits, l2_wm,
+              wb_enq, wb_over, wb_drain)
+    return (
+        ia, l1i_misses, l1i_memory, d_misses, l1d_memory, d_writebacks,
+        l2_accesses, memory_accesses,
+    )
 
 
 def run_fused(
@@ -1632,14 +1683,7 @@ def run_fused(
     """
     if not setups:
         raise SimulationError("a fused ladder needs at least one rung")
-    if len(trace) == 0:
-        raise SimulationError("cannot simulate an empty trace")
-    if interval_instructions < 1:
-        raise SimulationError("interval length must be at least one instruction")
-    if sample_every < 1:
-        raise SimulationError("sample_every must be at least 1")
-    if sample_warmup < 0:
-        raise SimulationError("sample_warmup cannot be negative")
+    validate_run(trace, interval_instructions, sample_every, sample_warmup)
     with _collector_paused():
         contexts = [
             simulator._prepare_run(
@@ -1648,7 +1692,10 @@ def run_fused(
             )
             for d_setup, i_setup in setups
         ]
-        LadderEngine().replay_many(trace, contexts)
+        tally = LadderEngine().replay_many(trace, contexts)
+        _STATS["ladder_passes"] += 1
+        for key, value in tally.items():
+            _STATS[key] += value
         return [Simulator._finalize_run(context) for context in contexts]
 
 

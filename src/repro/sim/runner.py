@@ -15,8 +15,8 @@ can additionally execute as a single *fused* pass: :class:`LadderJob`
 bundles the rung specs, one worker replays the shared trace through every
 rung's hierarchy in one decode (:mod:`repro.sim.ladder`), and
 :meth:`SweepRunner.submit_ladder` fans the results back out to the rungs'
-individual cache fingerprints, so the fused and per-config paths are
-interchangeable against the same warm cache.
+individual cache fingerprints, so a fused rung and a standalone job of the
+same rung are interchangeable against the same warm cache.
 
 Jobs can also be *deferred*: :meth:`SweepRunner.submit` enqueues a job and
 returns a :class:`repro.sim.future.SimFuture` immediately, and
@@ -87,6 +87,7 @@ from repro.resizing.static_strategy import StaticResizing
 from repro.resizing.strategy import NoResizing, ResizingStrategy
 from repro.sim import faults, ladder, predecode
 from repro.sim import shm as shm_transport
+from repro.sim.engine import DEFAULT_ENGINE, ColumnarEngine
 from repro.sim.future import SimFuture
 from repro.sim.jobcache import JobCache
 from repro.sim.pool import FaultTolerantPool
@@ -280,7 +281,7 @@ class StrategySpec:
 
         Exact classes only — a subclass with overridden behaviour must not be
         silently rebuilt as its base class in a worker, so it is rejected
-        here and (via :func:`repro.sim.sweep.run_with_setups`'s fallback)
+        here and (via the fallback of :meth:`repro.sim.sweep.Sweep.with_setups`)
         runs in-process instead.
         """
         if type(strategy) is StaticResizing:
@@ -445,9 +446,10 @@ class LadderJob:
     cache already holds (see :meth:`SweepRunner.submit_ladder`).
 
     Every rung must share the fields the fused pass amortizes — trace,
-    system, interval/warmup lengths, technology and timing; only the L1
-    setups may differ.  Validated eagerly so a malformed ladder fails at
-    submit time, not in a worker.
+    system, interval/warmup lengths, technology and timing — and the
+    replay engine, which decides whether the ladder fuses at all (see
+    :func:`execute_ladder_job`); only the L1 setups may differ.  Validated
+    eagerly so a malformed ladder fails at submit time, not in a worker.
     """
 
     rungs: List[SimJob]
@@ -467,11 +469,12 @@ class LadderJob:
                 and rung.timing == first.timing
                 and rung.sample_every == first.sample_every
                 and rung.sample_warmup == first.sample_warmup
+                and rung.engine == first.engine
             ):
                 raise SimulationError(
                     "every rung of a ladder job must share the trace, system, "
-                    "interval/warmup lengths, sampling schedule, technology and "
-                    "timing; only the L1 setups may differ between rungs"
+                    "interval/warmup lengths, sampling schedule, technology, "
+                    "timing and engine; only the L1 setups may differ between rungs"
                 )
 
     def merge_key(self):
@@ -493,7 +496,7 @@ class LadderJob:
         key = (
             first.trace, first.system, first.interval_instructions,
             first.warmup_instructions, first.technology, first.timing,
-            first.sample_every, first.sample_warmup, side,
+            first.sample_every, first.sample_warmup, first.engine, side,
         )
         try:
             hash(key)
@@ -512,34 +515,35 @@ class LadderJob:
 
 
 def execute_ladder_job(job: LadderJob) -> List[SimulationResult]:
-    """Run one fused ladder pass to completion (the worker entry point).
+    """Run one ladder job to completion (the worker entry point).
 
     The ladder counterpart of :func:`execute_job`: everything is rebuilt
-    from the rung specs, the shared trace is resolved once, and the fused
-    engine replays it through every rung's hierarchy in a single pass.
-    The ``engine`` field of the rungs is irrelevant here — the fused pass
-    *is* an engine choice (the columnar decode feeding K kernels); use the
-    per-config submission path to replay a ladder under a specific
-    single-run engine.
+    from the rung specs and the shared trace is resolved once.  Under the
+    default ``columnar`` engine the fused engine replays the trace through
+    every rung's hierarchy in a single pass; any other engine the rungs
+    name (``reference``, a registered custom engine) replays each rung as
+    its own :meth:`Simulator.run`, so ``--engine`` is honoured inside
+    ladders too.
     """
-    from repro.sim.ladder import run_fused  # deferred: ladder imports the simulator stack
-
     first = job.rungs[0]
     trace = resolve_trace(first.trace)
-    simulator = Simulator(first.system, first.technology, first.timing)
+    simulator = Simulator(first.system, first.technology, first.timing, engine=first.engine)
     setups = [
         (rung.d_setup.build(first.system.l1d), rung.i_setup.build(first.system.l1i))
         for rung in job.rungs
     ]
-    return run_fused(
-        simulator,
-        trace,
-        setups,
+    kwargs = dict(
         interval_instructions=first.interval_instructions,
         warmup_instructions=first.warmup_instructions,
         sample_every=first.sample_every,
         sample_warmup=first.sample_warmup,
     )
+    if (first.engine or DEFAULT_ENGINE) != ColumnarEngine.name:
+        return [
+            simulator.run(trace, d_setup=d_setup, i_setup=i_setup, **kwargs)
+            for d_setup, i_setup in setups
+        ]
+    return ladder.run_fused(simulator, trace, setups, **kwargs)
 
 
 def _describe_setup(spec: L1SetupSpec) -> str:
@@ -1178,9 +1182,9 @@ class SweepRunner:
         The fused pass is bit-identical to running every rung standalone
         (see :mod:`repro.sim.ladder`), which is what makes the per-rung
         fan-out sound: a result computed fused may serve a later
-        per-config submission of the same rung and vice versa.  Rungs must
+        standalone submission of the same rung and vice versa.  Rungs must
         satisfy the :class:`LadderJob` sharing contract (same trace,
-        system, interval/warmup, technology, timing).
+        system, interval/warmup, technology, timing, engine).
 
         A ladder whose :meth:`LadderJob.merge_key` matches one already
         pending (the selective-ways, selective-sets and hybrid ladders of

@@ -201,6 +201,19 @@ class _L1Runtime:
         return len(outcome.writeback_addresses)
 
 
+def validate_run(trace: Trace, interval_instructions: int, sample_every: int,
+                 sample_warmup: int) -> None:
+    """Reject run parameters no replay can honour (shared with fused ladders)."""
+    if len(trace) == 0:
+        raise SimulationError("cannot simulate an empty trace")
+    if interval_instructions < 1:
+        raise SimulationError("interval length must be at least one instruction")
+    if sample_every < 1:
+        raise SimulationError("sample_every must be at least 1")
+    if sample_warmup < 0:
+        raise SimulationError("sample_warmup cannot be negative")
+
+
 class Simulator:
     """Replays traces against a configured system and produces results."""
 
@@ -251,14 +264,7 @@ class Simulator:
             sample_warmup: instructions replayed (but not measured) before
                 each sampled interval to re-warm cache and predictor state.
         """
-        if len(trace) == 0:
-            raise SimulationError("cannot simulate an empty trace")
-        if interval_instructions < 1:
-            raise SimulationError("interval length must be at least one instruction")
-        if sample_every < 1:
-            raise SimulationError("sample_every must be at least 1")
-        if sample_warmup < 0:
-            raise SimulationError("sample_warmup cannot be negative")
+        validate_run(trace, interval_instructions, sample_every, sample_warmup)
         replay_engine = get_engine(engine if engine is not None else self.engine)
         context = self._prepare_run(
             trace, d_setup, i_setup, interval_instructions, warmup_instructions,
@@ -283,8 +289,8 @@ class Simulator:
         replay engine lives here so the fused ladder path
         (:mod:`repro.sim.ladder`) can build K independent contexts against
         the *same* trace and replay them all from one decode pass.  The
-        caller is responsible for the trace/interval validation :meth:`run`
-        performs (the fused path validates once for the whole ladder).
+        caller is responsible for :func:`validate_run` (the fused path
+        validates once for the whole ladder).
         """
         system = self.system
         d_setup = d_setup if d_setup is not None else L1Setup()

@@ -27,28 +27,20 @@ exposes each sweep in two shapes —
   methods are thin wrappers over the deferred ones, so both paths compute
   byte-identical results.
 
-The module-level ``submit_*`` functions remain as thin aliases of the
-facade's deferred methods; the module-level eager functions
-(``run_baseline``, ``run_with_setups``, ``run_dynamic``) are **deprecated**
-wrappers that emit :class:`DeprecationWarning` and forward to the facade
-(``profile_static`` stays silent for now — it is the documented entry point
-for unregistered organization classes).
-
-Profiling ladders additionally default to the **fused** execution mode
-(``ladder_mode=FUSED``): instead of K per-configuration jobs that each
-decode the same trace, the ladder collapses into one
+Profiling ladders execute **fused**: instead of K jobs that each decode
+the same trace, the ladder collapses into one
 :class:`repro.sim.runner.LadderJob` whose worker decodes each interval once
 and feeds every rung's cache hierarchy in the same pass
 (:mod:`repro.sim.ladder`).  Results fan out to the rungs' individual cache
-fingerprints, so fused and per-config runs serve each other's warm caches
-and a partially-warm ladder fuses only its missing rungs;
-``ladder_mode=PER_CONFIG`` keeps the historical one-job-per-rung path for
-debugging and for spreading a single ladder across pool workers.
+fingerprints, so fused rungs and standalone jobs serve each other's warm
+caches and a partially-warm ladder fuses only its missing rungs.  A
+simulator configured with a non-default engine (``reference``) replays
+each rung of the ladder job standalone under that engine instead — the
+debugging path (see :func:`repro.sim.runner.execute_ladder_job`).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -81,29 +73,6 @@ from repro.workloads.trace import Trace
 #: Which L1 cache a sweep resizes.
 DCACHE = "dcache"
 ICACHE = "icache"
-
-#: How a profiling ladder executes.  ``FUSED`` (the default) collapses the
-#: whole ladder into one :class:`repro.sim.runner.LadderJob`: a single
-#: worker decodes the trace once and feeds every rung's cache hierarchy in
-#: the same pass (see :mod:`repro.sim.ladder`), with results fanned out to
-#: the rungs' individual cache fingerprints.  ``PER_CONFIG`` submits each
-#: rung as its own job — the historical path, kept for debugging (it honours
-#: ``--engine`` per rung and spreads rungs across pool workers).  Both modes
-#: are bit-identical and share the job cache in both directions.
-FUSED = "fused"
-PER_CONFIG = "per-config"
-LADDER_MODES = (FUSED, PER_CONFIG)
-
-
-def require_ladder_mode(ladder_mode: str) -> str:
-    """Validate (and return) a ladder-mode name against :data:`LADDER_MODES`."""
-    if ladder_mode not in LADDER_MODES:
-        known = ", ".join(LADDER_MODES)
-        raise SimulationError(
-            f"unknown ladder mode {ladder_mode!r}; available modes: {known}"
-        )
-    return ladder_mode
-
 
 #: A sweep accepts a materialised trace or a declarative spec — synthetic
 #: (:class:`TraceSpec`) or an external trace file
@@ -359,7 +328,7 @@ class Sweep:
     A :class:`Sweep` binds the pieces every submission needs (the configured
     simulator, the runner executing the jobs, and the run parameters shared
     across an evaluation — interval/warmup instructions, the sampling
-    schedule, the ladder mode, the slowdown bound) so call sites name only
+    schedule, the slowdown bound) so call sites name only
     what varies: the trace, the organization, the target.
 
     Every method accepts the shared parameters as per-call keyword overrides
@@ -382,7 +351,6 @@ class Sweep:
         warmup_instructions: int = 0,
         sample_every: int = 1,
         sample_warmup: int = 0,
-        ladder_mode: str = FUSED,
         max_slowdown: Optional[float] = None,
     ) -> None:
         self.simulator = simulator
@@ -394,7 +362,6 @@ class Sweep:
         self.warmup_instructions = warmup_instructions
         self.sample_every = sample_every
         self.sample_warmup = sample_warmup
-        self.ladder_mode = require_ladder_mode(ladder_mode)
         self.max_slowdown = max_slowdown
 
     # ------------------------------------------------------------- internals
@@ -531,7 +498,6 @@ class Sweep:
         target: str = DCACHE,
         baseline: Union[SimFuture, SimulationResult, None] = None,
         max_slowdown: Optional[float] = None,
-        ladder_mode: Optional[str] = None,
         interval_instructions: Optional[int] = None,
         warmup_instructions: Optional[int] = None,
         sample_every: Optional[int] = None,
@@ -546,17 +512,13 @@ class Sweep:
         registered (the deferred path has no in-process fallback — use
         :meth:`profile` for unregistered classes).
 
-        ``ladder_mode`` selects how the ladder executes (see :data:`FUSED` /
-        :data:`PER_CONFIG`): fused, the whole ladder — and, when the
-        baseline is enqueued here too, the baseline with it (its L1s are
-        fixed, which is exactly the shape the fused engine pilots) — reaches
-        the runner as one job whose results fan out to the rungs' individual
-        cache fingerprints; per-config submits one job per rung.  Results
-        are bit-identical either way, and a partially-warm ladder only fuses
-        the rungs the cache cannot serve.
+        The whole ladder — and, when the baseline is enqueued here too, the
+        baseline with it (its L1s are fixed, which is exactly the shape the
+        fused engine pilots) — reaches the runner as one ladder job whose
+        results fan out to the rungs' individual cache fingerprints, so a
+        partially-warm ladder only fuses the rungs the cache cannot serve.
         """
         require_registered(organization)
-        mode = require_ladder_mode(self.ladder_mode if ladder_mode is None else ladder_mode)
         if max_slowdown is None:
             max_slowdown = self.max_slowdown
         kwargs = self._run_kwargs(
@@ -577,24 +539,16 @@ class Sweep:
             )
             rung_labels.append(f"{_job_label('profile', trace)}@{config.label}")
 
-        if mode == FUSED:
-            if baseline is None:
-                # The baseline is a rung like any other to the fused engine
-                # (fixed L1s on the shared trace), so ride it along in the
-                # same pass instead of decoding the trace once more for it.
-                rung_jobs.insert(0, make_job(self.simulator, trace, **kwargs))
-                rung_labels.insert(0, _job_label("baseline", trace))
-                futures = self.runner.submit_ladder(rung_jobs, labels=rung_labels)
-                baseline = futures.pop(0)
-            else:
-                futures = self.runner.submit_ladder(rung_jobs, labels=rung_labels)
+        if baseline is None:
+            # The baseline is a rung like any other to the fused engine
+            # (fixed L1s on the shared trace), so ride it along in the
+            # same pass instead of decoding the trace once more for it.
+            rung_jobs.insert(0, make_job(self.simulator, trace, **kwargs))
+            rung_labels.insert(0, _job_label("baseline", trace))
+            futures = self.runner.submit_ladder(rung_jobs, labels=rung_labels)
+            baseline = futures.pop(0)
         else:
-            if baseline is None:
-                baseline = self.submit_baseline(trace, **kwargs)
-            futures = [
-                self.runner.submit(job, label=label)
-                for job, label in zip(rung_jobs, rung_labels)
-            ]
+            futures = self.runner.submit_ladder(rung_jobs, labels=rung_labels)
         return StaticProfileFuture(
             organization=organization,
             target=target,
@@ -611,7 +565,6 @@ class Sweep:
         target: str = DCACHE,
         baseline: Optional[SimulationResult] = None,
         max_slowdown: Optional[float] = None,
-        ladder_mode: Optional[str] = None,
         interval_instructions: Optional[int] = None,
         warmup_instructions: Optional[int] = None,
         sample_every: Optional[int] = None,
@@ -619,12 +572,10 @@ class Sweep:
     ) -> StaticProfile:
         """Profile every size on the organization's resizing ladder.
 
-        By default the whole ladder (plus the baseline, when not supplied)
-        executes as one *fused* trace pass — decoded once, dispatched to
-        every candidate configuration (see :mod:`repro.sim.ladder`); pass
-        ``ladder_mode="per-config"`` to submit one job per rung instead,
-        which spreads rungs across a parallel runner's workers.  Both modes
-        produce bit-identical profiles and share the job cache.
+        The whole ladder (plus the baseline, when not supplied) executes as
+        one *fused* trace pass — decoded once, dispatched to every
+        candidate configuration (see :mod:`repro.sim.ladder`) — unless the
+        simulator names another engine, which replays each rung standalone.
 
         Organizations whose class is not registered with the runner's
         registry (see :func:`repro.sim.runner.register_organization`) are
@@ -652,7 +603,6 @@ class Sweep:
             target=target,
             baseline=baseline,
             max_slowdown=max_slowdown,
-            ladder_mode=ladder_mode,
             **kwargs,
         ).result()
 
@@ -756,241 +706,6 @@ class Sweep:
     def drain(self) -> None:
         """Execute every enqueued job now (dependency waves, pool batches)."""
         self.runner.drain()
-
-
-# ---------------------------------------------------------------------------
-# Module-level functions.  The ``submit_*`` names are thin aliases of the
-# facade's deferred methods (library code predating the facade uses them);
-# the eager ``run_*`` names are deprecated wrappers.
-# ---------------------------------------------------------------------------
-
-
-def submit_baseline(
-    runner: SweepRunner,
-    simulator: Simulator,
-    trace: TraceLike,
-    interval_instructions: int = 1500,
-    warmup_instructions: int = 0,
-    sample_every: int = 1,
-    sample_warmup: int = 0,
-) -> SimFuture:
-    """Enqueue the non-resizable baseline and return its future."""
-    return Sweep(simulator, runner).submit_baseline(
-        trace,
-        interval_instructions=interval_instructions,
-        warmup_instructions=warmup_instructions,
-        sample_every=sample_every,
-        sample_warmup=sample_warmup,
-    )
-
-
-def run_baseline(
-    simulator: Simulator,
-    trace: TraceLike,
-    interval_instructions: int = 1500,
-    warmup_instructions: int = 0,
-    runner: Optional[SweepRunner] = None,
-    sample_every: int = 1,
-    sample_warmup: int = 0,
-) -> SimulationResult:
-    """Deprecated alias — use :meth:`Sweep.baseline`."""
-    warnings.warn(
-        "run_baseline() is deprecated; use Sweep(simulator, runner).baseline(trace)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Sweep(simulator, runner).baseline(
-        trace,
-        interval_instructions=interval_instructions,
-        warmup_instructions=warmup_instructions,
-        sample_every=sample_every,
-        sample_warmup=sample_warmup,
-    )
-
-
-def submit_with_setups(
-    runner: SweepRunner,
-    simulator: Simulator,
-    trace: TraceLike,
-    d_setup: SetupLike = None,
-    i_setup: SetupLike = None,
-    interval_instructions: int = 1500,
-    warmup_instructions: int = 0,
-    sample_every: int = 1,
-    sample_warmup: int = 0,
-) -> SimFuture:
-    """Enqueue an arbitrary combination of L1 setups and return its future.
-
-    See :meth:`Sweep.submit_with_setups` (no in-process fallback here).
-    """
-    return Sweep(simulator, runner).submit_with_setups(
-        trace,
-        d_setup=d_setup,
-        i_setup=i_setup,
-        interval_instructions=interval_instructions,
-        warmup_instructions=warmup_instructions,
-        sample_every=sample_every,
-        sample_warmup=sample_warmup,
-    )
-
-
-def run_with_setups(
-    simulator: Simulator,
-    trace: TraceLike,
-    d_setup: SetupLike = None,
-    i_setup: SetupLike = None,
-    interval_instructions: int = 1500,
-    warmup_instructions: int = 0,
-    runner: Optional[SweepRunner] = None,
-    sample_every: int = 1,
-    sample_warmup: int = 0,
-) -> SimulationResult:
-    """Deprecated alias — use :meth:`Sweep.with_setups`."""
-    warnings.warn(
-        "run_with_setups() is deprecated; use Sweep(simulator, runner).with_setups(trace, ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Sweep(simulator, runner).with_setups(
-        trace,
-        d_setup=d_setup,
-        i_setup=i_setup,
-        interval_instructions=interval_instructions,
-        warmup_instructions=warmup_instructions,
-        sample_every=sample_every,
-        sample_warmup=sample_warmup,
-    )
-
-
-def submit_profile_static(
-    runner: SweepRunner,
-    simulator: Simulator,
-    trace: TraceLike,
-    organization: ResizingOrganization,
-    target: str = DCACHE,
-    baseline: Union[SimFuture, SimulationResult, None] = None,
-    interval_instructions: int = 1500,
-    warmup_instructions: int = 0,
-    max_slowdown: Optional[float] = None,
-    ladder_mode: str = FUSED,
-    sample_every: int = 1,
-    sample_warmup: int = 0,
-) -> StaticProfileFuture:
-    """Enqueue a whole profiling ladder and return its profile future.
-
-    See :meth:`Sweep.submit_profile` for the full semantics.
-    """
-    return Sweep(simulator, runner).submit_profile(
-        trace,
-        organization,
-        target=target,
-        baseline=baseline,
-        max_slowdown=max_slowdown,
-        ladder_mode=ladder_mode,
-        interval_instructions=interval_instructions,
-        warmup_instructions=warmup_instructions,
-        sample_every=sample_every,
-        sample_warmup=sample_warmup,
-    )
-
-
-def profile_static(
-    simulator: Simulator,
-    trace: TraceLike,
-    organization: ResizingOrganization,
-    target: str = DCACHE,
-    baseline: Optional[SimulationResult] = None,
-    interval_instructions: int = 1500,
-    warmup_instructions: int = 0,
-    max_slowdown: Optional[float] = None,
-    runner: Optional[SweepRunner] = None,
-    ladder_mode: str = FUSED,
-    sample_every: int = 1,
-    sample_warmup: int = 0,
-) -> StaticProfile:
-    """Profile every size on the organization's resizing ladder.
-
-    Alias of :meth:`Sweep.profile` — the documented entry point for
-    unregistered organization classes, hence not (yet) deprecated.
-    """
-    return Sweep(simulator, runner).profile(
-        trace,
-        organization,
-        target=target,
-        baseline=baseline,
-        max_slowdown=max_slowdown,
-        ladder_mode=ladder_mode,
-        interval_instructions=interval_instructions,
-        warmup_instructions=warmup_instructions,
-        sample_every=sample_every,
-        sample_warmup=sample_warmup,
-    )
-
-
-def submit_dynamic(
-    runner: SweepRunner,
-    simulator: Simulator,
-    trace: TraceLike,
-    organization: ResizingOrganization,
-    profile: StaticProfileFuture,
-    target: str = DCACHE,
-    interval_instructions: int = 1500,
-    warmup_instructions: int = 0,
-    sense_interval_accesses: int = 2048,
-    miss_bound_factor: float = 1.5,
-    start_at_best_config: bool = True,
-    sample_every: int = 1,
-    sample_warmup: int = 0,
-) -> SimFuture:
-    """Enqueue a dynamic run whose parameters derive from a pending profile.
-
-    See :meth:`Sweep.submit_dynamic` for the full semantics.
-    """
-    return Sweep(simulator, runner).submit_dynamic(
-        trace,
-        organization,
-        profile,
-        target=target,
-        sense_interval_accesses=sense_interval_accesses,
-        miss_bound_factor=miss_bound_factor,
-        start_at_best_config=start_at_best_config,
-        interval_instructions=interval_instructions,
-        warmup_instructions=warmup_instructions,
-        sample_every=sample_every,
-        sample_warmup=sample_warmup,
-    )
-
-
-def run_dynamic(
-    simulator: Simulator,
-    trace: TraceLike,
-    organization: ResizingOrganization,
-    parameters: DynamicParameters,
-    target: str = DCACHE,
-    interval_instructions: int = 1500,
-    warmup_instructions: int = 0,
-    initial_config=None,
-    runner: Optional[SweepRunner] = None,
-    sample_every: int = 1,
-    sample_warmup: int = 0,
-) -> SimulationResult:
-    """Deprecated alias — use :meth:`Sweep.dynamic`."""
-    warnings.warn(
-        "run_dynamic() is deprecated; use Sweep(simulator, runner).dynamic(trace, ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Sweep(simulator, runner).dynamic(
-        trace,
-        organization,
-        parameters,
-        target=target,
-        initial_config=initial_config,
-        interval_instructions=interval_instructions,
-        warmup_instructions=warmup_instructions,
-        sample_every=sample_every,
-        sample_warmup=sample_warmup,
-    )
 
 
 def _profile_static_direct(

@@ -65,22 +65,21 @@ class TestArgs:
         out = capsys.readouterr().out
         assert "--engine" in out and "columnar" in out
         assert "traces" in out  # the trace-memo side of --cache-dir
-        assert "--ladder-mode" in out and "fused" in out and "per-config" in out
+        assert "fused trace pass" in out and "each rung" in out
+        assert "--ladder-mode" not in out
 
-    def test_ladder_mode_flag_parses_and_rejects_unknown(self):
-        assert parse_args(["run-all"]).ladder_mode == "fused"
-        assert (
-            parse_args(["run-all", "--ladder-mode", "per-config"]).ladder_mode
-            == "per-config"
-        )
+    def test_ladder_mode_flag_is_retired(self):
+        # The engine decides how ladders run; the separate flag is gone.
+        assert not hasattr(parse_args(["run-all"]), "ladder_mode")
         with pytest.raises(SystemExit):
-            parse_args(["run-all", "--ladder-mode", "vectorized"])
+            parse_args(["run-all", "--ladder-mode", "fused"])
 
     def test_list_documents_ladder_modes(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "--ladder-mode" in out
-        assert "fused" in out and "per-config" in out
+        assert "ladder modes (chosen by --engine" in out
+        assert "fused" in out and "per-rung" in out
+        assert "--ladder-mode" not in out
 
 
 class TestResilienceFlags:
@@ -247,16 +246,24 @@ class TestMain:
         assert outputs["reference"] == outputs["columnar"]
 
     def test_ladder_modes_produce_identical_rows(self, tmp_path):
-        """The CLI-level fused-vs-per-config acceptance check (uncached)."""
+        """Fused ladders (columnar) vs per-rung ladders (reference), uncached."""
+        from repro.sim import ladder
+
         outputs = {}
-        for mode in ("fused", "per-config"):
-            output = tmp_path / f"rows-{mode}.json"
+        passes = {}
+        for engine in ("columnar", "reference"):
+            output = tmp_path / f"rows-{engine}.json"
+            before = ladder.stats_snapshot()["ladder_passes"]
             main(
-                ["run-figure", "figure4", *TINY, "--no-cache",
-                 "--ladder-mode", mode, "--output", str(output)]
+                ["run-figure", "figure6", *TINY, "--no-cache",
+                 "--engine", engine, "--output", str(output)]
             )
-            outputs[mode] = output.read_bytes()
-        assert outputs["fused"] == outputs["per-config"]
+            passes[engine] = ladder.stats_snapshot()["ladder_passes"] - before
+            outputs[engine] = output.read_bytes()
+        assert outputs["columnar"] == outputs["reference"]
+        # --engine reference is honoured inside ladders: no fused pass runs.
+        assert passes["columnar"] > 0
+        assert passes["reference"] == 0
 
     def test_fused_run_reports_fused_rungs(self, tmp_path, capsys):
         import re
@@ -269,7 +276,7 @@ class TestMain:
         assert int(match.group(1)) > 0
 
     def test_modes_share_the_job_cache_both_ways(self, tmp_path):
-        """A fused run warms a per-config run's cache and vice versa."""
+        """A fused run warms a per-rung (reference) run's cache and vice versa."""
         cache_dir = tmp_path / "cache"
         sink = lambda *args, **kwargs: None  # noqa: E731
 
@@ -277,11 +284,11 @@ class TestMain:
         run_experiments(["figure4"], fused, echo=sink)
         assert fused.runner.simulate_count > 0
 
-        per_config = build_context(
-            tiny_args("run-figure", cache_dir, "figure4", "--ladder-mode", "per-config")
+        per_rung = build_context(
+            tiny_args("run-figure", cache_dir, "figure4", "--engine", "reference")
         )
-        run_experiments(["figure4"], per_config, echo=sink)
-        assert per_config.runner.simulate_count == 0
+        run_experiments(["figure4"], per_rung, echo=sink)
+        assert per_rung.runner.simulate_count == 0
 
         fused_again = build_context(tiny_args("run-figure", cache_dir, "figure4"))
         run_experiments(["figure4"], fused_again, echo=sink)
@@ -315,7 +322,7 @@ class TestRunSpec:
         args = parse_args(["run-spec", "a.yaml", "b.yaml", "--jobs", "2"])
         assert args.command == "run-spec"
         assert args.specs == ["a.yaml", "b.yaml"]
-        assert args.jobs == 2 and args.ladder_mode == "fused"
+        assert args.jobs == 2 and args.engine is None
 
     def test_user_spec_runs_end_to_end(self, tmp_path, capsys):
         spec_path = self.write_spec(tmp_path)

@@ -10,11 +10,10 @@ from repro import (
     SelectiveWays,
     Simulator,
     StaticResizing,
+    Sweep,
     SystemConfig,
     WorkloadGenerator,
     get_profile,
-    profile_static,
-    run_baseline,
 )
 from repro.sim.sweep import DCACHE
 
@@ -24,7 +23,7 @@ def environment():
     system = SystemConfig()
     simulator = Simulator(system)
     trace = WorkloadGenerator(get_profile("m88ksim")).generate(10_000)
-    baseline = run_baseline(simulator, trace, warmup_instructions=1_000)
+    baseline = Sweep(simulator, warmup_instructions=1_000).baseline(trace)
     return system, simulator, trace, baseline
 
 
@@ -32,9 +31,8 @@ def test_quickstart_flow_reduces_energy_delay(environment):
     """The README quickstart: resize a small-working-set application's d-cache."""
     system, simulator, trace, baseline = environment
     organization = SelectiveSets(system.l1d)
-    profile = profile_static(
-        simulator, trace, organization, target=DCACHE,
-        baseline=baseline, warmup_instructions=1_000,
+    profile = Sweep(simulator, warmup_instructions=1_000).profile(
+        trace, organization, target=DCACHE, baseline=baseline,
     )
     assert profile.energy_delay_reduction() > 5.0
     assert profile.best_result.slowdown_vs(baseline) < 0.06
@@ -45,9 +43,8 @@ def test_all_three_organizations_run_end_to_end(environment):
     reductions = {}
     for factory in (SelectiveWays, SelectiveSets, HybridSetsAndWays):
         organization = factory(system.l1d)
-        profile = profile_static(
-            simulator, trace, organization, target=DCACHE,
-            baseline=baseline, warmup_instructions=1_000,
+        profile = Sweep(simulator, warmup_instructions=1_000).profile(
+            trace, organization, target=DCACHE, baseline=baseline,
         )
         reductions[organization.name] = profile.energy_delay_reduction()
     # The hybrid's size spectrum is a superset of both, so it cannot do

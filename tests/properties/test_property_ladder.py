@@ -1,11 +1,12 @@
-"""Property-based fused-vs-per-config equivalence for ladder replay.
+"""Property-based fused-vs-reference equivalence for ladder replay.
 
 Hypothesis drives randomly drawn workload mixes, trace lengths (including
 odd-length final intervals), warmup boundaries, resizing targets and rung
 mixes (static ladders, dynamic rungs, a fixed baseline rung, heterogeneous
 both-sides rungs) through :func:`repro.sim.ladder.run_fused` and asserts
 byte-identical ``SimulationResult.to_dict()`` payloads against standalone
-:meth:`Simulator.run` executions of every rung.  Any divergence — a
+:meth:`Simulator.run` executions of every rung under the reference engine
+(the default engine is itself a one-rung ladder, so it is no oracle here).  Any divergence — a
 mis-shared branch outcome, a pilot-side op wrongly dropped, an interval
 closed in the wrong order — fails with a shrunken minimal example.
 
@@ -107,7 +108,7 @@ def test_fused_ladder_agrees_with_standalone_runs(
     warmup = int(length * warmup_fraction)
 
     standalone = [
-        Simulator(_SYSTEM).run(
+        Simulator(_SYSTEM, engine="reference").run(
             trace,
             d_setup=d_setup,
             i_setup=i_setup,
@@ -198,7 +199,7 @@ def test_coalesced_ladders_agree_with_standalone_runs(
     warmup = length // 7
 
     standalone = [
-        Simulator(system).run(
+        Simulator(system, engine="reference").run(
             trace, d_setup=d_setup, i_setup=i_setup,
             interval_instructions=interval, warmup_instructions=warmup,
         ).to_dict()

@@ -28,6 +28,7 @@ from repro.sim.engine import (
     get_engine,
     register_engine,
 )
+from repro.sim import ladder, predecode
 from repro.sim.jobcache import JobCache
 from repro.sim.runner import SimJob, SweepRunner, TraceSpec
 from repro.sim.simulator import L1Setup, Simulator
@@ -72,7 +73,7 @@ def _build_setups(system, kind):
 
 class TestRegistry:
     def test_builtin_engines_are_listed(self):
-        assert available_engines() == ["columnar", "columnar-scalar", "reference"]
+        assert available_engines() == ["columnar", "reference"]
         assert DEFAULT_ENGINE == "columnar"
 
     def test_get_engine_resolves_names_instances_and_default(self):
@@ -131,19 +132,29 @@ class TestEquivalence:
             (6_000 + 1, 0),  # single partial interval (interval > trace)
         ],
     )
-    def test_engines_are_bit_identical(self, system, trace, kind, interval, warmup):
-        results = {}
-        for engine in ("reference", "columnar-scalar", "columnar"):
+    def test_engines_are_bit_identical(self, system, kind, interval, warmup, monkeypatch):
+        trace = TraceSpec("gcc", 6_000).materialize()  # fresh: no memo hits
+
+        def run(engine):
             d_setup, i_setup = _build_setups(system, kind)
-            results[engine] = Simulator(system, engine=engine).run(
+            return Simulator(system, engine=engine).run(
                 trace,
                 d_setup=d_setup,
                 i_setup=i_setup,
                 interval_instructions=interval,
                 warmup_instructions=warmup,
             ).to_dict()
-        assert results["reference"] == results["columnar-scalar"]
-        assert results["reference"] == results["columnar"]
+
+        reference = run("reference")
+        counters = (predecode.stats_snapshot()["pilot_builds"], ladder.stats_snapshot())
+        assert run("columnar") == reference
+        # A single run is a one-rung ladder in the general mode: it builds
+        # no pilot and is not a fused pass on the ladder tier counters.
+        assert (predecode.stats_snapshot()["pilot_builds"], ladder.stats_snapshot()) == counters
+        # With the pre-decode memo refused, the one-rung ladder decodes
+        # each interval live from the trace columns; still identical.
+        monkeypatch.setattr(ladder, "decoded_for", lambda *args: None)
+        assert run("columnar") == reference
 
     def test_run_level_engine_override_beats_simulator_default(self, system, trace):
         simulator = Simulator(system, engine="reference")

@@ -16,13 +16,7 @@ from repro.resizing.selective_sets import SelectiveSets
 from repro.sim.jobcache import JobCache
 from repro.sim.runner import L1SetupSpec, SimJob, StrategySpec, SweepRunner, TraceSpec
 from repro.sim.simulator import Simulator
-from repro.sim.sweep import (
-    DCACHE,
-    run_dynamic,
-    submit_baseline,
-    submit_dynamic,
-    submit_profile_static,
-)
+from repro.sim.sweep import DCACHE, Sweep
 
 
 @pytest.fixture(scope="module")
@@ -134,12 +128,10 @@ class TestDependencies:
         simulator = Simulator(system)
         trace = TraceSpec("m88ksim", 3_000)
         runner = SweepRunner(jobs=2)
-        profile = submit_profile_static(
-            runner, simulator, trace, organization, target=DCACHE, warmup_instructions=300
-        )
-        dynamic = submit_dynamic(
-            runner, simulator, trace, organization, profile,
-            target=DCACHE, warmup_instructions=300, sense_interval_accesses=2048,
+        sweep = Sweep(simulator, runner, warmup_instructions=300)
+        profile = sweep.submit_profile(trace, organization, target=DCACHE)
+        dynamic = sweep.submit_dynamic(
+            trace, organization, profile, target=DCACHE, sense_interval_accesses=2048,
         )
         assert not dynamic.done()
         assert runner.deferred_count == 1
@@ -151,17 +143,16 @@ class TestDependencies:
 
         # Byte-identical to the eager path that derives parameters by hand.
         resolved = profile.result()
-        eager = run_dynamic(
-            simulator, trace, organization,
+        eager = Sweep(simulator, warmup_instructions=300).dynamic(
+            trace, organization,
             resolved.dynamic_parameters(sense_interval_accesses=2048),
-            target=DCACHE, warmup_instructions=300,
-            initial_config=resolved.best_config,
+            target=DCACHE, initial_config=resolved.best_config,
         )
         assert results_equal(dynamic.result(), eager)
 
     def test_deferred_builder_runs_after_dependencies(self, system, organization):
         runner = SweepRunner()
-        dep = submit_baseline(runner, Simulator(system), TraceSpec("gcc", 2_000))
+        dep = Sweep(Simulator(system), runner).submit_baseline(TraceSpec("gcc", 2_000))
         seen = []
 
         def builder():
@@ -179,7 +170,7 @@ class TestDependencies:
         concrete = runner.submit(
             SimJob(trace=TraceSpec("gcc", 2_000), system=system, interval_instructions=500)
         )
-        dep = submit_baseline(runner, Simulator(system), TraceSpec("m88ksim", 2_000))
+        dep = Sweep(Simulator(system), runner).submit_baseline(TraceSpec("m88ksim", 2_000))
         deferred = runner.submit_deferred(
             lambda: SimJob(trace=TraceSpec("gcc", 2_000), system=system,
                            interval_instructions=500),

@@ -16,10 +16,12 @@ Three layers are covered here:
   the partially-warm case (only missing rungs are fused), the
   ``fused_rungs`` / ``fused_skipped`` counters, and the coalescing of
   compatible ladders submitted before one drain.
-* **Sweep integration** — ``submit_profile_static`` collapsing a ladder
-  into one fused execution while remaining byte-identical to the
-  per-config mode, with both modes serving each other's warm caches.
+* **Sweep integration** — :meth:`Sweep.submit_profile` collapsing a
+  ladder into one fused execution while remaining byte-identical to a
+  reference-engine ladder, which replays every rung standalone.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -45,15 +47,7 @@ from repro.sim.runner import (
     execute_ladder_job,
 )
 from repro.sim.simulator import L1Setup, Simulator
-from repro.sim.sweep import (
-    DCACHE,
-    FUSED,
-    ICACHE,
-    PER_CONFIG,
-    make_job,
-    profile_static,
-    submit_profile_static,
-)
+from repro.sim.sweep import DCACHE, ICACHE, Sweep, make_job
 
 ORGANIZATIONS = [SelectiveWays, SelectiveSets, HybridSetsAndWays]
 
@@ -126,7 +120,7 @@ class TestEngineEquivalence:
         """The deterministic grid: organizations × targets × engines.
 
         Warmup deliberately off interval boundaries, and the trace length
-        leaves an odd final interval.  The per-config side runs under both
+        leaves an odd final interval.  The standalone side runs under both
         registered engines — fused output must match each, which pins the
         fused pass to the whole engine-equivalence class at once.
         """
@@ -174,7 +168,7 @@ class TestEngineEquivalence:
         )
         interval, warmup = 997, 1_234
         standalone = [
-            Simulator(system).run(
+            Simulator(system, engine="reference").run(
                 trace, d_setup=d_setup, i_setup=i_setup,
                 interval_instructions=interval, warmup_instructions=warmup,
             ).to_dict()
@@ -218,7 +212,7 @@ class TestEngineEquivalence:
             ]
 
         standalone = [
-            Simulator(system).run(
+            Simulator(system, engine="reference").run(
                 trace, d_setup=d, i_setup=i, warmup_instructions=600
             ).to_dict()
             for d, i in setups()
@@ -256,7 +250,7 @@ class TestEngineEquivalence:
             ]
 
         standalone = [
-            Simulator(system).run(trace, d_setup=d, i_setup=i).to_dict()
+            Simulator(system, engine="reference").run(trace, d_setup=d, i_setup=i).to_dict()
             for d, i in setups()
         ]
         fused = [r.to_dict() for r in run_fused(Simulator(system), trace, setups())]
@@ -265,7 +259,7 @@ class TestEngineEquivalence:
     def test_single_rung_fused_equals_plain_run(self, system, trace):
         fused = run_fused(Simulator(system), trace, [(None, None)])
         assert len(fused) == 1
-        assert fused[0].to_dict() == Simulator(system).run(trace).to_dict()
+        assert fused[0].to_dict() == Simulator(system, engine="reference").run(trace).to_dict()
 
     def test_run_fused_validates_inputs(self, system, trace):
         with pytest.raises(SimulationError, match="at least one rung"):
@@ -332,6 +326,12 @@ class TestLadderJob:
         )
         with pytest.raises(SimulationError, match="share the trace"):
             LadderJob([ladder_jobs[0], longer_warmup])
+        reference = SimJob(
+            trace=TraceSpec("m88ksim", 3_000), system=system,
+            interval_instructions=500, engine="reference",
+        )
+        with pytest.raises(SimulationError, match="engine"):
+            LadderJob([ladder_jobs[0], reference])
 
     def test_execute_ladder_job_matches_per_rung_execution(self, ladder_jobs):
         from repro.sim.runner import execute_job
@@ -368,16 +368,16 @@ class TestSubmitLadder:
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
 
     def test_fused_results_fan_out_to_per_rung_fingerprints(self, tmp_path, ladder_jobs):
-        """A fused pass warms the cache exactly as K per-config jobs would."""
+        """A fused pass warms the cache exactly as K standalone jobs would."""
         cache = JobCache(tmp_path / "cache")
         fused = SweepRunner(cache=cache)
         fused.gather(fused.submit_ladder(ladder_jobs))
         assert len(cache) == len(ladder_jobs)
 
-        per_config = SweepRunner(cache=cache)
-        per_config.run(list(ladder_jobs))
-        assert per_config.simulate_count == 0
-        assert per_config.cache_hits == len(ladder_jobs)
+        standalone = SweepRunner(cache=cache)
+        standalone.run(list(ladder_jobs))
+        assert standalone.simulate_count == 0
+        assert standalone.cache_hits == len(ladder_jobs)
 
     def test_warm_ladder_fuses_nothing(self, tmp_path, ladder_jobs):
         cache = JobCache(tmp_path / "cache")
@@ -398,7 +398,7 @@ class TestSubmitLadder:
 
     def test_partially_warm_ladder_fuses_only_missing_rungs(self, tmp_path, ladder_jobs):
         """Per-rung cache consultation at submit time: rungs simulated by an
-        earlier per-config run are served from disk, the rest fuse."""
+        earlier standalone run are served from disk, the rest fuse."""
         cache = JobCache(tmp_path / "cache")
         SweepRunner(cache=cache).run(list(ladder_jobs[:2]))
 
@@ -437,7 +437,7 @@ class TestSubmitLadder:
         assert [r.to_dict() for r in results] == [r.to_dict() for r in standalone]
 
     def test_incompatible_ladders_stay_separate(self, system, ladder_jobs):
-        """Another resized side or another core kind never joins the pass."""
+        """Another resized side, core kind or engine never joins the pass."""
         trace = ladder_jobs[0].trace
         organization = SelectiveSets(system.l1i)
         i_side = [
@@ -458,16 +458,32 @@ class TestSubmitLadder:
             )
             for job in ladder_jobs[1:]
         ]
+        # Two d-side ladders on a second trace that differ only in engine:
+        # a reference ladder replays rung by rung, so it never folds into
+        # the fused one.
+        second_trace = TraceSpec("m88ksim", 2_500)
+        reference = [
+            replace(job, trace=second_trace, engine="reference") for job in ladder_jobs
+        ]
+        fused_ways = [
+            replace(job, trace=second_trace)
+            for job in _rung_jobs(system, SelectiveWays(system.l1d))[1:]
+        ]
         runner = SweepRunner()
         futures = runner.submit_ladder(ladder_jobs)
         futures += runner.submit_ladder(i_side)
         futures += runner.submit_ladder(other_core)
-        assert runner.pending_count == 3
+        futures += runner.submit_ladder(reference)
+        futures += runner.submit_ladder(fused_ways)
+        assert runner.pending_count == 5
         assert [len(entry.job.rungs) for entry in runner._pending] == [
-            len(ladder_jobs), len(i_side), len(other_core),
+            len(ladder_jobs), len(i_side), len(other_core), len(reference),
+            len(fused_ways),
         ]
         results = runner.gather(futures)
-        standalone = SweepRunner().run(list(ladder_jobs) + i_side + other_core)
+        standalone = SweepRunner().run(
+            list(ladder_jobs) + i_side + other_core + reference + fused_ways
+        )
         assert [r.to_dict() for r in results] == [r.to_dict() for r in standalone]
 
     def test_ladders_never_join_a_drained_batch(self, ladder_jobs):
@@ -498,25 +514,23 @@ class TestSubmitLadder:
 class TestSweepIntegration:
     @pytest.mark.parametrize("target", [DCACHE, ICACHE])
     def test_profile_static_modes_identical(self, system, organization, target):
+        """A fused profile equals a reference-engine one, rung by rung."""
         trace = TraceSpec("m88ksim", 3_000)
-        simulator = Simulator(system)
         profiles = {}
-        for mode in (FUSED, PER_CONFIG):
-            profiles[mode] = profile_static(
-                simulator, trace, organization, target=target,
-                warmup_instructions=300, runner=SweepRunner(), ladder_mode=mode,
-            )
-        fused, per_config = profiles[FUSED], profiles[PER_CONFIG]
-        assert fused.best_config == per_config.best_config
-        assert fused.baseline.to_dict() == per_config.baseline.to_dict()
+        for engine in ("columnar", "reference"):
+            profiles[engine] = Sweep(
+                Simulator(system, engine=engine), SweepRunner(), warmup_instructions=300,
+            ).profile(trace, organization, target=target)
+        fused, reference = profiles["columnar"], profiles["reference"]
+        assert fused.best_config == reference.best_config
+        assert fused.baseline.to_dict() == reference.baseline.to_dict()
         for config in organization.ladder():
-            assert fused.results[config].to_dict() == per_config.results[config].to_dict()
+            assert fused.results[config].to_dict() == reference.results[config].to_dict()
 
     def test_submit_profile_static_fuses_baseline_and_ladder(self, system, organization):
         runner = SweepRunner()
-        profile = submit_profile_static(
-            runner, Simulator(system), TraceSpec("m88ksim", 3_000), organization,
-            target=DCACHE, warmup_instructions=300,
+        profile = Sweep(Simulator(system), runner, warmup_instructions=300).submit_profile(
+            TraceSpec("m88ksim", 3_000), organization, target=DCACHE,
         )
         # Baseline + whole ladder ride one fused execution.
         assert runner.pending_count == 1
@@ -525,16 +539,11 @@ class TestSweepIntegration:
         assert runner.simulate_count == len(organization.ladder()) + 1
 
     def test_shared_baseline_future_is_not_refused(self, system, organization):
-        from repro.sim.sweep import submit_baseline
-
         runner = SweepRunner()
-        simulator = Simulator(system)
+        sweep = Sweep(Simulator(system), runner, warmup_instructions=300)
         trace = TraceSpec("m88ksim", 3_000)
-        baseline = submit_baseline(runner, simulator, trace, warmup_instructions=300)
-        profile = submit_profile_static(
-            runner, simulator, trace, organization,
-            target=DCACHE, baseline=baseline, warmup_instructions=300,
-        )
+        baseline = sweep.submit_baseline(trace)
+        profile = sweep.submit_profile(trace, organization, target=DCACHE, baseline=baseline)
         assert profile.baseline is baseline
         profile.result()
         # Baseline simulated once (as its own job), ladder fused.
@@ -542,14 +551,17 @@ class TestSweepIntegration:
         assert runner.fused_rungs == len(organization.ladder())
 
     def test_unknown_ladder_mode_rejected(self, system, organization):
-        with pytest.raises(SimulationError, match="unknown ladder mode"):
-            submit_profile_static(
-                SweepRunner(), Simulator(system), TraceSpec("m88ksim", 3_000),
-                organization, ladder_mode="vectorized",
+        # Ladder modes are retired — the engine decides how a ladder runs —
+        # so every ladder_mode argument is now an unknown keyword.
+        with pytest.raises(TypeError, match="ladder_mode"):
+            Sweep(Simulator(system), ladder_mode="per-config")
+        with pytest.raises(TypeError, match="ladder_mode"):
+            Sweep(Simulator(system)).submit_profile(
+                TraceSpec("m88ksim", 3_000), organization, ladder_mode="fused",
             )
 
     def test_fused_and_per_config_make_identical_jobs(self, system, organization):
-        """Both modes fingerprint rungs identically — the cache contract."""
+        """A fused rung fingerprints like its standalone job — the cache contract."""
         simulator = Simulator(system)
         trace = TraceSpec("m88ksim", 3_000)
         config = organization.ladder()[0]
@@ -561,9 +573,8 @@ class TestSweepIntegration:
         job = make_job(simulator, trace, d_setup=spec, warmup_instructions=300)
 
         runner = SweepRunner()
-        submit_profile_static(
-            runner, simulator, trace, organization,
-            target=DCACHE, warmup_instructions=300,
+        Sweep(simulator, runner, warmup_instructions=300).submit_profile(
+            trace, organization, target=DCACHE,
         )
         fingerprints = [
             fp

@@ -19,7 +19,7 @@ from repro.sim.runner import (
     execute_job,
 )
 from repro.sim.simulator import L1Setup, Simulator
-from repro.sim.sweep import DCACHE, make_job, profile_static, run_baseline
+from repro.sim.sweep import DCACHE, Sweep, make_job
 
 
 class SpawnSets(SelectiveSets):
@@ -116,12 +116,11 @@ class TestSpecs:
         # must still be rejected after the spec round-trip (the live
         # L1Setup.build guard this replaces).
         from repro.common.config import CacheGeometry
-        from repro.sim.sweep import run_with_setups
 
         big_org = SelectiveSets(CacheGeometry(64 * 1024, 2))
         with pytest.raises(SimulationError, match="does not match"):
-            run_with_setups(
-                Simulator(system), TraceSpec("gcc", 2_000), d_setup=L1Setup(big_org, None)
+            Sweep(Simulator(system)).with_setups(
+                TraceSpec("gcc", 2_000), d_setup=L1Setup(big_org, None)
             )
 
     def test_custom_registration_reaches_spawned_workers(self, system):
@@ -246,6 +245,32 @@ class TestSweepRunner:
         assert results_equal(direct, via_runner)
 
 
+    def test_reference_ladder_replays_every_rung_standalone(
+        self, ladder_jobs, monkeypatch
+    ):
+        # --engine reference is honoured inside ladders: one ReferenceEngine
+        # replay per rung, no fused pass, and the fused results unchanged.
+        from repro.sim import ladder
+        from repro.sim.engine import ReferenceEngine
+
+        replays = []
+        original = ReferenceEngine.replay
+
+        def counting_replay(self, trace, ctx):
+            replays.append(ctx)
+            return original(self, trace, ctx)
+
+        monkeypatch.setattr(ReferenceEngine, "replay", counting_replay)
+        rungs = [dataclasses.replace(job, engine="reference") for job in ladder_jobs]
+        passes = ladder.stats_snapshot()["ladder_passes"]
+        runner = SweepRunner()
+        results = runner.gather(runner.submit_ladder(rungs))
+        assert len(replays) == len(rungs)
+        assert ladder.stats_snapshot()["ladder_passes"] == passes
+        fused = SweepRunner().gather(SweepRunner().submit_ladder(ladder_jobs))
+        assert [r.to_dict() for r in results] == [r.to_dict() for r in fused]
+
+
 class TestSweepIntegration:
     """The sweep functions produce identical numbers through any runner."""
 
@@ -255,12 +280,11 @@ class TestSweepIntegration:
 
     def test_profile_static_serial_vs_parallel(self, sim_and_trace, organization):
         simulator, trace = sim_and_trace
-        serial = profile_static(
-            simulator, trace, organization, target=DCACHE, warmup_instructions=300
+        serial = Sweep(simulator, warmup_instructions=300).profile(
+            trace, organization, target=DCACHE
         )
-        parallel = profile_static(
-            simulator, trace, organization, target=DCACHE, warmup_instructions=300,
-            runner=SweepRunner(jobs=2),
+        parallel = Sweep(simulator, SweepRunner(jobs=2), warmup_instructions=300).profile(
+            trace, organization, target=DCACHE
         )
         assert serial.best_config == parallel.best_config
         assert results_equal(serial.baseline, parallel.baseline)
@@ -269,8 +293,8 @@ class TestSweepIntegration:
 
     def test_profile_matches_direct_simulator_run(self, sim_and_trace, organization):
         simulator, trace = sim_and_trace
-        profile = profile_static(
-            simulator, trace, organization, target=DCACHE, warmup_instructions=300
+        profile = Sweep(simulator, warmup_instructions=300).profile(
+            trace, organization, target=DCACHE
         )
         config = organization.ladder()[-1]
         direct = simulator.run(
@@ -284,8 +308,6 @@ class TestSweepIntegration:
         # A DynamicResizing subclass with overridden behaviour must not be
         # silently rebuilt as plain DynamicResizing: it routes to the
         # in-process fallback where its overrides actually run.
-        from repro.sim.sweep import run_with_setups
-
         calls = []
 
         class CountingDynamic(DynamicResizing):
@@ -296,17 +318,15 @@ class TestSweepIntegration:
         strategy = CountingDynamic(
             miss_bound=5.0, size_bound_bytes=4096, sense_interval_accesses=256
         )
-        run_with_setups(
-            Simulator(system), TraceSpec("gcc", 2_000),
-            d_setup=L1Setup(organization, strategy), warmup_instructions=200,
+        Sweep(Simulator(system), warmup_instructions=200).with_setups(
+            TraceSpec("gcc", 2_000), d_setup=L1Setup(organization, strategy),
         )
         assert calls, "subclass observe_interval was never invoked"
 
     def test_custom_strategy_falls_back_to_direct_run(self, system, organization):
         # A strategy class the spec layer cannot express must still work
-        # through run_with_setups (direct in-process execution, as pre-engine).
+        # through Sweep.with_setups (direct in-process execution, as pre-engine).
         from repro.resizing.strategy import ResizingStrategy
-        from repro.sim.sweep import run_with_setups
 
         class AlwaysSmallest(ResizingStrategy):
             name = "always-smallest"
@@ -316,9 +336,8 @@ class TestSweepIntegration:
 
         simulator = Simulator(system)
         trace = TraceSpec("gcc", 2_000)
-        result = run_with_setups(
-            simulator, trace, d_setup=L1Setup(organization, AlwaysSmallest()),
-            warmup_instructions=200,
+        result = Sweep(simulator, warmup_instructions=200).with_setups(
+            trace, d_setup=L1Setup(organization, AlwaysSmallest()),
         )
         direct = simulator.run(
             trace.materialize(),
@@ -332,19 +351,13 @@ class TestSweepIntegration:
         # The legacy live-object API: an unregistered subclass still profiles
         # (in-process, uncached) and matches the registered equivalent's
         # numbers exactly.
-        from repro.sim.sweep import profile_static, run_dynamic
-
         class PrivateSets(SelectiveSets):
             name = "private-sets"
 
-        simulator = Simulator(system)
+        sweep = Sweep(Simulator(system), warmup_instructions=300)
         trace = TraceSpec("m88ksim", 3_000)
-        private = profile_static(
-            simulator, trace, PrivateSets(system.l1d), warmup_instructions=300
-        )
-        registered = profile_static(
-            simulator, trace, SelectiveSets(system.l1d), warmup_instructions=300
-        )
+        private = sweep.profile(trace, PrivateSets(system.l1d))
+        registered = sweep.profile(trace, SelectiveSets(system.l1d))
         assert private.best_config == registered.best_config
         # Identical numbers; only the organization-name label may differ.
         left = dataclasses.asdict(private.best_result)
@@ -354,15 +367,14 @@ class TestSweepIntegration:
         assert left == right
 
         parameters = private.dynamic_parameters(sense_interval_accesses=512)
-        dynamic = run_dynamic(
-            simulator, trace, PrivateSets(system.l1d), parameters,
-            warmup_instructions=300, initial_config=private.best_config,
+        dynamic = sweep.dynamic(
+            trace, PrivateSets(system.l1d), parameters, initial_config=private.best_config,
         )
         assert dynamic.average_l1d_capacity <= dynamic.full_l1d_capacity
 
     def test_inline_trace_jobs_supported(self, system, organization):
         simulator = Simulator(system)
         trace = TraceSpec("gcc", 2_000).materialize()
-        baseline = run_baseline(simulator, trace, warmup_instructions=200)
+        baseline = Sweep(simulator, warmup_instructions=200).baseline(trace)
         job = make_job(simulator, trace, warmup_instructions=200)
         assert results_equal(baseline, execute_job(job))

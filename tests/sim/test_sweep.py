@@ -4,17 +4,15 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.resizing.selective_sets import SelectiveSets
-from repro.sim.sweep import DCACHE, ICACHE, profile_static, run_baseline, run_dynamic
+from repro.sim.sweep import DCACHE, ICACHE, Sweep
 
 
 @pytest.fixture(scope="module")
 def sweep(base_system_module, simulator_module, trace_module):
     organization = SelectiveSets(base_system_module.l1d)
-    baseline = run_baseline(simulator_module, trace_module, warmup_instructions=800)
-    profile = profile_static(
-        simulator_module, trace_module, organization,
-        target=DCACHE, baseline=baseline, warmup_instructions=800,
-    )
+    facade = Sweep(simulator_module, warmup_instructions=800)
+    baseline = facade.baseline(trace_module)
+    profile = facade.profile(trace_module, organization, target=DCACHE, baseline=baseline)
     return organization, baseline, profile
 
 
@@ -78,9 +76,9 @@ class TestDynamicRunner:
     ):
         organization, baseline, profile = sweep
         parameters = profile.dynamic_parameters(sense_interval_accesses=512)
-        result = run_dynamic(
-            simulator_module, trace_module, organization, parameters,
-            target=DCACHE, warmup_instructions=800, initial_config=profile.best_config,
+        result = Sweep(simulator_module, warmup_instructions=800).dynamic(
+            trace_module, organization, parameters,
+            target=DCACHE, initial_config=profile.best_config,
         )
         assert result.average_l1d_capacity <= result.full_l1d_capacity
         assert result.l1d_accesses == baseline.l1d_accesses
@@ -89,16 +87,16 @@ class TestDynamicRunner:
         organization, _, profile = sweep
         parameters = profile.dynamic_parameters()
         with pytest.raises(SimulationError):
-            run_dynamic(
-                simulator_module, trace_module, organization, parameters, target="l3cache"
+            Sweep(simulator_module).dynamic(
+                trace_module, organization, parameters, target="l3cache"
             )
 
     def test_icache_target_resizes_the_icache(
         self, base_system_module, simulator_module, trace_module
     ):
         organization = SelectiveSets(base_system_module.l1i)
-        profile = profile_static(
-            simulator_module, trace_module, organization, target=ICACHE, warmup_instructions=800
+        profile = Sweep(simulator_module, warmup_instructions=800).profile(
+            trace_module, organization, target=ICACHE
         )
         assert profile.best_result.average_l1i_capacity <= profile.best_result.full_l1i_capacity
         assert profile.size_reduction() >= 0.0

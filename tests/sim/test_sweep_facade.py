@@ -1,32 +1,19 @@
-"""The unified ``Sweep`` facade and the deprecation of the eager helpers.
+"""The unified ``Sweep`` facade — the one sweep API.
 
 The facade is the canonical entry point: one object binds the simulator,
 runner and shared run parameters, with deferred ``submit_*`` methods and
-eager counterparts.  The historical module-level ``run_baseline`` /
-``run_with_setups`` / ``run_dynamic`` must still work — byte-identically
-— but emit :class:`DeprecationWarning`; the ``submit_*`` wrappers and
-``profile_static`` (the documented path for unregistered organization
-classes) stay silent.
+eager counterparts.  The historical module-level helpers
+(``run_baseline``, ``profile_static``, ``submit_profile_static`` and the
+rest) are gone; ``Sweep`` methods replace each of them.
 """
-
-import warnings
 
 import pytest
 
 from repro.common.config import SystemConfig
 from repro.resizing.selective_sets import SelectiveSets
-from repro.sim.runner import SweepRunner, TraceSpec
+from repro.sim.runner import SweepRunner, TraceSpec, resolve_trace
 from repro.sim.simulator import Simulator
-from repro.sim.sweep import (
-    DCACHE,
-    Sweep,
-    profile_static,
-    run_baseline,
-    run_dynamic,
-    run_with_setups,
-    submit_baseline,
-    submit_profile_static,
-)
+from repro.sim.sweep import DCACHE, Sweep
 
 TRACE = TraceSpec("gcc", 1500)
 
@@ -38,17 +25,16 @@ def simulator():
 
 class TestFacade:
     def test_eager_baseline_matches_legacy_helper(self, simulator):
+        # The pre-facade path: a direct Simulator.run of the same trace.
         facade = Sweep(simulator).baseline(TRACE)
-        with pytest.deprecated_call():
-            legacy = run_baseline(simulator, TRACE)
+        legacy = simulator.run(resolve_trace(TRACE))
         assert facade.cycles == legacy.cycles
         assert facade.energy.total == legacy.energy.total
 
     def test_instance_defaults_bind_run_parameters(self, simulator):
         # warmup bound at construction must equal warmup passed per call.
         bound = Sweep(simulator, warmup_instructions=150).baseline(TRACE)
-        with pytest.deprecated_call():
-            explicit = run_baseline(simulator, TRACE, warmup_instructions=150)
+        explicit = Sweep(simulator).baseline(TRACE, warmup_instructions=150)
         assert bound.cycles == explicit.cycles
 
     def test_per_call_override_beats_instance_default(self, simulator):
@@ -78,33 +64,15 @@ class TestFacade:
         assert repro.sim.Sweep is Sweep
 
 
-class TestDeprecation:
-    def test_run_baseline_warns(self, simulator):
-        with pytest.warns(DeprecationWarning, match="Sweep"):
-            run_baseline(simulator, TRACE)
+class TestRetiredAliases:
+    def test_module_level_aliases_are_gone(self):
+        import repro
+        import repro.sim
+        import repro.sim.sweep
 
-    def test_run_with_setups_warns(self, simulator):
-        with pytest.warns(DeprecationWarning, match="Sweep"):
-            run_with_setups(simulator, TRACE)
-
-    def test_run_dynamic_warns(self, simulator):
-        organization = SelectiveSets(SystemConfig().l1d)
-        profile = Sweep(simulator).profile(TRACE, organization, target=DCACHE)
-        with pytest.warns(DeprecationWarning, match="Sweep"):
-            run_dynamic(
-                simulator, TRACE, organization,
-                profile.dynamic_parameters(), target=DCACHE,
-            )
-
-    def test_submit_wrappers_and_profile_static_stay_silent(self, simulator):
-        organization = SelectiveSets(SystemConfig().l1d)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            profile_static(simulator, TRACE, organization, target=DCACHE)
-            with SweepRunner(jobs=1) as runner:
-                baseline = submit_baseline(runner, simulator, TRACE)
-                submit_profile_static(
-                    runner, simulator, TRACE, organization, target=DCACHE,
-                    baseline=baseline,
-                )
-                runner.drain()
+        retired = (
+            "submit_baseline", "run_baseline", "submit_with_setups", "run_with_setups",
+            "submit_profile_static", "profile_static", "submit_dynamic", "run_dynamic",
+        )
+        for module in (repro, repro.sim, repro.sim.sweep):
+            assert [name for name in retired if hasattr(module, name)] == []
