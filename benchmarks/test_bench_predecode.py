@@ -3,8 +3,9 @@
 The configuration-invariant decode (:mod:`repro.sim.predecode`) is the
 phase every replay and fused ladder now amortizes, so its cost is gated
 directly: ``test_bench_predecode_build`` times one whole-trace build on the
-fixed microbenchmark workload (the committed baseline mean in
-``benchmarks/baseline.json`` gates it like the replay benchmarks), and two
+fixed microbenchmark workload and ``test_bench_pilot_build`` one sparse
+fused-ladder pilot memo per L1 side over it (the committed baseline means
+in ``benchmarks/baseline.json`` gate both like the replay benchmarks), and two
 speedup floors assert the reasons the module exists — the NumPy builder
 must beat the bit-identical stdlib builder when NumPy is importable, and a
 memo hit must be effectively free next to a rebuild.
@@ -22,6 +23,7 @@ import pytest
 
 from bench_utils import bench_instructions  # noqa: F401  (keeps sys.path bootstrap)
 
+from repro.cache.replacement import ReplacementPolicy
 from repro.common.config import SystemConfig
 from repro.cpu.branch import BimodalBranchPredictor
 from repro.sim import predecode
@@ -63,6 +65,23 @@ def test_bench_predecode_build(benchmark, decode_trace):
         len(decode_trace) / benchmark.stats.stats.mean
     )
     assert decoded is not None and decoded.n == len(decode_trace)
+
+
+def _build_pilots(decoded):
+    system = SystemConfig()
+    return [
+        predecode.build_pilot(decoded, side, geometry, ReplacementPolicy.LRU, f"l1{side}")
+        for side, geometry in (("i", system.l1i), ("d", system.l1d))
+    ]
+
+
+def test_bench_pilot_build(benchmark, decode_trace):
+    decoded = predecode.build_decoded(decode_trace, _BLOCK_MASK)
+    pilots = benchmark.pedantic(
+        _build_pilots, args=(decoded,), rounds=3, iterations=1, warmup_rounds=1
+    )
+    benchmark.extra_info["misses"] = {pilot.side: len(pilot.op_index) for pilot in pilots}
+    assert [pilot.side for pilot in pilots] == ["i", "d"]
 
 
 def _best_of(fn, rounds=3):

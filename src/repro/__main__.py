@@ -711,7 +711,8 @@ def transport_stats_line(runner: SweepRunner) -> str:
 
     Parent-side counters (segments published, trace bytes pickled, dedup
     hits) come straight off the runner; the per-process counters — decode
-    memo hits, shared-memory attaches, trace-memo reads — come from
+    and pilot memo builds and hits, shared-memory attaches, trace-memo
+    reads — come from
     :attr:`~repro.sim.runner.SweepRunner.worker_stats`, which aggregates
     the per-job deltas reported by whichever process executed each job
     (the workers under ``--jobs N``, this process for inline execution).
@@ -727,7 +728,9 @@ def transport_stats_line(runner: SweepRunner) -> str:
         f"{worker.get('trace_memo_reads', 0)} trace-memo read(s), "
         f"{worker.get('decode_builds', 0)} decode build(s), "
         f"{worker.get('decode_memo_hits', 0)} decode memo hit(s), "
-        f"{worker.get('decode_disk_hits', 0)} decode disk hit(s)"
+        f"{worker.get('decode_disk_hits', 0)} decode disk hit(s), "
+        f"{worker.get('pilot_builds', 0)} pilot build(s), "
+        f"{worker.get('pilot_memo_hits', 0)} pilot memo hit(s)"
     )
 
 

@@ -394,6 +394,8 @@ class SweepService:
             "timeouts": runner.timeouts,
             "worker_deaths": runner.worker_deaths,
             "quarantined": len(runner.quarantined),
+            "pilot_builds": runner.worker_stats.get("pilot_builds", 0),
+            "pilot_memo_hits": runner.worker_stats.get("pilot_memo_hits", 0),
         })
         lines.append(runner_counters.render(prefix="runner_"))
         lines.append(runner.ladder_counters().render(prefix="runner_"))

@@ -87,10 +87,17 @@ works entirely off :class:`~repro.metrics.counts.IntervalCounts` — but
 introspecting ``hierarchy.miss_ratios()`` on a non-pilot context after a
 fused replay would show an idle invariant side.  When the memoized pilot
 pre-screen applies (:func:`repro.sim.predecode.pilot_for` — exhaustive
-replay, fresh fixed pilot), rung 0's copy joins them: the reduced stream
-comes from the memo and no live pilot is driven at all.  The per-rung
-kernels run the variant L1's hit path inline against hoisted kernel state
-(``_dispatch_variant_d_fast`` / ``_dispatch_variant_i_fast``).
+replay, fresh fixed pilot), rung 0's copy joins them: no live pilot is
+driven at all.  The memo is sparse — only the pilot's misses, built once
+per (trace, side, pilot geometry) by the inline cache kernel — and
+each interval's reduced stream is rebuilt from it
+(:meth:`~repro.sim.predecode.PilotResolution.segment`): one slice of the
+decode's side-split op column (the variant side's ops,
+:attr:`~repro.sim.predecode.DecodedTrace.fetch_ops` or ``data_ops``)
+with the interval's misses spliced back in, bit-identical to resolving
+the interval live.  The per-rung kernels run the variant L1's hit path
+inline against hoisted kernel state (``_dispatch_variant_d_fast`` /
+``_dispatch_variant_i_fast``).
 
 **Stack-distance tier for static LRU rungs.**  Profiling ladders are
 mostly *static* rungs — a resizable L1 pinned to one (sets, ways)
@@ -318,9 +325,10 @@ def _memo_segments(decoded, plan, side, resolve, pilot_res):
 
     Interval totals come from the decode's per-row prefix arrays and the op
     stream is an O(1) slice.  With a pilot resolution in hand the pilot
-    pre-screen is skipped too: the reduced stream and the shared hit/miss
-    totals are sliced from the memo and no live pilot is driven.  Without
-    one, ``resolve`` runs on each interval's stream.
+    pre-screen is skipped too: the reduced stream is rebuilt from the
+    sparse memo (:meth:`~repro.sim.predecode.PilotResolution.segment`) and
+    no live pilot is driven.
+    Without one, ``resolve`` runs on each interval's stream.
     """
     interval_ops = decoded.interval_ops
     op_prefix = decoded.op_prefix
@@ -334,12 +342,8 @@ def _memo_segments(decoded, plan, side, resolve, pilot_res):
         if pilot_res is None:
             reduced, shared = resolve(interval_ops(start, stop))
         else:
-            reduced = pilot_res.interval_entries(start, stop)
-            misses = pilot_res.miss_prefix[stop] - pilot_res.miss_prefix[start]
-            if side == "i":
-                shared = (fetches, misses)
-            else:
-                shared = (misses, pilot_res.wb_prefix[stop] - pilot_res.wb_prefix[start])
+            reduced, misses, writebacks = pilot_res.segment(decoded, start, stop)
+            shared = (fetches, misses) if side == "i" else (misses, writebacks)
         yield stop - start, measured, reduced, shared, (
             branch_prefix[stop] - branch_prefix[start],
             mispredict_prefix[stop] - mispredict_prefix[start],

@@ -18,7 +18,15 @@ slice its intervals out of the precomputed stream:
   (non-resizable) L1's hit/miss sequence over the shared op stream depends
   only on its own geometry, so the pilot-reduced stream of
   :mod:`repro.sim.ladder` is itself trace-invariant and is memoized per
-  (trace, side, pilot geometry).
+  (trace, side, pilot geometry).  The memo is sparse — it holds only the
+  pilot's misses, O(misses): 1.5–107 KB (median 20 KB) per pilot over the
+  twelve 60k-instruction application traces, where the dense layout it
+  replaced took ~1 MB — and is built by one pass of the same inline
+  kernel the dispatch loops run.
+  :meth:`PilotResolution.segment` rebuilds any interval's reduced stream
+  by splicing those misses into one slice of the decode's variant-side
+  ops (:attr:`DecodedTrace.fetch_ops` / :attr:`DecodedTrace.data_ops`,
+  split lazily from ``stream`` and never persisted).
 
 Both memos key off live :class:`~repro.workloads.trace.Trace` objects
 (weakly, so traces die normally); :class:`DecodedTrace` additionally
@@ -53,9 +61,15 @@ from __future__ import annotations
 import struct
 import weakref
 from array import array
+from bisect import bisect_left
 from typing import Dict, List, Optional
 
-from repro.cache.cache import PACKED_WRITEBACK_VALID, Cache
+from repro.cache.cache import (
+    PACKED_FILLED,
+    PACKED_WRITEBACK_SHIFT,
+    PACKED_WRITEBACK_VALID,
+    Cache,
+)
 from repro.common.counters import CounterRegistry
 from repro.cpu.branch import BimodalBranchPredictor
 from repro.sim.vector import numpy_or_none
@@ -77,10 +91,9 @@ DECODE_VERSION = 1
 _PREDICTOR_TABLE = 4096
 
 #: Row-count ceilings: the prefix arrays are 32-bit ('I'), and the cached
-#: boxed-int views trade memory for slice speed only while they stay small.
+#: boxed-int view trades memory for slice speed only while it stays small.
 MAX_ROWS = 1 << 30
 _OPS_LIST_MAX_ROWS = 4_000_000
-PILOT_MEMO_MAX_ROWS = 4_000_000
 
 _STATS = CounterRegistry({
     "decode_builds": 0,
@@ -124,6 +137,9 @@ class DecodedTrace:
         branches = decoded.branch_prefix[stop] - decoded.branch_prefix[start]
 
     ``op_prefix`` counts op *pairs* (half the flat stream offset).
+    :attr:`fetch_ops` and :attr:`data_ops` split the stream by side (see
+    there); they are derived on first use and are not part of the on-disk
+    payload, so :data:`DECODE_VERSION` does not cover them.
     """
 
     __slots__ = (
@@ -137,6 +153,8 @@ class DecodedTrace:
         "store_prefix",
         "_ops_list",
         "_stream_view",
+        "_fetch_ops",
+        "_data_ops",
     )
 
     def __init__(self, n, block_mask, stream, op_prefix, branch_prefix,
@@ -151,6 +169,32 @@ class DecodedTrace:
         self.store_prefix = store_prefix
         self._ops_list: Optional[List[int]] = None
         self._stream_view = None
+        self._fetch_ops: Optional[array] = None
+        self._data_ops: Optional[array] = None
+
+    @property
+    def fetch_ops(self) -> array:
+        """The fetch ops alone, as flat ``code, operand`` pairs in stream order.
+
+        Fetch ``f`` sits at ``[2 * f, 2 * f + 2)``; rows ``[start, stop)``
+        own fetches ``op_prefix[start] - memref_prefix[start]`` up to
+        ``op_prefix[stop] - memref_prefix[stop]``.  An ``array`` rather
+        than a list, so the cyclic collector never traverses it.
+        """
+        if self._fetch_ops is None:
+            self._fetch_ops = _split_stream(self.stream, fetch=True)
+        return self._fetch_ops
+
+    @property
+    def data_ops(self) -> array:
+        """The load/store ops alone, as flat ``code, operand`` pairs.
+
+        Rows ``[start, stop)`` own data ops ``memref_prefix[start]`` to
+        ``memref_prefix[stop]``; otherwise as :attr:`fetch_ops`.
+        """
+        if self._data_ops is None:
+            self._data_ops = _split_stream(self.stream, fetch=False)
+        return self._data_ops
 
     def interval_ops(self, start: int, stop: int) -> List[int]:
         """The flat op list for rows ``[start, stop)`` (a fresh, mutable list)."""
@@ -202,29 +246,94 @@ class DecodedTrace:
 
 
 class PilotResolution:
-    """A fused ladder's pilot-reduced stream, precomputed for a whole trace.
+    """A fixed L1's misses over a whole trace: the sparse pilot memo.
 
-    ``entries`` is the flat reduced stream exactly as
-    ``repro.sim.ladder._resolve_pilot_i/_resolve_pilot_d`` would emit it
-    over the whole trace (variable arity: d-miss ops carry the pilot's
-    packed outcome as a third entry, which is why ``entry_prefix`` counts
-    flat *entries*, not pairs).  ``miss_prefix`` carries the shared
-    per-row running miss total (i-misses for side "i", d-misses for side
-    "d"); ``wb_prefix`` the shared d-writeback total (side "d" only).
+    The pilot-reduced stream of :mod:`repro.sim.ladder` is the shared op
+    stream with every pilot-side hit removed and every pilot-side miss
+    rewritten (``OP_IMISS``/``OP_DMISS``), so only the misses need
+    keeping.  Every column is an ``array`` with one entry per miss unless
+    noted:
+
+    * ``op_index`` — the miss's whole-trace op index (its pair position in
+      :attr:`DecodedTrace.stream`); interval bounds bisect this column;
+    * ``other_before`` — how many other-side ops precede it (data ops for
+      side "i", fetch ops for side "d"), i.e. where it splices into
+      :attr:`DecodedTrace.data_ops` / :attr:`DecodedTrace.fetch_ops`;
+    * ``operands`` — its fetch PC or data address;
+    * ``wb_prefix`` (side "d" only, misses + 1 entries) — the running
+      dirty-victim count: miss ``j`` evicted a dirty block exactly when
+      ``wb_prefix[j + 1] > wb_prefix[j]``;
+    * ``victims`` (side "d" only, one per dirty victim) — those blocks'
+      block-aligned addresses, in eviction order.
+
+    Segment bounds must bisect ``op_index``, never ``other_before``: a row
+    without a fetch op leaves the fetch counts tied across a boundary.
     """
 
-    __slots__ = ("side", "entries", "entry_prefix", "miss_prefix", "wb_prefix")
+    __slots__ = ("side", "op_index", "other_before", "operands", "wb_prefix", "victims")
 
-    def __init__(self, side, entries, entry_prefix, miss_prefix, wb_prefix):
+    def __init__(self, side, op_index, other_before, operands, wb_prefix, victims):
         self.side = side
-        self.entries = entries
-        self.entry_prefix = entry_prefix
-        self.miss_prefix = miss_prefix
+        self.op_index = op_index
+        self.other_before = other_before
+        self.operands = operands
         self.wb_prefix = wb_prefix
+        self.victims = victims
 
-    def interval_entries(self, start: int, stop: int) -> List[int]:
-        """The flat reduced-op list for rows ``[start, stop)``."""
-        return self.entries[self.entry_prefix[start]:self.entry_prefix[stop]]
+    def segment(self, decoded: DecodedTrace, start: int, stop: int):
+        """Rows ``[start, stop)`` of the pilot-reduced stream.
+
+        The variant-side ops of the rows are one slice of ``decoded``'s
+        side-split column; the rows' misses (found by bisecting their op
+        indices) splice back in where their other-side count says.
+        Returns ``(reduced, misses, dirty_victims)``, exactly what
+        ``repro.sim.ladder._resolve_pilot_i`` / ``_resolve_pilot_d`` return
+        when run live on the rows' ops from the pilot's state at row
+        ``start``.
+        """
+        op_start = decoded.op_prefix[start]
+        op_stop = decoded.op_prefix[stop]
+        data_start = decoded.memref_prefix[start]
+        data_stop = decoded.memref_prefix[stop]
+        lo = bisect_left(self.op_index, op_start)
+        hi = bisect_left(self.op_index, op_stop, lo)
+        other_before = self.other_before
+        operands = self.operands
+        reduced: List[int] = []
+        append = reduced.append
+        if self.side == "i":
+            others = decoded.data_ops
+            position = data_start
+            for j in range(lo, hi):
+                before = other_before[j]
+                if before != position:
+                    reduced += others[2 * position:2 * before]
+                    position = before
+                append(OP_IMISS)
+                append(operands[j])
+            reduced += others[2 * position:2 * data_stop]
+            return reduced, hi - lo, 0
+
+        others = decoded.fetch_ops
+        position = op_start - data_start
+        wb_prefix = self.wb_prefix
+        victims = self.victims
+        dirty = PACKED_FILLED | PACKED_WRITEBACK_VALID
+        written = wb_prefix[lo]
+        for j in range(lo, hi):
+            before = other_before[j]
+            if before != position:
+                reduced += others[2 * position:2 * before]
+                position = before
+            append(OP_DMISS)
+            append(operands[j])
+            if wb_prefix[j + 1] != written:
+                append(dirty | (victims[written] << PACKED_WRITEBACK_SHIFT))
+                written += 1
+            else:
+                append(PACKED_FILLED)
+        reduced += others[2 * position:2 * (op_stop - data_stop)]
+        return reduced, hi - lo, written - wb_prefix[lo]
 
 
 # ---------------------------------------------------------------------------
@@ -389,72 +498,113 @@ def _build_numpy(trace: Trace, block_mask: int, np) -> DecodedTrace:
     )
 
 
+def _split_stream(stream: array, fetch: bool) -> array:
+    """The fetch (or the load/store) pairs of a flat op stream, in order.
+
+    Runs once per decode and side (~4 ms per 60k-instruction trace), so it
+    has no vectorized twin.
+    """
+    side = array("Q")
+    append = side.append
+    ops = iter(stream)
+    for code in ops:
+        operand = next(ops)
+        if (code == OP_FETCH) == fetch:
+            append(code)
+            append(operand)
+    return side
+
+
 def build_pilot(decoded: DecodedTrace, side: str, geometry, replacement, name: str) -> PilotResolution:
     """Resolve the invariant L1 side over the whole decoded stream.
 
     Drives a throwaway fixed cache with the pilot's exact geometry,
     replacement policy and name (the name seeds RANDOM victim selection),
     which by construction behaves identically to the live pilot a fused
-    replay would otherwise drive interval by interval.
+    replay would otherwise drive interval by interval.  The cache's
+    access kernel runs inline over its hoisted :meth:`Cache._kernel_state`
+    — statement for statement :meth:`Cache.access_packed`, refresh flag
+    and RANDOM selector included, minus the throwaway cache's own stats —
+    and only the misses are recorded.
     """
     _STATS["pilot_builds"] += 1
     pilot = Cache(geometry, replacement, name=name)
-    kernel = pilot.access_packed
-    n = decoded.n
-    op_prefix = decoded.op_prefix
-    stream = decoded.interval_ops(0, n)
-
-    entries: List[int] = []
-    append = entries.append
-    zeros = bytes(4 * (n + 1))
-    entry_prefix = array("I", zeros)
-    miss_prefix = array("I", zeros)
-    wb_prefix = array("I", zeros) if side == "d" else None
-
-    misses = 0
-    writebacks = 0
-    position = 0
+    _, sets, off, idx, mask, ways, refresh, random, selector = pilot._kernel_state()
+    shift1 = off + 1
+    op_index = array("I")
+    other_before = array("I")
+    operands = array("Q")
+    miss_at = op_index.append
+    others_at = other_before.append
+    operand_at = operands.append
+    ops = iter(decoded.stream)
+    fetches = 0
+    data = 0
     if side == "i":
-        for k in range(n):
-            stop = 2 * op_prefix[k + 1]
-            while position < stop:
-                code = stream[position]
-                operand = stream[position + 1]
-                position += 2
-                if code == OP_FETCH:
-                    if not kernel(operand, False) & 1:
-                        misses += 1
-                        append(OP_IMISS)
-                        append(operand)
-                else:
-                    append(code)
-                    append(operand)
-            entry_prefix[k + 1] = len(entries)
-            miss_prefix[k + 1] = misses
-    else:
-        for k in range(n):
-            stop = 2 * op_prefix[k + 1]
-            while position < stop:
-                code = stream[position]
-                operand = stream[position + 1]
-                position += 2
-                if code == OP_FETCH:
-                    append(OP_FETCH)
-                    append(operand)
-                else:
-                    l1_packed = kernel(operand, code != OP_LOAD)
-                    if not l1_packed & 1:
-                        misses += 1
-                        if l1_packed & PACKED_WRITEBACK_VALID:
-                            writebacks += 1
-                        append(OP_DMISS)
-                        append(operand)
-                        append(l1_packed)
-            entry_prefix[k + 1] = len(entries)
-            miss_prefix[k + 1] = misses
-            wb_prefix[k + 1] = writebacks
+        for code in ops:
+            operand = next(ops)
+            if code != OP_FETCH:
+                data += 1
+                continue
+            block = operand >> off
+            tag = block >> idx
+            blocks = sets[block & mask]
+            packed = blocks.get(tag)
+            if packed is not None:
+                if refresh:
+                    del blocks[tag]
+                    blocks[tag] = packed
+            else:
+                # Fetches never dirty a block, so no victim is written back.
+                if len(blocks) >= ways:
+                    del blocks[selector.choose_victim(blocks) if random else next(iter(blocks))]
+                blocks[tag] = block << shift1
+                miss_at(fetches + data)
+                others_at(data)
+                operand_at(operand)
+            fetches += 1
+        return PilotResolution(side, op_index, other_before, operands, None, None)
 
-    return PilotResolution(side, entries, entry_prefix, miss_prefix, wb_prefix)
+    wb_prefix = array("I", [0])
+    victims = array("Q")
+    written_at = wb_prefix.append
+    victim_at = victims.append
+    writebacks = 0
+    op_load = OP_LOAD
+    for code in ops:
+        operand = next(ops)
+        if code == OP_FETCH:
+            fetches += 1
+            continue
+        is_write = code != op_load
+        block = operand >> off
+        tag = block >> idx
+        blocks = sets[block & mask]
+        packed = blocks.get(tag)
+        if packed is not None:
+            if is_write:
+                packed |= 1
+                if refresh:
+                    del blocks[tag]
+                blocks[tag] = packed
+            elif refresh:
+                del blocks[tag]
+                blocks[tag] = packed
+        else:
+            victim = None
+            if len(blocks) >= ways:
+                victim_tag = selector.choose_victim(blocks) if random else next(iter(blocks))
+                victim = blocks.pop(victim_tag)
+            blocks[tag] = (block << shift1) | is_write
+            miss_at(fetches + data)
+            others_at(fetches)
+            operand_at(operand)
+            if victim is not None and victim & 1:
+                writebacks += 1
+                victim_at(victim >> 1)
+            written_at(writebacks)
+        data += 1
+    return PilotResolution(side, op_index, other_before, operands, wb_prefix, victims)
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +664,6 @@ def pilot_for(trace: Trace, decoded: DecodedTrace, side: str, cache) -> Optional
     to rung 0.
     """
     if type(cache) is not Cache or cache.stats.accesses != 0:
-        return None
-    if decoded.n > PILOT_MEMO_MAX_ROWS:
         return None
     key = (side, decoded.block_mask, cache.geometry, cache.replacement, cache.name)
     per_trace = _PILOT_MEMO.get(trace)

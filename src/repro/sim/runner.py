@@ -504,6 +504,11 @@ class LadderJob:
             return None
         return key
 
+    def fuses(self) -> bool:
+        """Whether the rungs replay as one fused pass: only under the
+        default ``columnar`` engine (see :func:`execute_ladder_job`)."""
+        return (self.rungs[0].engine or DEFAULT_ENGINE) == ColumnarEngine.name
+
     def describe(self) -> dict:
         """Small human-readable summary (mirrors :meth:`SimJob.describe`)."""
         summary = dict(self.rungs[0].describe())
@@ -538,7 +543,7 @@ def execute_ladder_job(job: LadderJob) -> List[SimulationResult]:
         sample_every=first.sample_every,
         sample_warmup=first.sample_warmup,
     )
-    if (first.engine or DEFAULT_ENGINE) != ColumnarEngine.name:
+    if not job.fuses():
         return [
             simulator.run(trace, d_setup=d_setup, i_setup=i_setup, **kwargs)
             for d_setup, i_setup in setups
@@ -1013,7 +1018,9 @@ class SweepRunner:
         inline_executions: jobs executed inline in this process (always zero
             when ``jobs > 1`` — every simulation goes through the pool then).
         fused_rungs: rung jobs that joined a fused ladder pass via
-            :meth:`submit_ladder` (i.e. were actually simulated fused).
+            :meth:`submit_ladder` (i.e. were actually simulated fused;
+            rungs of a ladder under any engine but ``columnar`` replay one
+            by one and are not counted).
         fused_skipped: rung jobs a :meth:`submit_ladder` call resolved at
             submit time instead of fusing — from the on-disk cache or the
             in-memory dedup memo — so a partially-warm ladder fuses only
@@ -1176,8 +1183,9 @@ class SweepRunner:
         memo and the on-disk cache, exactly like an individual submission
         (counted in ``fused_skipped``); only the rungs that actually need
         simulating are fused into a single :class:`LadderJob` (counted in
-        ``fused_rungs``), so a partially-warm ladder pays one fused pass
-        over its missing rungs and a fully-warm ladder executes nothing.
+        ``fused_rungs`` when it really fuses, see :meth:`LadderJob.fuses`),
+        so a partially-warm ladder pays one fused pass over its missing
+        rungs and a fully-warm ladder executes nothing.
 
         The fused pass is bit-identical to running every rung standalone
         (see :mod:`repro.sim.ladder`), which is what makes the per-rung
@@ -1232,8 +1240,9 @@ class SweepRunner:
             missing_fingerprints.append(fingerprint)
             missing_futures.append([future])
         if missing_jobs:
-            self.fused_rungs += len(missing_jobs)
             job = LadderJob(missing_jobs)
+            if job.fuses():
+                self.fused_rungs += len(missing_jobs)
             key = job.merge_key()
             entry = self._open_ladders.get(key) if key is not None else None
             if entry is not None:

@@ -138,6 +138,15 @@ class TestResilienceFlags:
         assert "0 retrie(s)" in out and "0 worker death(s)" in out
         assert "0 quarantined job(s)" in out and "self-healed" in out
 
+    def test_stats_prints_the_pilot_counters(self, tmp_path, capsys):
+        assert main(["run-figure", "figure4", *TINY,
+                     "--cache-dir", str(tmp_path / "cache"), "--stats"]) == 0
+        out = capsys.readouterr().out
+        line = next(line for line in out.splitlines() if line.startswith("transport:"))
+        match = re.search(r"(\d+) pilot build\(s\), \d+ pilot memo hit\(s\)", line)
+        # figure4's d-cache ladders pilot the fixed L1i of each trace.
+        assert int(match.group(1)) > 0
+
     def test_stats_names_the_ladder_tier_of_every_rung(self, tmp_path, capsys):
         assert main(["run-figure", "figure4", *TINY,
                      "--cache-dir", str(tmp_path / "cache"), "--stats"]) == 0
@@ -245,12 +254,13 @@ class TestMain:
             outputs[engine] = output.read_text()
         assert outputs["reference"] == outputs["columnar"]
 
-    def test_ladder_modes_produce_identical_rows(self, tmp_path):
+    def test_ladder_modes_produce_identical_rows(self, tmp_path, capsys):
         """Fused ladders (columnar) vs per-rung ladders (reference), uncached."""
         from repro.sim import ladder
 
         outputs = {}
         passes = {}
+        summaries = {}
         for engine in ("columnar", "reference"):
             output = tmp_path / f"rows-{engine}.json"
             before = ladder.stats_snapshot()["ladder_passes"]
@@ -260,10 +270,19 @@ class TestMain:
             )
             passes[engine] = ladder.stats_snapshot()["ladder_passes"] - before
             outputs[engine] = output.read_bytes()
+            summaries[engine] = capsys.readouterr().out
         assert outputs["columnar"] == outputs["reference"]
-        # --engine reference is honoured inside ladders: no fused pass runs.
+        # --engine reference is honoured inside ladders: no fused pass runs,
+        # and the summary does not claim any rung rode one.
         assert passes["columnar"] > 0
         assert passes["reference"] == 0
+        fused = {
+            engine: int(re.search(r"(\d+) ladder rung\(s\) fused", out).group(1))
+            for engine, out in summaries.items()
+        }
+        assert fused["columnar"] > 0
+        assert fused["reference"] == 0
+        assert "(0 ladder rung(s) riding fused passes)" in summaries["reference"]
 
     def test_fused_run_reports_fused_rungs(self, tmp_path, capsys):
         import re

@@ -36,6 +36,15 @@ class TestHealthAndErrors:
         # even when no ladder ever ran.
         assert metrics["runner_ladder_passes"] == 0
         assert metrics["runner_ladder_stack_rungs"] == 0
+        assert metrics["runner_pilot_builds"] == 0
+        assert metrics["runner_pilot_memo_hits"] == 0
+
+    def test_metrics_render_the_workers_pilot_counters(self, service_factory):
+        harness = service_factory()
+        harness.service.runner.worker_stats.update(pilot_builds=3, pilot_memo_hits=7)
+        metrics = harness.metrics()
+        assert metrics["runner_pilot_builds"] == 3
+        assert metrics["runner_pilot_memo_hits"] == 7
 
     def test_protocol_errors(self, service_factory):
         harness = service_factory()
@@ -76,6 +85,8 @@ class TestExecutionAndDedup:
         assert metrics["service_accepted"] == 1
         assert metrics["service_completed"] == 1
         assert metrics["runner_simulated"] >= 1
+        # A single run is a pilot-free one-rung ladder.
+        assert metrics["runner_pilot_builds"] == 0
 
     def test_duplicates_share_one_execution_and_bytes(self, service_factory):
         harness = service_factory()

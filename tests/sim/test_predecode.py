@@ -17,8 +17,10 @@ from repro.common.config import SystemConfig
 from repro.cpu.branch import BimodalBranchPredictor
 from repro.sim import predecode
 from repro.sim.engine import decode_interval
+from repro.sim.ladder import _resolve_pilot_d, _resolve_pilot_i
 from repro.sim.predecode import (
     DecodedTrace,
+    PilotResolution,
     build_decoded,
     build_pilot,
     decoded_for,
@@ -174,22 +176,57 @@ def test_pilot_memoizes_and_refuses_warm_caches(trace):
 
 
 def test_pilot_interval_entries_partition_consistently(trace):
-    """Slicing the pilot stream over any partition tiles the whole stream."""
+    """Sparse pilot segments tile, over any partition, the whole-trace
+    reduced stream and its whole-trace miss and writeback totals."""
     decoded = build_decoded(trace, _BLOCK_MASK)
+    n = decoded.n
     for side, geometry in (("i", _SYSTEM.l1i), ("d", _SYSTEM.l1d)):
-        pilot = build_pilot(
-            decoded, side, geometry, Cache(geometry).replacement, side
+        pilot = build_pilot(decoded, side, geometry, Cache(geometry).replacement, side)
+        resolve = _resolve_pilot_i if side == "i" else _resolve_pilot_d
+        reduced, shared = resolve(
+            decoded.interval_ops(0, n), Cache(geometry, name=side).access_packed
         )
-        n = decoded.n
-        rebuilt = []
-        for start, stop in _partition(n, 769):
-            rebuilt.extend(pilot.interval_entries(start, stop))
-        assert rebuilt == pilot.entries
-        assert pilot.miss_prefix[n] >= 0
+        whole = (reduced, *((shared[1], 0) if side == "i" else shared))
+        assert whole[1] > 0
+        for interval in (1, 769, n):
+            segments = [
+                pilot.segment(decoded, start, stop) for start, stop in _partition(n, interval)
+            ]
+            assert [op for segment in segments for op in segment[0]] == whole[0]
+            assert sum(segment[1] for segment in segments) == whole[1]
+            assert sum(segment[2] for segment in segments) == whole[2]
+
+
+def test_sparse_pilot_footprint_is_o_misses(trace):
+    """Every sparse column is an array as long as the miss or dirty-victim
+    count, plus at most one — nothing grows with the trace."""
+    decoded = build_decoded(trace, _BLOCK_MASK)
+    ops = len(decoded.stream) // 2
+    for side, geometry in (("i", _SYSTEM.l1i), ("d", _SYSTEM.l1d)):
+        pilot = build_pilot(decoded, side, geometry, Cache(geometry).replacement, side)
+        misses = len(pilot.op_index)
+        assert 0 < misses < ops // 4
+        assert len(pilot.other_before) == len(pilot.operands) == misses
         if side == "d":
-            assert pilot.wb_prefix is not None
+            assert len(pilot.wb_prefix) == misses + 1
+            assert len(pilot.victims) == pilot.wb_prefix[-1]
         else:
-            assert pilot.wb_prefix is None
+            assert pilot.wb_prefix is None and pilot.victims is None
+        columns = [getattr(pilot, name) for name in PilotResolution.__slots__[1:]]
+        assert all(isinstance(column, array) for column in columns if column is not None)
+
+
+def test_side_split_columns_partition_the_stream(trace):
+    decoded = build_decoded(trace, _BLOCK_MASK)
+    pairs = list(zip(decoded.stream[::2], decoded.stream[1::2]))
+    fetch_ops = decoded.fetch_ops
+    data_ops = decoded.data_ops
+    assert isinstance(fetch_ops, array) and isinstance(data_ops, array)
+    assert [op for pair in pairs if pair[0] == 0 for op in pair] == fetch_ops.tolist()
+    assert [op for pair in pairs if pair[0] != 0 for op in pair] == data_ops.tolist()
+    assert decoded.fetch_ops is fetch_ops  # derived once
+    # The side columns are not part of the persisted payload.
+    assert _decoded_fields(DecodedTrace.from_bytes(decoded.to_bytes())) == _decoded_fields(decoded)
 
 
 def test_disk_round_trip_counts_disk_hits(trace, tmp_path):

@@ -270,6 +270,18 @@ class TestSweepRunner:
         fused = SweepRunner().gather(SweepRunner().submit_ladder(ladder_jobs))
         assert [r.to_dict() for r in results] == [r.to_dict() for r in fused]
 
+    def test_fused_rungs_count_only_columnar_ladders(self, ladder_jobs):
+        # A reference-engine ladder replays rung by rung: nothing is fused,
+        # although every rung is still simulated.
+        rungs = [dataclasses.replace(job, engine="reference") for job in ladder_jobs]
+        runner = SweepRunner()
+        runner.gather(runner.submit_ladder(rungs))
+        assert runner.fused_rungs == 0
+        assert runner.simulate_count == len(rungs)
+        columnar = SweepRunner()
+        columnar.gather(columnar.submit_ladder(ladder_jobs))
+        assert columnar.fused_rungs == len(ladder_jobs)
+
 
 class TestSweepIntegration:
     """The sweep functions produce identical numbers through any runner."""
