@@ -658,6 +658,8 @@ def resume_note(args: argparse.Namespace) -> Optional[str]:
         with open(path, "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
     except (OSError, ValueError):
+        manifest = None
+    if not isinstance(manifest, dict):  # missing, unparsable, or not an object
         return (
             f"resume: no checkpoint manifest at {path}; replaying the job "
             f"graph against the cache from scratch"

@@ -219,6 +219,15 @@ def _setup_from_payload(
 
 def job_from_payload(payload: Mapping[str, Any]) -> SimJob:
     """Validate a ``POST /jobs`` payload into a :class:`SimJob` (400 on error)."""
+    return validated_job(payload)[0]
+
+
+def validated_job(payload: Mapping[str, Any]) -> Tuple[SimJob, str]:
+    """Validate a ``POST /jobs`` payload into ``(job, job fingerprint)``.
+
+    Validation already computes the fingerprint, so admission reuses it for
+    the handle and the cache lookup instead of fingerprinting again.
+    """
     _check_fields(payload, _JOB_FIELDS, "job")
     if "trace" not in payload:
         raise InvalidRequestError("job payload is missing the required 'trace' field")
@@ -252,10 +261,10 @@ def job_from_payload(payload: Mapping[str, Any]) -> SimJob:
         sample_warmup=_positive_int(payload, "sample_warmup", 0, "job", minimum=0),
     )
     try:
-        job.fingerprint()  # impossible setups surface here, not in a worker
+        fingerprint = job.fingerprint()  # impossible setups surface here, not in a worker
     except SimulationError as exc:
         raise InvalidRequestError(str(exc)) from exc
-    return job
+    return job, fingerprint
 
 
 def spec_from_payload(payload: Mapping[str, Any]) -> ExperimentSpec:
@@ -292,7 +301,12 @@ def job_handle(job: SimJob) -> str:
     one on the same cache directory) resolves the handle straight from the
     job cache without re-simulating.
     """
-    return f"job-{job.fingerprint()[:40]}"
+    return fingerprint_handle(job.fingerprint())
+
+
+def fingerprint_handle(fingerprint: str) -> str:
+    """The :func:`job_handle` of the job with this cache fingerprint."""
+    return f"job-{fingerprint[:40]}"
 
 
 def spec_handle(spec: ExperimentSpec, params: Mapping[str, Any]) -> Tuple[str, str]:

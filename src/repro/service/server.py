@@ -334,8 +334,8 @@ class SweepService:
         deadline = codec.deadline_from_payload(payload)
         canonical = codec.canonical_payload(payload)
         if kind == "job":
-            work: Any = codec.job_from_payload(payload)
-            handle_id = codec.job_handle(work)
+            work, fingerprint = codec.validated_job(payload)
+            handle_id = codec.fingerprint_handle(fingerprint)
         else:
             work = codec.spec_from_payload(canonical)
             handle_id, _ = codec.spec_handle(work, self.bridge.context_options)
@@ -350,7 +350,7 @@ class SweepService:
         # resubmission is a fresh attempt at possibly-transient work.
 
         if kind == "job":
-            cached = self.cache.get(work.fingerprint())
+            cached = self.cache.get(fingerprint)
             if cached is not None:
                 # Completed in a previous life: a done handle costs no
                 # queue slot and no simulation.

@@ -18,9 +18,16 @@ full paper reproduction does not put thousands of files into one directory)::
         c0/
             c04d...77.json
 
-Each entry file contains the format version, the fingerprint, a small
-human-readable description of the job (workload, cache setups) for
-debugging, the full result, and a SHA-256 checksum over all of the above.
+Each entry file (layout v3) is two lines of canonical JSON::
+
+    {"checksum":"<sha256 of the body line>","fingerprint":"ab3f...e1","version":3}
+    {"job":{...small human-readable description...},"result":{...}}
+
+The header line carries the format version, the fingerprint and a SHA-256
+checksum over the body line's exact bytes; the body holds a description of
+the job (workload, cache setups) for debugging and the full result.  A
+write encodes the body once and hashes those bytes; a read hashes the raw
+body bytes and parses them once — no second encoding on either side.
 Writes go through a per-process temporary file followed by an atomic
 :func:`os.replace` (see :mod:`repro.common.atomicio`), so concurrent
 workers (or concurrent sweep processes sharing one cache directory) can
@@ -41,14 +48,20 @@ import json
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.common.atomicio import atomic_write_json, atomic_write_text
+from repro.common.atomicio import atomic_write_bytes
 from repro.sim import faults
 from repro.sim.results import SimulationResult
 
 #: Bump when the fingerprint inputs or the result schema change; entries
 #: written by other versions are treated as misses.
 #: v2: entries carry a SHA-256 ``checksum`` field; corrupt entries self-heal.
-CACHE_FORMAT_VERSION = 2
+#: v3: a header line (checksum, fingerprint, version) over a body line; the
+#: checksum covers the body's stored bytes.
+CACHE_FORMAT_VERSION = 3
+
+#: The one encoding of entry lines: sorted keys, compact, ASCII-only (so a
+#: body never contains the raw newline that ends the header).
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class JobCache:
@@ -78,19 +91,22 @@ class JobCache:
         """
         path = self._entry_path(fingerprint)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                raw = handle.read()
+            with open(path, "rb") as handle:
+                data = handle.read()
         except OSError:
             return None  # no entry (or unreadable filesystem): a plain miss
+        header_bytes, _, body = data.partition(b"\n")
         try:
-            payload = json.loads(raw)
-            if payload.get("version") != CACHE_FORMAT_VERSION:
+            header = json.loads(header_bytes)
+            if not isinstance(header, dict):
+                raise ValueError("entry header is not a JSON object")
+            if header.get("version") != CACHE_FORMAT_VERSION:
+                return None  # includes single-object v2 entries
+            if header.get("fingerprint") != fingerprint:
                 return None
-            if payload.get("fingerprint") != fingerprint:
-                return None
-            if payload.get("checksum") != self._payload_checksum(payload):
+            if header.get("checksum") != hashlib.sha256(body).hexdigest():
                 raise ValueError("entry checksum mismatch")
-            return SimulationResult.from_dict(payload["result"])
+            return SimulationResult.from_dict(json.loads(body)["result"])
         except (ValueError, KeyError, TypeError):
             self.corrupt_entries += 1
             try:
@@ -108,13 +124,17 @@ class JobCache:
         is swallowed so the simulation result in hand still reaches the
         caller — the job simply is not memoised.
         """
-        payload = {
-            "version": CACHE_FORMAT_VERSION,
-            "fingerprint": fingerprint,
-            "job": description if description is not None else {},
-            "result": result.to_dict(),
-        }
-        payload["checksum"] = self._payload_checksum(payload)
+        body = _dumps(
+            {"job": description if description is not None else {}, "result": result.to_dict()}
+        ).encode("utf-8")
+        header = _dumps(
+            {
+                "checksum": hashlib.sha256(body).hexdigest(),
+                "fingerprint": fingerprint,
+                "version": CACHE_FORMAT_VERSION,
+            }
+        ).encode("utf-8")
+        data = header + b"\n" + body
         try:
             path = self._entry_path(fingerprint)
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -122,19 +142,10 @@ class JobCache:
                 # Injected torn write: atomically land a truncated entry,
                 # exactly the damage a non-atomic writer's crash would
                 # leave.  The next read must self-heal it into a miss.
-                text = json.dumps(payload, sort_keys=True)
-                atomic_write_text(path, text[: len(text) // 2])
-                return
-            atomic_write_json(path, payload, sort_keys=True)
+                data = data[: len(data) // 2]
+            atomic_write_bytes(path, data)
         except OSError:
             pass
-
-    @staticmethod
-    def _payload_checksum(payload: dict) -> str:
-        """SHA-256 over the canonical JSON of everything but the checksum."""
-        body = {key: value for key, value in payload.items() if key != "checksum"}
-        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def __contains__(self, fingerprint: str) -> bool:
         return self.get(fingerprint) is not None

@@ -658,6 +658,114 @@ def _source_digest() -> str:
     return _SOURCE_DIGEST
 
 
+#: The canonical encoding every fingerprint hashes: ``json.dumps`` with
+#: sorted keys and compact separators, built once instead of per call.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+#: Spec values whose canonical JSON text is memoized: the frozen job fields
+#: a sweep repeats across thousands of jobs.  External trace specs are
+#: deliberately absent (their identity is the file's current content).
+_MEMOIZED_TYPES = frozenset(
+    {SystemConfig, TechnologyParameters, CoreTimingParameters, TraceSpec, L1SetupSpec}
+)
+
+#: Per-process memos of canonical JSON text: by :func:`_strict_key` (plus
+#: the resolved organization class for resizable setups), and by object
+#: identity in front of it so a spec object every job shares skips even
+#: the key walk (the memoized types are frozen, and an identity entry holds
+#: its object, so the id cannot be reused while the entry lives).  A
+#: ``run-all`` holds a few hundred distinct values, so the bound only
+#: matters to a long-lived ``serve`` process; failures are never stored.
+_CANONICAL_TEXT_MEMO: Dict[object, str] = {}
+_CANONICAL_TEXT_BY_ID: Dict[int, Tuple[object, object, str]] = {}
+_CANONICAL_TEXT_MEMO_MAX = 1024
+
+#: Dataclass field names per type (None for non-dataclass types).
+_FIELD_NAMES: Dict[type, Optional[Tuple[str, ...]]] = {}
+
+
+def _strict_key(value):
+    """A hashable, type-strict stand-in for ``value``'s canonical form.
+
+    Equal keys imply byte-identical canonical JSON.  Plain ``==`` does not:
+    it merges ``1``, ``1.0`` and ``True``, and ``0.0`` with ``-0.0``, which
+    canonicalize differently — keying the memo on the value itself would
+    make a digest depend on which of them the process saw first.
+    """
+    kind = type(value)
+    try:
+        names = _FIELD_NAMES[kind]
+    except KeyError:
+        names = _FIELD_NAMES[kind] = (
+            tuple(spec_field.name for spec_field in fields(kind)) if is_dataclass(kind) else None
+        )
+    if names is not None:
+        return (kind,) + tuple([_strict_key(getattr(value, name)) for name in names])
+    if isinstance(value, float):
+        return kind, repr(value)
+    if isinstance(value, tuple):
+        return (kind,) + tuple([_strict_key(item) for item in value])
+    return kind, value
+
+
+def clear_fingerprint_memo() -> None:
+    """Forget every memoized canonical text (digests never depend on it)."""
+    _CANONICAL_TEXT_MEMO.clear()
+    _CANONICAL_TEXT_BY_ID.clear()
+
+
+def _memo_put(memo: Dict, key, item) -> None:
+    """Insert at the back of a bounded memo, evicting the oldest entries."""
+    memo[key] = item
+    while len(memo) > _CANONICAL_TEXT_MEMO_MAX:
+        memo.pop(next(iter(memo)))
+
+
+def _canonical_text(value) -> str:
+    """``_dumps(_canonical(value))``, memoized for frozen spec values."""
+    kind = type(value)
+    if kind is int:
+        return repr(value)  # exactly what the JSON encoder writes
+    if kind not in _MEMOIZED_TYPES:
+        return _dumps(_canonical(value))
+    # Resolved on every fingerprint: an unregistered name still raises, and
+    # re-registering a name misses instead of reusing the old class's text.
+    cls = (
+        organization_class(value.organization)
+        if kind is L1SetupSpec and value.organization is not None
+        else None
+    )
+    seen = _CANONICAL_TEXT_BY_ID.get(id(value))
+    if seen is not None and seen[0] is value and seen[1] is cls:
+        return seen[2]
+    key = (_strict_key(value), cls)
+    try:
+        hash(key)
+    except TypeError:  # an unhashable leaf (list, dict): no memo
+        return _dumps(_canonical(value))
+    text = _CANONICAL_TEXT_MEMO.pop(key, None)
+    if text is None:
+        text = _dumps(_canonical(value))
+    _memo_put(_CANONICAL_TEXT_MEMO, key, text)  # most recently used at the back
+    _memo_put(_CANONICAL_TEXT_BY_ID, id(value), (value, cls, text))
+    return text
+
+
+#: The keys of a job's canonical form in ``sort_keys`` order (``engine`` is
+#: excluded by design; see :class:`SimJob`).
+_JOB_KEYS = tuple(
+    sorted(["__type__"] + [f.name for f in fields(SimJob) if f.name != "engine"])
+)
+
+
+def _job_text(job: SimJob) -> str:
+    """``_dumps(_canonical(job))``, joined from per-field canonical text."""
+    return "{" + ",".join(
+        f'"{name}":' + ('"SimJob"' if name == "__type__" else _canonical_text(getattr(job, name)))
+        for name in _JOB_KEYS
+    ) + "}"
+
+
 def job_fingerprint(job: SimJob) -> str:
     """Hex SHA-256 fingerprint of a job spec.
 
@@ -670,19 +778,18 @@ def job_fingerprint(job: SimJob) -> str:
     The package version *and* a digest of the package's source files are
     mixed in, so any change to simulation logic fails safe: a stale cache
     misses instead of reproducing the old numbers.
+
+    The hashed text is exactly ``_dumps`` of ``{"job": _canonical(job),
+    "repro_version": ..., "source": ..., "version": ...}``; it is joined from
+    memoized per-field fragments so a sweep pays for each distinct spec
+    value once per process, not once per job.
     """
     from repro import __version__  # deferred: repro.__init__ imports this module
 
-    payload = json.dumps(
-        {
-            "version": _FINGERPRINT_VERSION,
-            "repro_version": __version__,
-            "source": _source_digest(),
-            "job": _canonical(job),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+    tail = _dumps(
+        {"repro_version": __version__, "source": _source_digest(), "version": _FINGERPRINT_VERSION}
     )
+    payload = '{"job":' + _job_text(job) + "," + tail[1:]
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

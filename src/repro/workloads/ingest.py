@@ -530,10 +530,13 @@ def _default_name(path: Optional[str]) -> str:
 # Content digests and the job-layer spec
 # ---------------------------------------------------------------------------
 
-#: Per-process digest memo keyed by (realpath, size, mtime_ns): fingerprints
-#: of an unchanged file cost one stat instead of a full hash pass.  Entries
-#: are only ever replaced by newer stats, never shared across processes.
-_FILE_DIGEST_MEMO: Dict[str, Tuple[Tuple[int, int], str]] = {}
+#: Per-process digest memo keyed by the file's (device, inode), validated
+#: against its (size, mtime_ns): fingerprints of an unchanged file cost one
+#: stat instead of a full hash pass, and an edited file always re-hashes.
+#: Entries are only ever replaced by newer stats, never shared across
+#: processes, and the oldest are evicted past ``_FILE_DIGEST_MEMO_MAX``.
+_FILE_DIGEST_MEMO: Dict[Tuple[int, int], Tuple[Tuple[int, int], str]] = {}
+_FILE_DIGEST_MEMO_MAX = 256
 
 
 def file_digest(path: Union[str, "os.PathLike"]) -> str:
@@ -544,18 +547,22 @@ def file_digest(path: Union[str, "os.PathLike"]) -> str:
     lives, so moving or re-downloading a trace never invalidates caches,
     while any edit always does.
     """
-    real = os.path.realpath(os.fspath(path))
-    stat = os.stat(real)
+    path = os.fspath(path)
+    stat = os.stat(path)
+    identity = (stat.st_dev, stat.st_ino)
     signature = (stat.st_size, stat.st_mtime_ns)
-    memo = _FILE_DIGEST_MEMO.get(real)
+    memo = _FILE_DIGEST_MEMO.get(identity)
     if memo is not None and memo[0] == signature:
         return memo[1]
     digest = hashlib.sha256()
-    with open(real, "rb") as handle:
+    with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
             digest.update(chunk)
     hexdigest = digest.hexdigest()
-    _FILE_DIGEST_MEMO[real] = (signature, hexdigest)
+    _FILE_DIGEST_MEMO.pop(identity, None)
+    _FILE_DIGEST_MEMO[identity] = (signature, hexdigest)
+    while len(_FILE_DIGEST_MEMO) > _FILE_DIGEST_MEMO_MAX:
+        _FILE_DIGEST_MEMO.pop(next(iter(_FILE_DIGEST_MEMO)))
     return hexdigest
 
 

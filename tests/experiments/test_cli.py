@@ -19,6 +19,7 @@ from repro.__main__ import (
     main,
     parse_args,
     parse_trace_files,
+    resume_note,
     run_experiments,
     run_spec_experiments,
 )
@@ -129,6 +130,16 @@ class TestResilienceFlags:
         assert main(["run-figure", "table2", *TINY,
                      "--cache-dir", str(tmp_path / "fresh"), "--resume"]) == 0
         assert "no checkpoint manifest" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("content", ["[]", "null", "5", '"x"'])
+    def test_resume_with_a_non_object_manifest_degrades_to_a_note(self, tmp_path, content):
+        # Valid JSON that is not an object is as unusable as a torn file.
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        (cache_dir / "checkpoint.json").write_text(content)
+        args = parse_args(["run-figure", "table2", *TINY,
+                           "--cache-dir", str(cache_dir), "--resume"])
+        assert "no checkpoint manifest" in resume_note(args)
 
     def test_stats_prints_the_resilience_line(self, tmp_path, capsys):
         assert main(["run-figure", "table2", *TINY,

@@ -1,11 +1,15 @@
 """Tests for the on-disk job cache and job fingerprinting."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
 from repro.common.config import CacheGeometry, CoreConfig, CoreKind, SystemConfig
+from repro.common.errors import SimulationError
+from repro.resizing.selective_sets import SelectiveSets
+from repro.sim import runner
 from repro.sim.jobcache import CACHE_FORMAT_VERSION, JobCache
 from repro.sim.runner import (
     L1SetupSpec,
@@ -15,6 +19,20 @@ from repro.sim.runner import (
     execute_job,
     job_fingerprint,
 )
+
+
+def read_entry(path):
+    """Split a v3 entry into its (header, body) JSON objects."""
+    header, body = path.read_bytes().split(b"\n", 1)
+    return json.loads(header), json.loads(body)
+
+
+def write_entry(path, header, body, *, rehash):
+    """Land a v3 entry; ``rehash`` recomputes the header's body checksum."""
+    body_bytes = json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    if rehash:
+        header = dict(header, checksum=hashlib.sha256(body_bytes).hexdigest())
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body_bytes)
 
 
 def small_job(**overrides) -> SimJob:
@@ -68,6 +86,28 @@ class TestFingerprint:
         sets_full = job_fingerprint(with_setup("selective-sets", config_full))
         ways_small = job_fingerprint(with_setup("selective-ways", config_small))
         assert len({fixed, sets_small, sets_full, ways_small}) == 4
+
+    def test_unregistered_organization_raises_after_the_memo_is_warm(self, monkeypatch):
+        class MemoProbeSets(SelectiveSets):
+            name = "memo-probe-sets"
+
+        monkeypatch.setitem(runner._ORGANIZATION_REGISTRY, MemoProbeSets.name, MemoProbeSets)
+        job = small_job(d_setup=L1SetupSpec(organization=MemoProbeSets.name))
+        warm = job_fingerprint(job)
+        assert job_fingerprint(job) == warm  # memoized, stable
+
+        monkeypatch.delitem(runner._ORGANIZATION_REGISTRY, MemoProbeSets.name)
+        with pytest.raises(SimulationError, match="unknown resizing organization"):
+            job_fingerprint(job)
+        with pytest.raises(SimulationError, match="unknown resizing organization"):
+            job_fingerprint(dataclasses.replace(job))  # an equal, unseen object
+
+        # Re-registering the name to another class rebinds the fingerprint.
+        class OtherProbeSets(SelectiveSets):
+            name = "memo-probe-sets"
+
+        monkeypatch.setitem(runner._ORGANIZATION_REGISTRY, OtherProbeSets.name, OtherProbeSets)
+        assert job_fingerprint(job) != warm
 
     def test_inline_trace_fingerprinted_by_content(self):
         trace_a = TraceSpec("gcc", 1_500).materialize()
@@ -126,9 +166,9 @@ class TestJobCache:
         fingerprint = job.fingerprint()
         cache.put(fingerprint, execute_job(job))
         entry = cache._entry_path(fingerprint)
-        payload = json.loads(entry.read_text(encoding="utf-8"))
-        payload["job"] = {"tampered": True}
-        entry.write_text(json.dumps(payload), encoding="utf-8")
+        header, body = read_entry(entry)
+        body["job"] = {"tampered": True}
+        write_entry(entry, header, body, rehash=False)
         assert cache.get(fingerprint) is None
         assert cache.corrupt_entries == 1
         assert not entry.exists()
@@ -177,9 +217,9 @@ class TestJobCache:
         fingerprint = job.fingerprint()
         cache.put(fingerprint, execute_job(job))
         entry = cache._entry_path(fingerprint)
-        payload = json.loads(entry.read_text(encoding="utf-8"))
-        del payload["result"]["energy"]["core"]
-        entry.write_text(json.dumps(payload), encoding="utf-8")
+        header, body = read_entry(entry)
+        del body["result"]["energy"]["core"]
+        write_entry(entry, header, body, rehash=True)  # checksum-valid, incomplete
         assert cache.get(fingerprint) is None
 
     def test_foreign_version_is_a_miss(self, tmp_path):
@@ -188,10 +228,51 @@ class TestJobCache:
         fingerprint = job.fingerprint()
         cache.put(fingerprint, execute_job(job))
         entry = cache._entry_path(fingerprint)
-        payload = json.loads(entry.read_text(encoding="utf-8"))
-        payload["version"] = CACHE_FORMAT_VERSION + 1
-        entry.write_text(json.dumps(payload), encoding="utf-8")
+        header, body = read_entry(entry)
+        header["version"] = CACHE_FORMAT_VERSION + 1
+        write_entry(entry, header, body, rehash=True)
         assert cache.get(fingerprint) is None
+
+    def test_v2_entry_is_a_plain_miss_overwritten_by_v3(self, tmp_path):
+        # The previous layout: one JSON object whose checksum field covers
+        # the canonical JSON of every other field.  A format change is not
+        # corruption: the entry misses uncounted and the rewrite replaces it.
+        cache = JobCache(tmp_path / "cache")
+        job = small_job()
+        fingerprint = job.fingerprint()
+        result = execute_job(job)
+        payload = {
+            "version": 2,
+            "fingerprint": fingerprint,
+            "job": job.describe(),
+            "result": result.to_dict(),
+        }
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        payload["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        entry = cache._entry_path(fingerprint)
+        entry.parent.mkdir(parents=True)
+        entry.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+
+        assert cache.get(fingerprint) is None
+        assert cache.corrupt_entries == 0
+        cache.put(fingerprint, result, description=job.describe())
+        header, _ = read_entry(entry)
+        assert header["version"] == CACHE_FORMAT_VERSION == 3
+        restored = cache.get(fingerprint)
+        assert restored is not None
+        assert dataclasses.asdict(restored) == dataclasses.asdict(result)
+        assert cache.corrupt_entries == 0
+
+    @pytest.mark.parametrize("content", ["[]", "null", "5", '"x"'])
+    def test_non_object_entry_is_a_self_healing_miss(self, tmp_path, content):
+        cache = JobCache(tmp_path / "cache")
+        fingerprint = small_job().fingerprint()
+        entry = cache._entry_path(fingerprint)
+        entry.parent.mkdir(parents=True)
+        entry.write_text(content, encoding="utf-8")
+        assert cache.get(fingerprint) is None
+        assert cache.corrupt_entries == 1
+        assert not entry.exists()
 
     def test_len_and_clear(self, tmp_path):
         cache = JobCache(tmp_path / "cache")
