@@ -54,19 +54,21 @@ def replay_trace():
     return TraceSpec("gcc", REPLAY_INSTRUCTIONS).materialize()
 
 
-def _replay(trace, engine):
-    return Simulator(SystemConfig(), engine=engine).run(trace)
+def _replay(trace, engine, **sampling):
+    return Simulator(SystemConfig(), engine=engine).run(trace, **sampling)
 
 
-def _bench_engine(benchmark, trace, engine):
+def _bench_engine(benchmark, trace, engine, **sampling):
     result = benchmark.pedantic(
-        _replay, args=(trace, engine), rounds=3, iterations=1, warmup_rounds=1
+        _replay, args=(trace, engine), kwargs=sampling, rounds=3, iterations=1,
+        warmup_rounds=1,
     )
     benchmark.extra_info["engine"] = engine
     benchmark.extra_info["instructions_per_second"] = round(
         len(trace) / benchmark.stats.stats.mean
     )
-    assert result.instructions == len(trace)
+    if not sampling:
+        assert result.instructions == len(trace)
     return result
 
 
@@ -75,7 +77,15 @@ def test_bench_replay_reference(benchmark, replay_trace):
 
 
 def test_bench_replay_columnar(benchmark, replay_trace):
+    # Both L1s are fixed, so after the warmup round this times the
+    # warm-pilot path: the L1d pilot comes from the memo.
     _bench_engine(benchmark, replay_trace, "columnar")
+
+
+def test_bench_replay_columnar_sampled(benchmark, replay_trace):
+    # A sampled plan decodes live, and a live single run keeps the general
+    # mode: the full op stream through both L1s per interval.
+    _bench_engine(benchmark, replay_trace, "columnar", sample_every=4, sample_warmup=600)
 
 
 def _measure_speedup(trace):

@@ -57,14 +57,6 @@ class CounterRegistry(dict):
         """A plain-dict copy (safe to diff against a later state)."""
         return dict(self)
 
-    def delta_since(self, before: Mapping[str, int]) -> dict:
-        """Counters that changed since ``before``, as name -> difference."""
-        return {
-            name: self[name] - before.get(name, 0)
-            for name in self
-            if self[name] != before.get(name, 0)
-        }
-
     def render(self, prefix: str = "") -> str:
         """Deterministic ``name value`` exposition lines, sorted by name.
 

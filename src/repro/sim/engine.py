@@ -18,19 +18,19 @@ Two engines ship:
 * :class:`ColumnarEngine` (the default) — a single run is a one-rung fused
   ladder: :meth:`repro.sim.ladder.LadderEngine.replay_many` with the run's
   context as the only rung, so single runs and profiling ladders share one
-  walk (described in :mod:`repro.sim.ladder`).  The walk replays from the
-  trace's structure-of-arrays columns: each interval is decoded *once*
-  into a flat cache-operation stream (:func:`decode_interval` —
-  fetch-block-change detection, memory-op extraction with the store bit
-  resolved, branches resolved against the predictor during the decode,
-  since the predictor shares no state with the caches), or sliced in O(1)
-  from the whole-trace pre-decode memo (:mod:`repro.sim.predecode`,
-  vectorized when NumPy is importable, memoized in memory and in the
-  on-disk trace cache).  The dispatch kernels run the L1 hit paths inline
-  against hoisted kernel state and feed only misses to the hierarchy's
-  allocation-free packed kernel (``_miss_packed``, see
-  :mod:`repro.cache.hierarchy`); the reference engine keeps exercising the
-  object-returning wrapper path.
+  walk and one mode rule (described in :mod:`repro.sim.ladder`).  The
+  walk replays from the trace's structure-of-arrays columns: each
+  interval is decoded *once* into a flat cache-operation stream
+  (:func:`decode_interval` — fetch-block-change detection, memory-op
+  extraction with the store bit resolved, branches resolved against the
+  predictor during the decode, since the predictor shares no state with
+  the caches), or sliced in O(1) from the whole-trace pre-decode memo
+  (:mod:`repro.sim.predecode`, vectorized when NumPy is importable,
+  memoized in memory and in the on-disk trace cache).  The dispatch
+  kernels run the L1 hit paths inline against hoisted kernel state and
+  feed only misses to the hierarchy's allocation-free packed kernel
+  (``_miss_packed``, see :mod:`repro.cache.hierarchy`); the reference
+  engine keeps exercising the object-returning wrapper path.
 
 Engine selection: ``Simulator(engine=...)`` / ``Simulator.run(engine=...)``
 accept an engine name or instance; :class:`~repro.sim.runner.SimJob` carries
@@ -455,12 +455,12 @@ class ColumnarEngine(ReplayEngine):
 
     Replays through :meth:`repro.sim.ladder.LadderEngine.replay_many` with
     the run's context as the only rung, so single runs and profiling
-    ladders share one walk.  With one rung the ladder takes its general
-    mode — the whole-trace pre-decode memo (:mod:`repro.sim.predecode`)
-    sliced per interval, or a live columnar decode for sampled plans and
-    runs the memo gate refuses, and the full op stream dispatched to the
-    run's hierarchy with the L1 hit paths inline — and builds no pilot
-    (see the :mod:`repro.sim.ladder` docstring for why).
+    ladders share one walk and one mode rule (see :mod:`repro.sim.ladder`).
+    An exhaustive run with a fixed L1d slices the pre-decode memo
+    (:mod:`repro.sim.predecode`) and replays the reduced stream of the
+    L1d pilot memo its trace's i-cache ladders share; any other run
+    dispatches the full op stream (decoded live for sampled plans and
+    refused memo gates) with both L1 hit paths inline.
     """
 
     name = "columnar"

@@ -47,31 +47,35 @@ shares no state with the caches, so each rung's per-interval mispredict
 totals are identical to its standalone run's by construction.  The same
 argument covers the fetch-block dedup state.
 
-**Modes: the pilot only for K ≥ 2.**  A profiling ladder resizes exactly
-one L1; the other is the full-size fixed cache in every rung.  A fixed
-L1's hit/miss (and dirty-victim) sequence depends only on its own access
-stream — which is shared — so it is *identical across rungs*.  With two or
-more rungs the pass therefore drives the first context's copy of that
-cache (the "pilot") once per op and shares the outcome:
+**Modes: the pilot wherever its work is shared.**  A profiling ladder
+resizes exactly one L1; the other is the full-size fixed cache in every
+rung, as in every baseline, static and dynamic run.  A fixed L1's hit/miss
+(and dirty-victim) sequence depends only on its own access stream, so it
+is *identical across rungs* and across runs of one trace.  The pass drives
+the first context's copy of that cache (the "pilot") once per op and
+shares the outcome:
 
-* an L1 *hit* touches no per-rung state at all (the packed replay path
-  never consumes latency — cycles come from the interval counts), so the
-  op vanishes from the per-rung stream and is folded into a shared count;
-* an L1 *miss* stays in the stream, pre-resolved (for the data side the
-  pilot's packed outcome rides along, carrying the victim-writeback bit),
-  and each rung performs only the L2/memory fill — the part that really
-  does depend on that rung's L2 contents.
+* an L1 *hit* touches no per-rung state (cycles come from the interval
+  counts), so the op leaves the per-rung stream for a shared count;
+* an L1 *miss* stays in the stream, pre-resolved (a data-side miss carries
+  the pilot's packed outcome with its victim-writeback bit), and each rung
+  performs only its own L2/memory fill.
 
-A single context (every ``Simulator.run``) and a ladder whose rungs
-resize *both* sides take the general mode instead: each rung dispatches
-the full shared stream (:func:`dispatch_cache_ops_fast`).  For K = 1 that
-is the whole columnar replay and nothing more.  The rule is chosen from
-K, not from an option, and the reason was measured on 60k-instruction
-traces: one rung in pilot mode is 1.3–2.1x faster than the general walk
-when the pilot memo is warm but 2.2–2.9x slower when it is cold, and a
-service sending fresh single jobs over dozens of (trace, side,
-associativity) keys would mostly pay the cold price.  The general K = 1
-walk measured a median 1.002x of the retired standalone columnar walk.
+The mode follows from the rungs, never from an option.  An exhaustive
+pass over the memoized decode pilots the L1d whenever every rung fixes it,
+for any K, from the pilot memo below, so a baseline or i-side single run
+reuses the pilot its trace's i-cache ladders built.  With both sides fixed
+the L1d wins because the reduced stream keeps the shorter column: a 60k
+decode has 1.6–2.2x more data ops than fetch ops.  Any other pilot needs
+K ≥ 2: the L1i (one rung gains only 6–9% from it, and the fused ladder's
+lead over K single runs fell below 1.5x when single runs took it) and
+every live segment source (sampled plans, a refused decode or pilot gate),
+which resolves the pilot interval by interval.  The remaining single runs
+and rungs resizing both sides take the general mode: each rung dispatches
+the full shared stream (:func:`dispatch_cache_ops_fast`).  With warm memos
+single 60k-instruction runs (best of 9 paired runs, mean over gcc, swim
+and vortex) took 22.7 → 12.3 ms with both L1s fixed and 26.6 → 14.9 ms
+for a static i-side run; a never-seen trace's pilot build made them 1.2x.
 
 Everything configuration-*dependent* — cache contents, resize decisions,
 flush writebacks, energy, cycles — stays in per-rung state, which is why
@@ -88,7 +92,8 @@ introspecting ``hierarchy.miss_ratios()`` on a non-pilot context after a
 fused replay would show an idle invariant side.  When the memoized pilot
 pre-screen applies (:func:`repro.sim.predecode.pilot_for` — exhaustive
 replay, fresh fixed pilot), rung 0's copy joins them: no live pilot is
-driven at all.  The memo is sparse — only the pilot's misses, built once
+driven at all, so an exhaustive single run leaves its fixed L1 idle too.
+The memo is sparse — only the pilot's misses, built once
 per (trace, side, pilot geometry) by the inline cache kernel — and
 each interval's reduced stream is rebuilt from it
 (:meth:`~repro.sim.predecode.PilotResolution.segment`): one slice of the
@@ -266,52 +271,53 @@ class LadderEngine:
                     "fused ladder replay requires every rung to share the "
                     "sampling schedule (sample_every/sample_warmup)"
                 )
-        # With two or more rungs, pilot-resolve whichever L1 side is fixed
-        # in every rung (see the module docstring): a d-cache ladder pilots
-        # the L1i and vice versa.  One rung, or rungs resizing both sides,
-        # take the general mode — the full shared stream per rung.
-        side = None
-        if len(contexts) > 1:
-            if all(not ctx.i_runtime.is_resizable for ctx in contexts):
-                side = "i"
-            elif all(not ctx.d_runtime.is_resizable for ctx in contexts):
-                side = "d"
+        # Pilot-resolve an L1 side that is fixed in every rung (see the
+        # module docstring): an i-cache ladder pilots the L1d, and so do
+        # rungs with both sides fixed; a d-cache ladder pilots the L1i only
+        # from two rungs up.  Rungs resizing both sides take the general
+        # mode — the full shared stream per rung.
         hierarchy = first.hierarchy
-        if side == "i":
-            pilot_cache = hierarchy.l1i
-            pilot = hierarchy._l1i_packed
-            resolve = lambda ops: _resolve_pilot_i(ops, pilot)  # noqa: E731
-            fold = _dispatch_variant_d_fast
-        elif side == "d":
-            pilot_cache = hierarchy.l1d
-            pilot = hierarchy._l1d_packed
-            resolve = lambda ops: _resolve_pilot_d(ops, pilot)  # noqa: E731
-            fold = _dispatch_variant_i_fast
-        else:
-            pilot_cache = None
-            resolve = _resolve_general
-            fold = dispatch_cache_ops_fast
+        side = pilot_cache = None
+        if all(not ctx.d_runtime.is_resizable for ctx in contexts):
+            side, pilot_cache = "d", hierarchy.l1d
+        elif len(contexts) > 1 and all(not ctx.i_runtime.is_resizable for ctx in contexts):
+            side, pilot_cache = "i", hierarchy.l1i
 
         n = len(trace)
         interval_instructions = first.interval_instructions
         plan = first.sampling_plan(n)
-        decoded = None
+        decoded = pilot_res = None
         if plan is None:
             plan = [
                 (start, min(start + interval_instructions, n), True)
                 for start in range(0, n, interval_instructions)
             ]
             decoded = decoded_for(trace, first.block_mask, first.predictor)
+        if decoded is not None and side is not None:
+            # The memoized pilot pre-screen is valid because the pilot is
+            # the fixed full-size L1, identical in every rung and every run
+            # of this trace.
+            pilot_res = pilot_for(trace, decoded, side, pilot_cache)
+        if pilot_res is None and len(contexts) == 1:
+            # Without the memo a pilot is resolved live, interval by
+            # interval; that pays off only when rungs share it.
+            side = None
+
+        if side == "i":
+            pilot = hierarchy._l1i_packed
+            resolve = lambda ops: _resolve_pilot_i(ops, pilot)  # noqa: E731
+            fold = _dispatch_variant_d_fast
+        elif side == "d":
+            pilot = hierarchy._l1d_packed
+            resolve = lambda ops: _resolve_pilot_d(ops, pilot)  # noqa: E731
+            fold = _dispatch_variant_i_fast
+        else:
+            resolve = _resolve_general
+            fold = dispatch_cache_ops_fast
         if decoded is None:
             segments = _live_segments(trace, first, plan, resolve)
             units = [_KernelUnit([ctx], fold) for ctx in contexts]
         else:
-            # The memoized pilot pre-screen is valid because the pilot is
-            # the fixed full-size L1, identical in every rung and every run
-            # of this trace; a gate refusal resolves live per interval.
-            pilot_res = None
-            if side is not None:
-                pilot_res = pilot_for(trace, decoded, side, pilot_cache)
             segments = _memo_segments(decoded, plan, side, resolve, pilot_res)
             units = _plan_units(contexts, side, fold)
         for unit in units:

@@ -1,6 +1,6 @@
 """Tests for the fused multi-configuration ladder replay.
 
-Three layers are covered here:
+Four layers are covered here:
 
 * **Engine equivalence** — :func:`repro.sim.ladder.run_fused` must produce
   ``SimulationResult.to_dict()`` payloads bit-identical to standalone runs
@@ -11,6 +11,9 @@ Three layers are covered here:
   coalesced grid replays all three organizations' full ladders in one
   pass at several associativities, so the stack-distance tier, shared
   geometries and every fallback (FIFO, RANDOM, dynamic) ride together.
+* **Pilot rule** — which passes pilot which L1: exhaustive ones with a
+  fixed L1d for any K (single runs reusing their trace's memoized pilot),
+  the L1i and live-decoded passes only from two rungs up.
 * **Job layer** — :class:`LadderJob` validation, worker execution and the
   per-rung cache fan-out of :meth:`SweepRunner.submit_ladder`, including
   the partially-warm case (only missing rungs are fused), the
@@ -34,7 +37,7 @@ from repro.resizing.resizable_cache import ResizableCache
 from repro.resizing.selective_sets import SelectiveSets
 from repro.resizing.selective_ways import SelectiveWays
 from repro.resizing.static_strategy import StaticResizing
-from repro.sim import ladder
+from repro.sim import ladder, predecode
 from repro.sim.jobcache import JobCache
 from repro.sim.ladder import LadderEngine, run_fused
 from repro.sim.runner import (
@@ -278,6 +281,98 @@ class TestEngineEquivalence:
 
     def test_replay_many_accepts_empty_context_list(self, trace):
         LadderEngine().replay_many(trace, [])  # no-op, not an error
+
+
+def _static(system, side):
+    """A static selective-sets setup resizing one L1, as ``run`` keywords."""
+    org = SelectiveSets(system.l1d if side == "d" else system.l1i)
+    setup = L1Setup(org, StaticResizing(org.config_for_capacity(8 * 1024)))
+    return {"d_setup": setup} if side == "d" else {"i_setup": setup}
+
+
+def _dynamic_both(system):
+    return {
+        "d_setup": L1Setup(
+            SelectiveSets(system.l1d),
+            DynamicResizing(0.03, 8 * 1024, sense_interval_accesses=512),
+        ),
+        "i_setup": L1Setup(
+            SelectiveWays(system.l1i),
+            DynamicResizing(0.01, 8 * 1024, sense_interval_accesses=512),
+        ),
+    }
+
+
+class TestPilotRule:
+    """Which passes pilot: exhaustive ones with a fixed L1d for any K, the rest from K = 2."""
+
+    @pytest.fixture
+    def fresh(self):
+        return TraceSpec("gcc", 6_000).materialize()  # no pilot memo yet
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """Records the side of every pilot memo lookup and live pilot interval."""
+        calls = {"memo": [], "live": []}
+        pilot_for, resolve_i, resolve_d = (
+            ladder.pilot_for, ladder._resolve_pilot_i, ladder._resolve_pilot_d
+        )
+
+        def memo(trace, decoded, side, cache):
+            calls["memo"].append(side)
+            return pilot_for(trace, decoded, side, cache)
+
+        def live(side, resolve):
+            def wrapped(ops, kernel):
+                calls["live"].append(side)
+                return resolve(ops, kernel)
+            return wrapped
+
+        monkeypatch.setattr(ladder, "pilot_for", memo)
+        monkeypatch.setattr(ladder, "_resolve_pilot_i", live("i", resolve_i))
+        monkeypatch.setattr(ladder, "_resolve_pilot_d", live("d", resolve_d))
+        return calls
+
+    def test_both_sides_fixed_pilots_the_d_side(self, system, fresh, spy):
+        result = Simulator(system).run(fresh)
+        assert spy == {"memo": ["d"], "live": []}
+        assert result.to_dict() == Simulator(system, engine="reference").run(fresh).to_dict()
+
+    def test_single_run_reuses_the_ladders_pilot(self, system, fresh):
+        run_fused(Simulator(system), fresh, _ladder_setups(system, SelectiveSets, ICACHE))
+        before = predecode.stats_snapshot()
+        result = Simulator(system).run(fresh, **_static(system, "i"))
+        after = predecode.stats_snapshot()
+        assert after["pilot_builds"] - before["pilot_builds"] == 0
+        assert after["pilot_memo_hits"] - before["pilot_memo_hits"] == 1
+        reference = Simulator(system, engine="reference").run(fresh, **_static(system, "i"))
+        assert result.to_dict() == reference.to_dict()
+
+    def test_sampled_runs_pilot_live_only_from_two_rungs(self, system, fresh, spy):
+        sampled = {"sample_every": 4, "sample_warmup": 600}
+        single = Simulator(system).run(fresh, **_static(system, "i"), **sampled)
+        assert spy == {"memo": [], "live": []}  # no pilot built or resolved
+        fused = run_fused(
+            Simulator(system), fresh, [(None, _static(system, "i")["i_setup"]), (None, None)],
+            **sampled,
+        )
+        assert spy["memo"] == [] and set(spy["live"]) == {"d"}
+        reference = Simulator(system, engine="reference")
+        assert single.to_dict() == fused[0].to_dict() == reference.run(
+            fresh, **_static(system, "i"), **sampled
+        ).to_dict()
+        assert fused[1].to_dict() == reference.run(fresh, **sampled).to_dict()
+
+    @pytest.mark.parametrize(
+        "setups", [_dynamic_both, lambda system: _static(system, "d")],
+        ids=["dynamic-both", "static-d"],
+    )
+    def test_single_run_resizing_the_l1d_builds_no_pilot(self, system, fresh, spy, setups):
+        """Piloting the L1i pays off only when rungs share the pass."""
+        result = Simulator(system).run(fresh, **setups(system))
+        assert spy == {"memo": [], "live": []}  # no pilot built or resolved
+        reference = Simulator(system, engine="reference").run(fresh, **setups(system))
+        assert result.to_dict() == reference.to_dict()
 
 
 def _rung_jobs(system, organization, interval=500, n_instructions=3_000):
