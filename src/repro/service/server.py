@@ -35,10 +35,13 @@ the robustness semantics, not protocol features.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import gc
 import signal
+import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.common.counters import CounterRegistry
@@ -60,13 +63,24 @@ from repro.sim.runner import RetryPolicy, SweepRunner
 #: Longest ``?wait=`` long-poll the server honours, seconds.
 MAX_WAIT_SECONDS = 30.0
 
+#: The connection reader's buffer limit (asyncio's default), bytes: a
+#: request head that does not end within it is answered ``431``.
+_STREAM_LIMIT = 64 * 1024
+
 #: Progress events are streamed at most this often, seconds.
 STREAM_INTERVAL = 0.5
+
+#: GIL switch interval while serving, seconds.  The runner thread replays
+#: simulations in this interpreter; a thread that wants the GIL waits one
+#: interval before it can force a hand-off (CPython's default is 5 ms), so
+#: this bounds how long the event loop waits to answer a settled read.
+SERVE_SWITCH_INTERVAL = 0.0005
 
 _STATUS_REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 413: "Payload Too Large", 429: "Too Many Requests",
-    500: "Internal Server Error", 503: "Service Unavailable", 504: "Gateway Timeout",
+    431: "Request Header Fields Too Large", 500: "Internal Server Error",
+    503: "Service Unavailable", 504: "Gateway Timeout",
 }
 
 
@@ -163,7 +177,8 @@ class SweepService:
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 pass  # non-main thread or platform without signal support
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+            self._handle_connection, self.config.host, self.config.port,
+            limit=_STREAM_LIMIT,
         )
         self.bound_port = self._server.sockets[0].getsockname()[1]
         self._worker_task = asyncio.create_task(self._worker_loop())
@@ -417,7 +432,7 @@ class SweepService:
             except _HttpError as exc:
                 await self._respond_error(writer, exc.status, "bad-request", exc.message)
                 return
-            except (asyncio.IncompleteReadError, asyncio.LimitOverrunError, OSError):
+            except (asyncio.IncompleteReadError, OSError):
                 return
             self.counters.inc("requests")
             try:
@@ -447,6 +462,10 @@ class SweepService:
             )
         except asyncio.TimeoutError as exc:
             raise _HttpError(400, "timed out reading request head") from exc
+        except asyncio.LimitOverrunError as exc:
+            raise _HttpError(
+                431, f"request head exceeds the {_STREAM_LIMIT}-byte limit"
+            ) from exc
         request_lines = head.decode("latin-1").split("\r\n")
         parts = request_lines[0].split(" ")
         if len(parts) != 3:
@@ -626,18 +645,47 @@ def _as_service_error(status: int, message: str) -> ServiceError:
     return error
 
 
+@contextlib.contextmanager
+def serving_interpreter() -> Iterator[None]:
+    """Tune the process for serving while the runner thread simulates.
+
+    Sets the GIL switch interval to :data:`SERVE_SWITCH_INTERVAL` and moves
+    everything alive at entry (imports, the built service) into the
+    collector's permanent generation, so later gen-2 passes skip the boot
+    heap.  Both are restored on exit, also on an exception.  A heap some
+    caller already froze is left as it is: unfreezing it would not restore
+    it.  Nothing else in the package sets the switch interval or freezes
+    the heap, and ``run-all`` never enters this.
+    """
+    previous_interval = sys.getswitchinterval()
+    freeze = gc.get_freeze_count() == 0
+    sys.setswitchinterval(SERVE_SWITCH_INTERVAL)
+    if freeze:
+        gc.collect()
+        gc.freeze()
+    try:
+        yield
+    finally:
+        if freeze:
+            gc.unfreeze()
+        sys.setswitchinterval(previous_interval)
+
+
 def serve(config: ServeConfig) -> int:
     """Blocking entry point for ``python -m repro serve``; returns exit code."""
     service = SweepService(config)
-    try:
-        return asyncio.run(service.serve_forever())
-    except KeyboardInterrupt:  # pragma: no cover - signal handler races
-        return 0
+    with serving_interpreter():
+        try:
+            return asyncio.run(service.serve_forever())
+        except KeyboardInterrupt:  # pragma: no cover - signal handler races
+            return 0
 
 
 __all__ = [
     "ServeConfig",
     "SweepService",
     "serve",
+    "serving_interpreter",
     "MAX_WAIT_SECONDS",
+    "SERVE_SWITCH_INTERVAL",
 ]

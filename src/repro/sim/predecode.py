@@ -62,7 +62,7 @@ import struct
 import weakref
 from array import array
 from bisect import bisect_left
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cache.cache import (
     PACKED_FILLED,
@@ -92,6 +92,9 @@ _PREDICTOR_TABLE = 4096
 
 #: Row-count ceilings: the prefix arrays are 32-bit ('I'), and the cached
 #: boxed-int view trades memory for slice speed only while it stays small.
+#: The view is a tuple, not a list: a tuple holding only ints is untracked
+#: by the cyclic collector at its first collection, so no later gen-2 pass
+#: walks it, while a list would be walked by every one of them.
 MAX_ROWS = 1 << 30
 _OPS_LIST_MAX_ROWS = 4_000_000
 
@@ -151,7 +154,7 @@ class DecodedTrace:
         "mispredict_prefix",
         "memref_prefix",
         "store_prefix",
-        "_ops_list",
+        "_ops_tuple",
         "_stream_view",
         "_fetch_ops",
         "_data_ops",
@@ -167,7 +170,7 @@ class DecodedTrace:
         self.mispredict_prefix = mispredict_prefix
         self.memref_prefix = memref_prefix
         self.store_prefix = store_prefix
-        self._ops_list: Optional[List[int]] = None
+        self._ops_tuple: Optional[Tuple[int, ...]] = None
         self._stream_view = None
         self._fetch_ops: Optional[array] = None
         self._data_ops: Optional[array] = None
@@ -197,19 +200,24 @@ class DecodedTrace:
         return self._data_ops
 
     def interval_ops(self, start: int, stop: int) -> List[int]:
-        """The flat op list for rows ``[start, stop)`` (a fresh, mutable list)."""
-        ops_list = self._ops_list
-        if ops_list is None:
+        """The flat op list for rows ``[start, stop)`` (a fresh, mutable list).
+
+        The stream is boxed once into a tuple (see ``_OPS_LIST_MAX_ROWS``);
+        each interval is then two C-level pointer copies, the tuple slice
+        and the list built from it, instead of per-element int boxing.
+        """
+        ops_tuple = self._ops_tuple
+        if ops_tuple is None:
             if self.n <= _OPS_LIST_MAX_ROWS:
-                # Box the stream once; interval slices are then C-level
-                # pointer copies instead of per-element int boxing.
-                self._ops_list = ops_list = self.stream.tolist()
+                # Straight from the array: going through ``tolist()`` would
+                # hold a second pointer copy at peak (+0.7 MiB on run-all).
+                self._ops_tuple = ops_tuple = tuple(self.stream)
             else:
                 view = self._stream_view
                 if view is None:
                     self._stream_view = view = memoryview(self.stream)
                 return view[2 * self.op_prefix[start]:2 * self.op_prefix[stop]].tolist()
-        return ops_list[2 * self.op_prefix[start]:2 * self.op_prefix[stop]]
+        return list(ops_tuple[2 * self.op_prefix[start]:2 * self.op_prefix[stop]])
 
     def to_bytes(self) -> bytes:
         """Serialize for the on-disk trace memo (native byte order)."""

@@ -9,9 +9,17 @@ completed work.
 """
 
 import concurrent.futures
+import gc
 import json
+import socket
+import sys
 import time
 import urllib.request
+
+import pytest
+
+from repro.service import server
+from repro.service.server import SERVE_SWITCH_INTERVAL, serving_interpreter
 
 
 def job_payload(**overrides):
@@ -63,6 +71,27 @@ class TestHealthAndErrors:
         assert harness.get("/no-such")[0] == 404
         assert harness.request("DELETE", "/jobs")[0] == 405
         assert harness.post("/healthz", {})[0] == 405
+
+    def test_oversized_head_is_answered_431(self, service_factory):
+        harness = service_factory()
+        head = (
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\nX-Pad: "
+            + b"x" * 70_000 + b"\r\n\r\n"
+        )
+        with socket.create_connection(("127.0.0.1", harness.service.bound_port), 10) as peer:
+            peer.sendall(head)
+            reply = b""
+            try:
+                while chunk := peer.recv(65536):
+                    reply += chunk
+            except ConnectionResetError:
+                pass  # closed with the unread rest of the head still pending
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line == b"HTTP/1.1 431 Request Header Fields Too Large"
+        body = json.loads(rest.partition(b"\r\n\r\n")[2])
+        assert body["error"]["code"] == "bad-request"
+        # The server survives and still answers ordinary requests.
+        assert harness.get("/healthz")[0] == 200
 
     def test_oversized_body_is_rejected_with_413(self, service_factory):
         harness = service_factory(max_body_kib=1)
@@ -311,3 +340,51 @@ class TestStreaming:
         ]
         assert events
         assert events[-1]["state"] == "done"
+
+
+class TestServingInterpreter:
+    def test_sets_and_restores_the_switch_interval_and_freeze(self):
+        before_interval = sys.getswitchinterval()
+        before_frozen = gc.get_freeze_count()
+        assert before_frozen == 0
+        with serving_interpreter():
+            assert sys.getswitchinterval() == pytest.approx(SERVE_SWITCH_INTERVAL)
+            assert gc.get_freeze_count() > 0
+        assert sys.getswitchinterval() == before_interval
+        assert gc.get_freeze_count() == before_frozen
+
+    def test_restores_both_on_an_exception(self):
+        before_interval = sys.getswitchinterval()
+        with pytest.raises(RuntimeError, match="boom"):
+            with serving_interpreter():
+                raise RuntimeError("boom")
+        assert sys.getswitchinterval() == before_interval
+        assert gc.get_freeze_count() == 0
+
+    def test_leaves_a_heap_frozen_by_the_caller_alone(self):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            with serving_interpreter():
+                assert sys.getswitchinterval() == pytest.approx(SERVE_SWITCH_INTERVAL)
+                assert gc.get_freeze_count() == frozen
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+
+    def test_serve_runs_its_loop_inside_the_helper(self, monkeypatch, tmp_path):
+        seen = {}
+
+        async def fake_serve_forever(self):
+            seen["interval"] = sys.getswitchinterval()
+            seen["frozen"] = gc.get_freeze_count()
+            return 0
+
+        monkeypatch.setattr(server.SweepService, "serve_forever", fake_serve_forever)
+        before_interval = sys.getswitchinterval()
+        config = server.ServeConfig(port=0, cache_dir=str(tmp_path / "cache"))
+        assert server.serve(config) == 0
+        assert seen["interval"] == pytest.approx(SERVE_SWITCH_INTERVAL)
+        assert seen["frozen"] > 0
+        assert sys.getswitchinterval() == before_interval
+        assert gc.get_freeze_count() == 0

@@ -8,6 +8,7 @@ plus the disk serialization round-trip, the memo counters, and the gates
 that force scalar replay (non-default predictors, warm pilots).
 """
 
+import gc
 from array import array
 
 import pytest
@@ -250,3 +251,22 @@ def test_stream_is_flat_uint64_pairs(trace):
     decoded = build_decoded(trace, _BLOCK_MASK)
     assert isinstance(decoded.stream, array) and decoded.stream.typecode == "Q"
     assert len(decoded.stream) == 2 * decoded.op_prefix[decoded.n]
+
+
+def test_boxed_stream_is_invisible_to_the_collector(trace):
+    decoded = build_decoded(trace, _BLOCK_MASK)
+    decoded.interval_ops(0, len(trace))  # boxes the stream
+    gc.collect()
+    boxed = decoded._ops_tuple
+    assert boxed is not None and len(boxed) == len(decoded.stream)
+    assert not gc.is_tracked(boxed)
+
+
+def test_interval_ops_returns_a_fresh_list(trace):
+    decoded = build_decoded(trace, _BLOCK_MASK)
+    first = decoded.interval_ops(10, 500)
+    expected = list(first)
+    assert isinstance(first, list) and first
+    first[0] = -1
+    first.append(-2)
+    assert decoded.interval_ops(10, 500) == expected

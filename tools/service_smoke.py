@@ -8,10 +8,14 @@ service exists for (docs/SERVICE.md) through plain HTTP:
    one must get the same ``202`` body, the settled responses must be
    byte-identical, and the ``service_deduped`` counter must prove exactly
    one admission happened.
-2. **drain** — a second job is submitted and the server is SIGTERMed
+2. **busy reads** — fresh jobs are submitted and, while they execute,
+   the settled handle is read over and over; every read must answer
+   ``200`` with the bytes of the first read.  The stage prints the read
+   p50 and maximum: reads of settled work must not wait for simulation.
+3. **drain** — a second job is submitted and the server is SIGTERMed
    immediately, so the signal lands with work queued or in flight; the
    process must exit 0 with the handle's manifest persisted on disk.
-3. **restart** — a fresh server on the same ``--cache-dir`` must serve the
+4. **restart** — a fresh server on the same ``--cache-dir`` must serve the
    first handle from its manifest byte-identically without simulating,
    settle the drained handle, and collapse a resubmission onto the warm
    job cache (zero new simulations).
@@ -31,8 +35,10 @@ import json
 import os
 import re
 import signal
+import statistics
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -40,6 +46,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BANNER = re.compile(r"serving on ([\d.]+):(\d+)")
+
+
+#: The busy-reads stage's fresh jobs: one trace each, long enough that the
+#: settled handle is read many times while they execute.
+BUSY_APPLICATIONS = ("swim", "vortex", "vpr", "ijpeg")
+BUSY_INSTRUCTIONS = 20_000
 
 
 class SmokeFailure(Exception):
@@ -136,6 +148,47 @@ class Server:
             self.process.communicate(timeout=10)
 
 
+def busy_reads(server: Server, handle: str, settled: bytes) -> None:
+    """Read a settled handle while fresh jobs execute; print p50 and max."""
+    fresh = []
+    for application in BUSY_APPLICATIONS:
+        job = {"trace": {"application": application, "n_instructions": BUSY_INSTRUCTIONS}}
+        status, body = server.post("/jobs", job)
+        check(status == 202, f"busy-stage submission answered {status}: {body!r}")
+        fresh.append(json.loads(body)["handle"])
+    settled_all = threading.Event()
+    errors: list[BaseException] = []
+
+    def wait_fresh() -> None:
+        try:
+            for fresh_handle in fresh:
+                server.wait_done(fresh_handle)
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            errors.append(exc)
+        finally:
+            settled_all.set()
+
+    waiter = threading.Thread(target=wait_fresh, daemon=True)
+    waiter.start()
+    latencies = []
+    while not settled_all.is_set():
+        started = time.perf_counter()
+        status, body = server.get(f"/jobs/{handle}")
+        latencies.append(1000.0 * (time.perf_counter() - started))
+        check(status == 200, f"busy read answered {status}: {body!r}")
+        check(body == settled, "a read during fresh work changed the settled bytes")
+    waiter.join()
+    if errors:
+        raise errors[0]
+    check(latencies, "the fresh jobs settled before a single read was made")
+    print(
+        f"smoke: busy reads ok — {len(latencies)} reads while {len(fresh)} fresh "
+        f"jobs ran, p50 {statistics.median(latencies):.1f} ms, "
+        f"max {max(latencies):.1f} ms",
+        flush=True,
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -194,7 +247,11 @@ def main(argv: list[str] | None = None) -> int:
                 sink.write(settled)
         print(f"smoke: dedup ok — one admission for {handle_a[:20]}…", flush=True)
 
-        # ---- stage 2: SIGTERM with work outstanding ------------------
+        # ---- stage 2: settled reads while fresh work executes --------
+        print("smoke: busy reads — settled handle read during fresh jobs", flush=True)
+        busy_reads(server, handle_a, settled)
+
+        # ---- stage 3: SIGTERM with work outstanding ------------------
         status, body = server.post("/jobs", job_b)
         check(status == 202, f"second submission answered {status}: {body!r}")
         handle_b = json.loads(body)["handle"]
@@ -211,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
         server.kill()
         raise
 
-    # ---- stage 3: restart serves from disk ---------------------------
+    # ---- stage 4: restart serves from disk ---------------------------
     print("smoke: restart — same cache dir, fresh process", flush=True)
     server = Server(args.cache_dir, args.jobs, args.instructions)
     try:
