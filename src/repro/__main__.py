@@ -358,29 +358,23 @@ def serve_command(args: argparse.Namespace) -> int:
     """The ``serve`` subcommand: run the sweep service until drained."""
     from repro.service import ServeConfig, serve  # deferred: asyncio stack
 
-    if args.queue_limit < 1:
-        print(f"error: --queue-limit must be >= 1, got {args.queue_limit}", file=sys.stderr)
-        return 2
-    if args.job_retries < 0:
-        print(f"error: --job-retries must be >= 0, got {args.job_retries}", file=sys.stderr)
-        return 2
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        queue_limit=args.queue_limit,
-        tenant_queue_limit=args.tenant_queue_limit,
-        breaker_threshold=args.breaker_threshold,
-        breaker_window=args.breaker_window,
-        breaker_cooldown=args.breaker_cooldown,
-        drain_grace=args.drain_grace,
-        job_timeout=args.job_timeout,
-        job_retries=args.job_retries,
-        instructions=args.instructions,
-        max_body_kib=args.max_body_kib,
-    )
     try:
+        config = ServeConfig(
+            host=args.host,
+            port=args.port,
+            jobs=args.jobs,
+            cache_dir=args.cache_dir,
+            queue_limit=args.queue_limit,
+            tenant_queue_limit=args.tenant_queue_limit,
+            breaker_threshold=args.breaker_threshold,
+            breaker_window=args.breaker_window,
+            breaker_cooldown=args.breaker_cooldown,
+            drain_grace=args.drain_grace,
+            job_timeout=args.job_timeout,
+            job_retries=args.job_retries,
+            instructions=args.instructions,
+            max_body_kib=args.max_body_kib,
+        )
         return serve(config)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -203,9 +203,10 @@ class Cache:
 
         ``(stats, set_blocks, offset_bits, index_bits, set_mask, ways,
         refresh_on_hit, random_victims, selector)`` — everything
-        :meth:`access_packed` reads per access.  The dispatch loops in
-        :mod:`repro.sim.engine` / :mod:`repro.sim.ladder` hoist these into
-        locals once per interval and run the hit path inline (stat deltas
+        :meth:`access_packed` reads per access.  The dispatch kernel in
+        :mod:`repro.sim.ladder` (and the pilot builder in
+        :mod:`repro.sim.predecode`) hoist these into locals once per
+        interval and run the access inline (stat deltas
         are accumulated locally and flushed into ``stats`` before the
         interval closes, so anything observing stats at interval
         boundaries sees exactly the per-call kernel's values).  The tuple

@@ -36,14 +36,14 @@ reference engine, the timing tests and external callers stay bit-identical
 by construction.
 
 The fused ladder engine (:mod:`repro.sim.ladder`) composes the same access
-out of its two halves directly: it calls the bound L1 kernels
-(``_l1i_packed`` / ``_l1d_packed``) and the shared miss-fill path
-(``_miss_packed``) separately, so it can resolve a configuration-invariant
-L1 once for a whole ladder of hierarchies while each rung still performs
-its own L2/memory fills.  Treat those attributes as a stable intra-package
-contract: ``packed = _l1x_packed(addr, is_write)`` then, on a miss,
-``_miss_packed(packed, addr)`` must remain exactly equivalent to one
-``*_packed`` wrapper call.
+out of its two halves: it calls a bound L1 kernel (``_l1i_packed`` /
+``_l1d_packed``) to resolve a configuration-invariant L1 once for a whole
+ladder of hierarchies, and each rung then performs its own L2/memory fill
+with the statements of :meth:`CacheHierarchy._miss_packed` inlined over
+:meth:`CacheHierarchy._memory_state`.  Treat those attributes as a stable
+intra-package contract: ``packed = _l1x_packed(addr, is_write)`` then, on
+a miss, ``_miss_packed(packed, addr)`` must remain exactly equivalent to
+one ``*_packed`` wrapper call.
 """
 
 from __future__ import annotations
@@ -191,19 +191,19 @@ class CacheHierarchy:
         return self._miss_packed(l1_packed, address)
 
     def _memory_state(self):
-        """Hoistable main-memory counters for the inline dispatch loops.
+        """Hoistable main-memory counters for the inline dispatch kernel.
 
         ``(reads, writes, bytes_transferred, l2_block_bytes,
         writeback_buffer)`` — the live counter objects, the L2 block size
         and the write-back buffer, or None when the memory is not the
         stock :class:`MainMemory` (whose block transfers are pure counter
-        increments; a substitute model may do more, so the loops must
-        route misses through :meth:`_miss_packed` for it).  With this
-        state the dispatch loops can resolve any L1 miss entirely inline —
-        L2 fill, victim spill, the dirty-victim buffer push and
-        write-allocate, memory transfer counts: the replay path never
-        consumes the returned latency, which is the only other thing
-        :meth:`_miss_packed` computes.
+        increments; a substitute model may do more, so the fused replay
+        in :mod:`repro.sim.ladder` refuses a hierarchy without this
+        state).  With it the dispatch kernel resolves any L1 miss
+        entirely inline — L2 fill, victim spill, the dirty-victim buffer
+        push and write-allocate, memory transfer counts: the replay path
+        never consumes the returned latency, which is the only other
+        thing :meth:`_miss_packed` computes.
         """
         memory = self.memory
         if type(memory) is not MainMemory:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.common.config import CacheGeometry, CoreConfig, CoreKind, SystemConfig
@@ -87,7 +88,7 @@ def parse_body(body: bytes) -> Mapping[str, Any]:
     if not body:
         raise InvalidRequestError("request body must be a JSON object; got an empty body")
     try:
-        payload = json.loads(body.decode("utf-8"))
+        payload = json.loads(body.decode("utf-8"), parse_constant=_reject_constant)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidRequestError(f"request body is not valid JSON: {exc}") from exc
     if not isinstance(payload, Mapping):
@@ -95,6 +96,11 @@ def parse_body(body: bytes) -> Mapping[str, Any]:
             f"request body must be a JSON object, got {type(payload).__name__}"
         )
     return payload
+
+
+def _reject_constant(name: str):
+    """Refuse the non-standard JSON constants ``NaN``, ``Infinity`` and ``-Infinity``."""
+    raise InvalidRequestError(f"request body is not valid JSON: {name} is not a JSON number")
 
 
 def _require(payload: Mapping[str, Any], field: str, kinds, what: str):
@@ -280,11 +286,11 @@ def deadline_from_payload(payload: Mapping[str, Any]) -> Optional[float]:
     deadline = payload.get("deadline_seconds")
     if deadline is None:
         return None
-    if not isinstance(deadline, (int, float)) or isinstance(deadline, bool) or (
-        deadline <= 0
+    if not isinstance(deadline, (int, float)) or isinstance(deadline, bool) or not (
+        0 < deadline < math.inf
     ):
         raise InvalidRequestError(
-            f"deadline_seconds must be a positive number, got {deadline!r}"
+            f"deadline_seconds must be a positive finite number, got {deadline!r}"
         )
     return float(deadline)
 

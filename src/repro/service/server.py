@@ -37,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import gc
+import math
 import signal
 import sys
 import time
@@ -48,6 +49,7 @@ from repro.common.counters import CounterRegistry
 from repro.common.errors import (
     AdmissionFullError,
     CircuitOpenError,
+    ConfigurationError,
     InvalidRequestError,
     ReproError,
     ServiceDrainingError,
@@ -103,6 +105,29 @@ class ServeConfig:
     instructions: int = 60_000
     max_body_kib: int = 256
     context_options: Dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        """Refuse a configuration the server would only fail on after binding."""
+        minimums = {
+            "instructions": 1000,
+            "max_body_kib": 1,
+            "queue_limit": 1,
+            "tenant_queue_limit": 1,
+            "breaker_threshold": 1,
+            "job_retries": 0,
+        }
+        for name, minimum in minimums.items():
+            value = getattr(self, name)
+            if value is not None and value < minimum:
+                raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
+        for name in ("breaker_window", "breaker_cooldown"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigurationError(f"{name} must be a positive finite number, got {value}")
+        if not 0 <= self.drain_grace < math.inf:
+            raise ConfigurationError(
+                f"drain_grace must be a non-negative finite number, got {self.drain_grace}"
+            )
 
 
 class _QueueItem:

@@ -26,11 +26,12 @@ Two engines ship:
   predictor during the decode, since the predictor shares no state with
   the caches), or sliced in O(1) from the whole-trace pre-decode memo
   (:mod:`repro.sim.predecode`, vectorized when NumPy is importable,
-  memoized in memory and in the on-disk trace cache).  The dispatch
-  kernels run the L1 hit paths inline against hoisted kernel state and
-  feed only misses to the hierarchy's allocation-free packed kernel
-  (``_miss_packed``, see :mod:`repro.cache.hierarchy`); the reference
-  engine keeps exercising the object-returning wrapper path.
+  memoized in memory and in the on-disk trace cache).  One dispatch
+  kernel (:func:`repro.sim.ladder.dispatch_cache_ops_fast`) runs each
+  access inline against hoisted kernel state — the L1 access and, for a
+  miss, the stock L2/memory fill that ``_miss_packed`` (see
+  :mod:`repro.cache.hierarchy`) performs per call; the reference engine
+  keeps exercising the object-returning wrapper path.
 
 Engine selection: ``Simulator(engine=...)`` / ``Simulator.run(engine=...)``
 accept an engine name or instance; :class:`~repro.sim.runner.SimJob` carries

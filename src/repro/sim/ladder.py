@@ -31,11 +31,11 @@ There are two sources:
   context's predictor) — sampled plans, whose predictor state depends on
   the warmup rows replayed, and runs the memo gate refuses.
 
-Per segment the walk hands the shared stream to every *unit* — one rung's
-own kernel, several rungs of one geometry sharing a kernel, or a stack
-group (below) — then adds each unit's deltas to its rungs' interval counts
-and closes (measured, full interval) or discards (warmup) each rung's
-interval, so timing/energy aggregation, warmup accounting and per-rung
+Per segment the walk hands the shared stream to every *unit* — one rung
+through the dispatch kernel, several rungs of one geometry sharing one
+kernel pass, or a stack group (below) — then adds each unit's deltas to
+its rungs' interval counts and closes (measured, full interval) or
+discards (warmup) each rung's interval, so timing/energy aggregation, warmup accounting and per-rung
 resizing decisions run exactly as they would standalone
 (:meth:`ReplayContext.close_interval` is shared by construction).  The
 partial final chunk, ``total_seen`` threading and close/discard order
@@ -72,10 +72,10 @@ lead over K single runs fell below 1.5x when single runs took it) and
 every live segment source (sampled plans, a refused decode or pilot gate),
 which resolves the pilot interval by interval.  The remaining single runs
 and rungs resizing both sides take the general mode: each rung dispatches
-the full shared stream (:func:`dispatch_cache_ops_fast`).  With warm memos
-single 60k-instruction runs (best of 9 paired runs, mean over gcc, swim
-and vortex) took 22.7 → 12.3 ms with both L1s fixed and 26.6 → 14.9 ms
-for a static i-side run; a never-seen trace's pilot build made them 1.2x.
+the full shared stream.  With warm memos single 60k-instruction runs
+(best of 9 paired runs, mean over gcc, swim and vortex) took 22.7 →
+12.3 ms with both L1s fixed and 26.6 → 14.9 ms for a static i-side run;
+a never-seen trace's pilot build made them 1.2x.
 
 Everything configuration-*dependent* — cache contents, resize decisions,
 flush writebacks, energy, cycles — stays in per-rung state, which is why
@@ -100,9 +100,21 @@ each interval's reduced stream is rebuilt from it
 decode's side-split op column (the variant side's ops,
 :attr:`~repro.sim.predecode.DecodedTrace.fetch_ops` or ``data_ops``)
 with the interval's misses spliced back in, bit-identical to resolving
-the interval live.  The per-rung kernels run the variant L1's hit path
-inline against hoisted kernel state (``_dispatch_variant_d_fast`` /
-``_dispatch_variant_i_fast``).
+the interval live.
+
+**One dispatch kernel.**  Every mode replays its rungs through
+:func:`dispatch_cache_ops_fast`; a mode is only its resolver, which
+decides which ops the stream carries.  The kernel takes the whole op
+alphabet — fetch, load and store from the decode, ``_OP_IMISS`` /
+``_OP_DMISS`` from a pilot — and one ``shared`` shape, the pilot's
+``(fetches, i_misses, d_misses, d_writebacks)`` (all zeros in the general
+mode).  L1 hits run inline against hoisted kernel state; every miss falls
+through to one inline tail (L2 read fill, then a dirty L1d victim's
+write-back buffer push and L2 write-allocate).  That tail is the stock
+hierarchy's miss path, an LRU :class:`~repro.cache.cache.Cache` L2 over
+:class:`~repro.mem.main_memory.MainMemory`, the only hierarchy
+:meth:`Simulator._prepare_run` builds; :meth:`LadderEngine.replay_many`
+checks it once per pass and raises :class:`SimulationError` for any other.
 
 **Stack-distance tier for static LRU rungs.**  Profiling ladders are
 mostly *static* rungs — a resizable L1 pinned to one (sets, ways)
@@ -111,7 +123,7 @@ simulated one by one.  In an exhaustive pilot-mode pass over the memoized
 decode the variant-side rungs whose cache is a cold
 :class:`~repro.cache.cache.Cache` or
 :class:`~repro.resizing.resizable_cache.ResizableCache` with LRU
-replacement, a static (or no) strategy and a cold stock L2 are grouped by
+replacement, a static (or no) strategy and a cold L2 are grouped by
 their enabled set count.  Every group with at least two distinct way
 counts is replayed by one per-set LRU stack pass (Mattson et al., IBM
 Systems Journal 1970) over the pilot-reduced stream, with each set's
@@ -137,22 +149,22 @@ stack capped at the group's largest way count.  The pass is exact:
 Each geometry in the group then drives only its own ordered stream — its
 misses, its dirty victims and the shared invariant-side misses — through
 an inline L2, write-back buffer and memory loop (:func:`_drive_misses`,
-the same statements as the miss branches of the ``_dispatch_variant_*``
-kernels).  That is exact because a rung's L2, buffer and memory state
-depend on nothing but that stream.  Rungs with an identical enabled
+the same statements as the dispatch kernel's miss tail, over one stream
+word per miss).  That is exact because a rung's L2, buffer and memory
+state depend on nothing but that stream.  Rungs with an identical enabled
 geometry are simulated once: their streams are identical, so one
 representative's L2 is driven and every rung of the geometry receives
 the same per-interval counts, then closes its own interval (energy
 depends on the organization, so each rung keeps its own accountant).  A
 set-count group with a single way count skips the stack pass — alone it
-costs more than the per-rung kernel — but its duplicate geometries are
+costs more than the dispatch kernel — but its duplicate geometries are
 still shared.  The tier leaves the rungs' variant L1 objects (and the L2
 of every rung that is not a representative) idle, like the invariant-side
 caches above: results never read them.
 
-Everything else keeps the per-rung kernels, selected from properties of
-the rungs, never from an option: dynamic rungs, FIFO and RANDOM
-replacement, live-decoded segments and the general mode.
+Everything else replays each rung through the dispatch kernel, selected
+from properties of the rungs, never from an option: dynamic rungs, FIFO
+and RANDOM L1 replacement, live-decoded segments and the general mode.
 :func:`stats_snapshot` counts which tier served each rung of every
 :func:`run_fused` pass (``ladder_stack_rungs``, ``ladder_shared_rungs``,
 ``ladder_fallback_rungs``) plus ``ladder_passes`` and
@@ -182,17 +194,7 @@ import gc
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cache.cache import (
-    PACKED_FILLED,
-    PACKED_WRITEBACK_SHIFT,
-    PACKED_WRITEBACK_VALID,
-    Cache,
-)
-from repro.cache.hierarchy import (
-    HIER_COUNT_MASK,
-    HIER_L2_ACCESSES_SHIFT,
-    HIER_MEM_ACCESSES_SHIFT,
-)
+from repro.cache.cache import PACKED_WRITEBACK_SHIFT, PACKED_WRITEBACK_VALID, Cache
 from repro.cache.replacement import ReplacementPolicy
 from repro.common.counters import CounterRegistry
 from repro.common.errors import SimulationError
@@ -246,15 +248,28 @@ class LadderEngine:
         All contexts must share the interval length, fetch-block geometry
         and sampling schedule (they do when built from one simulator, as
         :func:`run_fused` does); per-context cache/strategy state is free
-        to diverge — that is the point.  Returns the pass's tier tally
-        (every :data:`TIER_COUNTERS` entry but ``ladder_passes``), which
-        :func:`run_fused` adds to the module counters.
+        to diverge — that is the point.  Each context's hierarchy must be
+        the stock one whose miss path the dispatch kernel inlines: an LRU
+        :class:`~repro.cache.cache.Cache` L2 over stock main memory.
+        Returns the pass's tier tally (every :data:`TIER_COUNTERS` entry
+        but ``ladder_passes``), which :func:`run_fused` adds to the module
+        counters.
         """
         tally = dict.fromkeys(TIER_COUNTERS[1:], 0)
         if not contexts:
             return tally
         first = contexts[0]
-        for ctx in contexts[1:]:
+        for ctx in contexts:
+            l2 = ctx.hierarchy.l2
+            if (
+                type(l2) is not Cache
+                or l2.replacement is not ReplacementPolicy.LRU
+                or ctx.hierarchy._memory_state() is None
+            ):
+                raise SimulationError(
+                    "fused ladder replay requires the stock hierarchy: an LRU "
+                    "Cache L2 over MainMemory"
+                )
             if (
                 ctx.interval_instructions != first.interval_instructions
                 or ctx.block_mask != first.block_mask
@@ -306,20 +321,17 @@ class LadderEngine:
         if side == "i":
             pilot = hierarchy._l1i_packed
             resolve = lambda ops: _resolve_pilot_i(ops, pilot)  # noqa: E731
-            fold = _dispatch_variant_d_fast
         elif side == "d":
             pilot = hierarchy._l1d_packed
             resolve = lambda ops: _resolve_pilot_d(ops, pilot)  # noqa: E731
-            fold = _dispatch_variant_i_fast
         else:
             resolve = _resolve_general
-            fold = dispatch_cache_ops_fast
         if decoded is None:
             segments = _live_segments(trace, first, plan, resolve)
-            units = [_KernelUnit([ctx], fold) for ctx in contexts]
+            units = [_KernelUnit([ctx]) for ctx in contexts]
         else:
             segments = _memo_segments(decoded, plan, side, resolve, pilot_res)
-            units = _plan_units(contexts, side, fold)
+            units = _plan_units(contexts, side)
         for unit in units:
             unit.count(tally)
         _walk(units, segments, interval_instructions)
@@ -349,7 +361,7 @@ def _memo_segments(decoded, plan, side, resolve, pilot_res):
             reduced, shared = resolve(interval_ops(start, stop))
         else:
             reduced, misses, writebacks = pilot_res.segment(decoded, start, stop)
-            shared = (fetches, misses) if side == "i" else (misses, writebacks)
+            shared = (fetches, misses, 0, 0) if side == "i" else (0, 0, misses, writebacks)
         yield stop - start, measured, reduced, shared, (
             branch_prefix[stop] - branch_prefix[start],
             mispredict_prefix[stop] - mispredict_prefix[start],
@@ -449,47 +461,44 @@ def _stack_key(ctx, side):
 
     Only the rung's own properties decide: its variant-side cache must be
     a cold stock cache under LRU whose configuration never changes, over
-    a cold stock LRU L2 and main memory.  The group part names everything the
+    a cold L2 (:meth:`LadderEngine.replay_many` has already checked that
+    the hierarchy is the stock one).  The group part names everything the
     rung's miss stream and L2 behaviour depend on besides the way count.
     """
     runtime = ctx.d_runtime if side == "i" else ctx.i_runtime
     cache = runtime.cache
     hierarchy = ctx.hierarchy
-    l2 = hierarchy.l2
     strategy = runtime.strategy
     if (
         type(cache) not in _STACK_CACHES
-        or type(l2) is not Cache
-        or l2.replacement is not ReplacementPolicy.LRU
-        or l2.stats.accesses
-        or hierarchy._memory_state() is None
+        or hierarchy.l2.stats.accesses
         or not (strategy is None or type(strategy) in _STATIC_STRATEGIES)
     ):
         return None
     stats, set_blocks, off, idx, mask, ways = cache._kernel_state()[:6]
     if cache.replacement is not ReplacementPolicy.LRU or stats.accesses or any(set_blocks):
         return None
-    return (hierarchy.config, l2.geometry, off, idx, mask), ways
+    return (hierarchy.config, hierarchy.l2.geometry, off, idx, mask), ways
 
 
-def _plan_units(contexts, side, fold):
+def _plan_units(contexts, side):
     """Group a ladder's rungs into the units the walk replays.
 
     In the general mode (``side`` None) every rung is its own
     :class:`_KernelUnit`.  In a pilot mode, eligible rungs (see
     :func:`_stack_key`) are grouped by set count: a group with at least two
     distinct way counts becomes one :class:`_StackGroup`; a group with one
-    way count runs the per-rung kernel once for all its rungs
-    (:class:`_KernelUnit`).  Ineligible rungs keep their own kernel.
+    way count runs the dispatch kernel once for all its rungs
+    (:class:`_KernelUnit`).  Ineligible rungs each get their own unit.
     """
     if side is None:
-        return [_KernelUnit([ctx], fold) for ctx in contexts]
+        return [_KernelUnit([ctx]) for ctx in contexts]
     units = []
     groups: Dict[tuple, Dict[int, list]] = {}
     for ctx in contexts:
         key = _stack_key(ctx, side)
         if key is None:
-            units.append(_KernelUnit([ctx], fold))
+            units.append(_KernelUnit([ctx]))
         else:
             group, ways = key
             groups.setdefault(group, {}).setdefault(ways, []).append(ctx)
@@ -498,23 +507,23 @@ def _plan_units(contexts, side, fold):
             units.append(_StackGroup(side, group[2], group[4], by_ways))
         else:
             (members,) = by_ways.values()
-            units.append(_KernelUnit(members, fold))
+            units.append(_KernelUnit(members))
     return units
 
 
 class _KernelUnit:
-    """Rungs of one enabled geometry replayed by the first rung's own kernel.
+    """Rungs of one enabled geometry replayed through the first rung's hierarchy.
 
-    ``fold`` is the mode's dispatch kernel; it returns the interval deltas
-    every member receives.  A unit of one rung is a plain per-rung replay.
+    :func:`dispatch_cache_ops_fast` drives that hierarchy with the mode's
+    stream and returns the interval deltas every member receives.  A unit
+    of one rung is a plain per-rung replay.
     """
 
-    __slots__ = ("hierarchy", "members", "fold")
+    __slots__ = ("hierarchy", "members")
 
-    def __init__(self, members, fold):
+    def __init__(self, members):
         self.hierarchy = members[0].hierarchy
         self.members = members
-        self.fold = fold
 
     def contexts(self):
         return self.members
@@ -524,7 +533,7 @@ class _KernelUnit:
         tally["ladder_shared_rungs"] += len(self.members) - 1
 
     def replay(self, reduced, shared, fetches):
-        return ((self.members, self.fold(reduced, shared, self.hierarchy)),)
+        return ((self.members, dispatch_cache_ops_fast(reduced, shared, self.hierarchy)),)
 
 
 class _StackGroup:
@@ -572,19 +581,18 @@ class _StackGroup:
             streams, victims, misses = _stack_pass_i(
                 reduced, self.stacks, self.off, self.mask, self.ways
             )
+        i_fetches, i_misses, d_misses, d_writebacks = shared
         out = []
         for j, (l2_state, mem_state) in enumerate(self.drives):
             l1i_memory, l1d_memory, l2_accesses, memory_accesses = _drive_misses(
                 streams[j], victims[j], l2_state, mem_state
             )
             if self.side == "i":
-                i_fetches, i_misses = shared
                 deltas = (
                     i_fetches, i_misses, l1i_memory, misses[j], l1d_memory, dirty[j],
                     l2_accesses, memory_accesses,
                 )
             else:
-                d_misses, d_writebacks = shared
                 deltas = (
                     fetches, misses[j], l1i_memory, d_misses, l1d_memory, d_writebacks,
                     l2_accesses, memory_accesses,
@@ -736,12 +744,13 @@ def _drive_misses(stream, victims, l2_state, mem_state):
     Each ``stream`` entry is one L1 miss, ``address << 2 | kind``: kind 0
     is an i-miss, 1 a d-miss with no dirty victim, 3 a d-miss whose dirty
     victim's block address is the next one in ``victims``.  Each resolves
-    exactly as the miss branches of :func:`_dispatch_variant_d_fast` /
-    :func:`_dispatch_variant_i_fast` resolve it inline — L2 read fill with
-    victim spill, and for a dirty L1 victim the write-back buffer push and
-    the L2 write-allocate — with the same stat flushes; the L2 is LRU (a
-    stack-tier precondition), so a hit is a pop and re-insert.  Returns
-    ``(l1i_memory, l1d_memory, l2_accesses, memory_accesses)``.
+    exactly as the miss tail of :func:`dispatch_cache_ops_fast` resolves
+    it — L2 read fill with victim spill, and for a dirty L1 victim the
+    write-back buffer push and the L2 write-allocate — with the same stat
+    flush (:func:`_flush_l2`).  This loop stays apart from the kernel
+    because one stream word per miss is what keeps the stack pass cheap:
+    the kernel's op alphabet takes two or three.  Returns ``(l1i_memory,
+    l1d_memory, l2_accesses, memory_accesses)``.
     """
     l2_stats, l2_sets, l2_off, l2_idx, l2_mask, l2_ways = l2_state[:6]
     l2_shift1 = l2_off + 1
@@ -750,8 +759,7 @@ def _drive_misses(stream, victims, l2_state, mem_state):
     wb_pending = wb_buffer._pending
     wb_entries = wb_buffer.num_entries
     next_victim = iter(victims).__next__
-    l2m = l2_wb = l2_whits = l2_wm = 0
-    wb_over = 0
+    l2m = l2_wb = l2_wm = wb_over = 0
     l1i_memory = 0
     l1d_memory = 0
     for entry in stream:
@@ -784,7 +792,6 @@ def _drive_misses(stream, victims, l2_state, mem_state):
             bl3 = l2_sets[b3 & l2_mask]
             p3 = bl3.pop(t3, None)
             if p3 is not None:
-                l2_whits += 1
                 bl3[t3] = p3 | 1
             else:
                 l2_wm += 1
@@ -801,36 +808,21 @@ def _drive_misses(stream, victims, l2_state, mem_state):
 
     reads = len(stream)
     writes = len(victims)
-    if reads:
-        l2_stats.accesses += reads + writes
-        l2_stats.reads += reads
-        l2_stats.writes += writes
-        l2_stats.hits += reads - l2m + l2_whits
-        l2_stats.misses += l2m + l2_wm
-        l2_stats.read_misses += l2m
-        l2_stats.write_misses += l2_wm
-        l2_stats.fills += l2m + l2_wm
-        l2_stats.writebacks += l2_wb
-    if l2m or l2_wm or l2_wb:
-        mem_reads, mem_writes, mem_bytes, l2_block, _ = mem_state
-        mem_reads.value += l2m + l2_wm
-        mem_writes.value += l2_wb
-        mem_bytes.value += (l2m + l2_wm + l2_wb) * l2_block
-    if writes:
-        wb_buffer.enqueued += writes
-        wb_buffer.overflows += wb_over
-        wb_buffer.drained += wb_over
+    _flush_l2(l2_stats, mem_state, reads, writes, l2m, l2_wm, l2_wb, wb_over)
     return l1i_memory, l1d_memory, reads + writes, l1i_memory + l1d_memory
 
 
 # ---------------------------------------------------------------------------
-# Pilot resolution and the per-rung dispatch kernels
+# Pilot resolution and the dispatch kernel
 # ---------------------------------------------------------------------------
+
+#: The ``shared`` counts of the general mode: nothing was pre-resolved.
+_NOTHING_SHARED = (0, 0, 0, 0)
 
 
 def _resolve_general(ops):
     """General mode: nothing to pre-resolve, every rung replays all ops."""
-    return ops, None
+    return ops, _NOTHING_SHARED
 
 
 def _resolve_pilot_i(ops, l1i_kernel):
@@ -838,8 +830,8 @@ def _resolve_pilot_i(ops, l1i_kernel):
 
     Hits leave the stream entirely — an L1i hit touches no per-rung state
     and the replay path never consumes per-access latency.  Returns
-    ``(reduced, (fetches, i_misses))``; each rung adds ``fetches`` to its
-    ``l1i_accesses`` and ``i_misses`` to ``l1i_misses`` and performs one
+    ``(reduced, (fetches, i_misses, 0, 0))``; each rung adds ``fetches`` to
+    its ``l1i_accesses`` and ``i_misses`` to ``l1i_misses`` and performs one
     L2 fill per ``_OP_IMISS`` op (the L1i never holds dirty blocks, so
     there is no victim writeback to forward).
     """
@@ -861,7 +853,7 @@ def _resolve_pilot_i(ops, l1i_kernel):
         else:
             append(code)
             append(operand)
-    return reduced, (fetches, i_misses)
+    return reduced, (fetches, i_misses, 0, 0)
 
 
 def _resolve_pilot_d(ops, l1d_kernel):
@@ -869,9 +861,9 @@ def _resolve_pilot_d(ops, l1d_kernel):
 
     A surviving ``_OP_DMISS`` op carries the pilot's packed L1 outcome so
     each rung can forward the (shared) dirty-victim writeback into its own
-    L2 via ``_miss_packed``.  Returns ``(reduced, (d_misses,
-    d_writebacks))`` — both shared per-interval counts, since the victim
-    sequence of a fixed L1d is configuration-independent.
+    L2.  Returns ``(reduced, (0, 0, d_misses, d_writebacks))`` — both
+    shared per-interval counts, since the victim sequence of a fixed L1d is
+    configuration-independent.
     """
     reduced = []
     append = reduced.append
@@ -896,38 +888,22 @@ def _resolve_pilot_d(ops, l1d_kernel):
                 append(op_dmiss)
                 append(operand)
                 append(l1_packed)
-    return reduced, (d_misses, d_writebacks)
+    return reduced, (0, 0, d_misses, d_writebacks)
 
 
-def _l2_locals(hierarchy):
-    """The L2 and memory state a dispatch kernel hoists into locals.
+def _flush_l2(l2_stats, mem_state, reads, writes, l2m, l2_wm, l2_wb, wb_over):
+    """Flush one L2 miss stream's L2, memory and write-back-buffer deltas.
 
-    Returns ``(l2_stats, l2_sets, l2_off, l2_idx, l2_mask, l2_ways,
-    l2_refresh, l2_random, l2_selector, l2_shift1, mem_state, wb_pending,
-    wb_entries)``.  The L2 part is all None when the L2 exposes no kernel
-    state, and the memory part when the hierarchy's memory models are not
-    stock (:meth:`~repro.cache.hierarchy.CacheHierarchy._memory_state`):
-    the kernels then hand those misses to ``_miss_packed``.
+    ``reads`` L2 read fills (one per L1 miss) and ``writes`` dirty-victim
+    write-allocates, of which ``l2m`` and ``l2_wm`` missed; ``l2_wb`` dirty
+    L2 victims spilled to memory and ``wb_over`` write-back buffer
+    overflows.
     """
-    l2_state = getattr(hierarchy.l2, "_kernel_state", None)
-    if l2_state is None:
-        return (None,) * 13
-    state = l2_state()
-    mem_state = hierarchy._memory_state()
-    if mem_state is None:
-        return (*state, state[2] + 1, None, None, None)
-    wb_buffer = mem_state[4]
-    return (*state, state[2] + 1, mem_state, wb_buffer._pending, wb_buffer.num_entries)
-
-
-def _flush_l2(l2_stats, mem_state, l2_hits, l2m, l2_wb, l2_whits, l2_wm,
-              wb_enq, wb_over, wb_drain):
-    """Flush a kernel's L2, memory and write-back-buffer deltas into their stats."""
-    if l2_hits or l2m or l2_whits or l2_wm:
-        l2_stats.accesses += l2_hits + l2m + l2_whits + l2_wm
-        l2_stats.reads += l2_hits + l2m
-        l2_stats.writes += l2_whits + l2_wm
-        l2_stats.hits += l2_hits + l2_whits
+    if reads:
+        l2_stats.accesses += reads + writes
+        l2_stats.reads += reads
+        l2_stats.writes += writes
+        l2_stats.hits += reads - l2m + writes - l2_wm
         l2_stats.misses += l2m + l2_wm
         l2_stats.read_misses += l2m
         l2_stats.write_misses += l2_wm
@@ -938,73 +914,66 @@ def _flush_l2(l2_stats, mem_state, l2_hits, l2m, l2_wb, l2_whits, l2_wm,
         mem_reads.value += l2m + l2_wm
         mem_writes.value += l2_wb
         mem_bytes.value += (l2m + l2_wm + l2_wb) * l2_block
-    if wb_enq:
+    if writes:
         wb_buffer = mem_state[4]
-        wb_buffer.enqueued += wb_enq
+        wb_buffer.enqueued += writes
         wb_buffer.overflows += wb_over
-        wb_buffer.drained += wb_drain
+        wb_buffer.drained += wb_over
 
 
 def dispatch_cache_ops_fast(ops, shared, hierarchy):
-    """The general-mode kernel: one hierarchy through a full decoded op stream.
+    """The dispatch kernel: one hierarchy through one interval's op stream.
 
-    Drives both L1s for every op in program order and returns the interval
-    miss statistics as a flat tuple ``(l1i_accesses, l1i_misses,
-    l1i_memory, l1d_misses, l1d_memory, l1d_writebacks, l2_accesses,
-    memory_accesses)``; ``shared`` is unused (nothing was pre-resolved).
-    A single run is exactly this kernel once per interval.
+    ``ops`` is any mode's stream: the decode's fetch, load and store ops,
+    with a pilot's ``_OP_IMISS`` / ``_OP_DMISS`` ops in place of the side
+    it resolved.  ``shared`` is the pilot's ``(fetches, i_misses, d_misses,
+    d_writebacks)``, all zeros in the general mode; each ``_OP_IMISS`` op is
+    one of its i-misses and each ``_OP_DMISS`` op one of its d-misses, with
+    the dirty victim (if any) in its packed outcome.  Returns the interval
+    deltas ``(l1i_accesses, l1i_misses, l1i_memory, l1d_misses, l1d_memory,
+    l1d_writebacks, l2_accesses, memory_accesses)``.  A single run in the
+    general mode is exactly this kernel once per interval.
 
-    Around nine of every ten ops hit their L1, and for a hit the packed
-    kernel's whole job is a dict probe plus an LRU refresh — yet each one
-    costs two Python call frames (hierarchy wrapper → cache kernel) and a
-    handful of per-call stat attribute stores.  This kernel hoists both
-    L1 kernels' state (:meth:`repro.cache.cache.Cache._kernel_state`) into
-    locals for the duration of one interval, runs the full L1 access
-    inline — dict ops, victim choice and fill included, mirroring
-    ``access_packed`` statement for statement — and only calls out to the
-    hierarchy's shared ``_miss_packed`` fill path for actual misses: the
-    kernel is fed nothing but the residue.  Misses with a *clean* L1
-    victim — the dominant shape — are themselves resolved entirely inline
-    whatever the L2 outcome: an L2 read hit is one dict probe plus
-    refresh, and an L2 read miss adds the L2 fill/victim-spill dict ops
-    and main-memory counter bumps (``hierarchy._memory_state``; the
-    replay path never consumes the miss latency, which is all
-    ``_miss_packed`` computes beyond that).  ``_miss_packed`` is left
-    only the dirty-L1-victim spills, plus every miss on hierarchies
-    whose L2 or memory models are non-stock.
-    Cache stat deltas accumulate in locals and are flushed into each
-    cache's ``stats`` before returning, so at every interval boundary
-    (where strategies and accounting look) the counters are exactly the
-    per-call kernel's.
+    Around nine of every ten ops hit their L1, so both L1 accesses run
+    inline against hoisted kernel state
+    (:meth:`repro.cache.cache.Cache._kernel_state`, re-fetched every
+    interval because resizes land at interval boundaries), mirroring
+    ``access_packed`` statement for statement, FIFO and RANDOM replacement
+    included.  Every miss, inline or pilot-resolved, falls through to one
+    tail: the body of
+    :meth:`~repro.cache.hierarchy.CacheHierarchy._miss_packed` as dict ops
+    and counter bumps — the LRU L2 read fill with its victim spill, then
+    for a dirty L1d victim the write-back buffer push and the L2
+    write-allocate.  The replay path never consumes the miss latency,
+    which is all ``_miss_packed`` computes beyond that.  The tail relies on
+    the stock hierarchy :meth:`LadderEngine.replay_many` checks for, and on
+    the L1i never being written (its victims are never dirty).  Stat
+    deltas accumulate in locals and are flushed into each cache's
+    ``stats`` before returning, so at every interval boundary (where
+    strategies and accounting look) the counters are exactly the per-call
+    kernel's.
     """
+    fetches, i_misses, d_misses, d_writebacks = shared
     (i_stats, i_sets, i_off, i_idx, i_mask, i_ways, i_refresh, i_random, i_selector) = (
         hierarchy.l1i._kernel_state()
     )
     (d_stats, d_sets, d_off, d_idx, d_mask, d_ways, d_refresh, d_random, d_selector) = (
         hierarchy.l1d._kernel_state()
     )
-    (l2_stats, l2_sets, l2_off, l2_idx, l2_mask, l2_ways, l2_refresh, l2_random,
-     l2_selector, l2_shift1, mem_state, wb_pending, wb_entries) = _l2_locals(hierarchy)
-    inline_mem = mem_state is not None
-    l2_hits = l2m = l2_wb = l2_whits = l2_wm = 0
-    wb_enq = wb_over = wb_drain = 0
-    miss_fill = hierarchy._miss_packed
+    l2_stats, l2_sets, l2_off, l2_idx, l2_mask, l2_ways = hierarchy.l2._kernel_state()[:6]
+    mem_state = hierarchy._memory_state()
+    wb_buffer = mem_state[4]
+    wb_pending = wb_buffer._pending
+    wb_entries = wb_buffer.num_entries
     i_shift1 = i_off + 1
     d_shift1 = d_off + 1
-    l2a_shift, mem_shift = HIER_L2_ACCESSES_SHIFT, HIER_MEM_ACCESSES_SHIFT
-    count_mask = HIER_COUNT_MASK
-    filled, wb_valid, wb_shift = PACKED_FILLED, PACKED_WRITEBACK_VALID, PACKED_WRITEBACK_SHIFT
-    op_fetch, op_load = _OP_FETCH, _OP_LOAD
-
-    ia = ih = iwb = 0
+    l2_shift1 = l2_off + 1
+    wb_valid, wb_shift = PACKED_WRITEBACK_VALID, PACKED_WRITEBACK_SHIFT
+    op_fetch, op_load, op_imiss = _OP_FETCH, _OP_LOAD, _OP_IMISS
+    ia = ih = 0
     da = dw = dh = dwm = dwb = 0
-    l1i_misses = 0
-    l1i_memory = 0
-    l1d_misses = 0
-    l1d_memory = 0
-    l1d_writebacks = 0
-    l2_accesses = 0
-    memory_accesses = 0
+    l2m = l2_wm = l2_wb = wb_over = 0
+    l1i_memory = l1d_memory = 0
     stream = iter(ops)
     for code in stream:
         operand = next(stream)
@@ -1020,60 +989,12 @@ def dispatch_cache_ops_fast(ops, shared, hierarchy):
                     del blocks[tag]
                     blocks[tag] = packed
                 continue
-            victim = None
             if len(blocks) >= i_ways:
-                victim_tag = i_selector.choose_victim(blocks) if i_random else next(iter(blocks))
-                victim = blocks.pop(victim_tag)
+                del blocks[i_selector.choose_victim(blocks) if i_random else next(iter(blocks))]
             blocks[tag] = block << i_shift1
-            if victim is not None and victim & 1:
-                iwb += 1
-                l1_packed = filled | wb_valid | ((victim >> 1) << wb_shift)
-            else:
-                # Clean victim: with no dirty L1 victim to spill, the whole
-                # miss is the L2 read plus (on an L2 miss) pure memory
-                # counter bumps — the replay path never consumes the
-                # latency — so both L2 outcomes resolve inline without the
-                # _miss_packed frame.
-                if l2_sets is not None:
-                    b2 = operand >> l2_off
-                    t2 = b2 >> l2_idx
-                    bl2 = l2_sets[b2 & l2_mask]
-                    p2 = bl2.get(t2)
-                    if p2 is not None:
-                        if l2_refresh:
-                            del bl2[t2]
-                            bl2[t2] = p2
-                        l2_hits += 1
-                        l1i_misses += 1
-                        l2_accesses += 1
-                        continue
-                    if inline_mem:
-                        # L2 read miss: fill (read -> clean), spill a dirty
-                        # L2 victim to memory — access_packed's miss body.
-                        l2m += 1
-                        v2 = None
-                        if len(bl2) >= l2_ways:
-                            vt2 = l2_selector.choose_victim(bl2) if l2_random else next(iter(bl2))
-                            v2 = bl2.pop(vt2)
-                        bl2[t2] = b2 << l2_shift1
-                        if v2 is not None and v2 & 1:
-                            l2_wb += 1
-                            transfers = 2
-                        else:
-                            transfers = 1
-                        l1i_misses += 1
-                        l2_accesses += 1
-                        memory_accesses += transfers
-                        l1i_memory += transfers
-                        continue
-                l1_packed = filled
-            packed = miss_fill(l1_packed, operand)
-            l1i_misses += 1
-            l2_accesses += (packed >> l2a_shift) & count_mask
-            transfers = (packed >> mem_shift) & count_mask
-            memory_accesses += transfers
-            l1i_memory += transfers
-        else:
+            data = False
+            wb_addr = None
+        elif code < op_imiss:
             is_write = code != op_load
             da += 1
             if is_write:
@@ -1095,579 +1016,94 @@ def dispatch_cache_ops_fast(ops, shared, hierarchy):
                 continue
             if is_write:
                 dwm += 1
-            victim = None
+            wb_addr = None
             if len(blocks) >= d_ways:
                 victim_tag = d_selector.choose_victim(blocks) if d_random else next(iter(blocks))
                 victim = blocks.pop(victim_tag)
-            blocks[tag] = (block << d_shift1) | (1 if is_write else 0)
-            if victim is not None and victim & 1:
-                dwb += 1
-                if inline_mem:
-                    # Dirty victim: L2 read fill at the miss address, then
-                    # the victim staged through the write-back buffer and
-                    # written into L2 (write-allocate) — _miss_packed's
-                    # whole body as dict ops and counter bumps.
-                    b2 = operand >> l2_off
-                    t2 = b2 >> l2_idx
-                    bl2 = l2_sets[b2 & l2_mask]
-                    p2 = bl2.get(t2)
-                    if p2 is not None:
-                        if l2_refresh:
-                            del bl2[t2]
-                            bl2[t2] = p2
-                        l2_hits += 1
-                        transfers = 0
-                    else:
-                        l2m += 1
-                        v2 = None
-                        if len(bl2) >= l2_ways:
-                            vt2 = l2_selector.choose_victim(bl2) if l2_random else next(iter(bl2))
-                            v2 = bl2.pop(vt2)
-                        bl2[t2] = b2 << l2_shift1
-                        if v2 is not None and v2 & 1:
-                            l2_wb += 1
-                            transfers = 2
-                        else:
-                            transfers = 1
+                if victim & 1:
+                    dwb += 1
                     wb_addr = victim >> 1
-                    wb_enq += 1
-                    if len(wb_pending) >= wb_entries:
-                        wb_over += 1
-                        wb_pending.popleft()
-                        wb_drain += 1
-                    wb_pending.append(wb_addr)
-                    b3 = wb_addr >> l2_off
-                    t3 = b3 >> l2_idx
-                    bl3 = l2_sets[b3 & l2_mask]
-                    p3 = bl3.get(t3)
-                    if p3 is not None:
-                        l2_whits += 1
-                        p3 |= 1
-                        if l2_refresh:
-                            del bl3[t3]
-                        bl3[t3] = p3
-                    else:
-                        l2_wm += 1
-                        v3 = None
-                        if len(bl3) >= l2_ways:
-                            vt3 = l2_selector.choose_victim(bl3) if l2_random else next(iter(bl3))
-                            v3 = bl3.pop(vt3)
-                        bl3[t3] = (b3 << l2_shift1) | 1
-                        transfers += 1
-                        if v3 is not None and v3 & 1:
-                            l2_wb += 1
-                            transfers += 1
-                    l1d_misses += 1
-                    l1d_writebacks += 1
-                    l2_accesses += 2
-                    memory_accesses += transfers
-                    l1d_memory += transfers
-                    continue
-                l1_packed = filled | wb_valid | ((victim >> 1) << wb_shift)
-            else:
-                if l2_sets is not None:
-                    b2 = operand >> l2_off
-                    t2 = b2 >> l2_idx
-                    bl2 = l2_sets[b2 & l2_mask]
-                    p2 = bl2.get(t2)
-                    if p2 is not None:
-                        if l2_refresh:
-                            del bl2[t2]
-                            bl2[t2] = p2
-                        l2_hits += 1
-                        l1d_misses += 1
-                        l2_accesses += 1
-                        continue
-                    if inline_mem:
-                        l2m += 1
-                        v2 = None
-                        if len(bl2) >= l2_ways:
-                            vt2 = l2_selector.choose_victim(bl2) if l2_random else next(iter(bl2))
-                            v2 = bl2.pop(vt2)
-                        bl2[t2] = b2 << l2_shift1
-                        if v2 is not None and v2 & 1:
-                            l2_wb += 1
-                            transfers = 2
-                        else:
-                            transfers = 1
-                        l1d_misses += 1
-                        l2_accesses += 1
-                        memory_accesses += transfers
-                        l1d_memory += transfers
-                        continue
-                l1_packed = filled
-            packed = miss_fill(l1_packed, operand)
-            l1d_misses += 1
-            fills = (packed >> l2a_shift) & count_mask
-            l2_accesses += fills
-            transfers = (packed >> mem_shift) & count_mask
-            memory_accesses += transfers
-            l1d_memory += transfers
-            if fills > 1:
-                l1d_writebacks += fills - 1
-
-    i_stats.accesses += ia
-    i_stats.reads += ia
-    i_stats.hits += ih
-    im = ia - ih
-    i_stats.misses += im
-    i_stats.read_misses += im
-    i_stats.fills += im
-    i_stats.writebacks += iwb
-    d_stats.accesses += da
-    d_stats.writes += dw
-    d_stats.reads += da - dw
-    d_stats.hits += dh
-    dm = da - dh
-    d_stats.misses += dm
-    d_stats.write_misses += dwm
-    d_stats.read_misses += dm - dwm
-    d_stats.fills += dm
-    d_stats.writebacks += dwb
-    _flush_l2(l2_stats, mem_state, l2_hits, l2m, l2_wb, l2_whits, l2_wm,
-              wb_enq, wb_over, wb_drain)
-    return (
-        ia, l1i_misses, l1i_memory,
-        l1d_misses, l1d_memory, l1d_writebacks,
-        l2_accesses, memory_accesses,
-    )
-
-
-
-def _dispatch_variant_d_fast(reduced, shared, hierarchy):
-    """Per-rung kernel of a d-cache ladder (the L1i was pilot-resolved).
-
-    Drives the rung's variant L1d for every load/store and its L2/memory
-    for both d-misses and the pre-resolved i-misses; ``shared`` is the
-    pilot's ``(fetches, i_misses)``.  Returns the interval deltas in the
-    order :func:`dispatch_cache_ops_fast` does.
-
-    The variant cache's :meth:`~repro.cache.cache.Cache._kernel_state` is
-    fetched fresh each interval (resizes land exactly at interval
-    boundaries).  The access body mirrors ``access_packed`` statement for
-    statement; stat deltas are flushed into the cache's counters before
-    returning, so the boundary-observable state is identical to the
-    per-call kernel's.  With a stock L2 and memory (:func:`_l2_locals`)
-    every miss without a dirty L1 victim resolves inline — the L2
-    fill/victim-spill and the memory transfers are dict ops and counter
-    bumps whose latency this path never consumes — and only dirty-L1-victim
-    spills still take the ``_miss_packed`` frame.
-    """
-    fetches, i_misses = shared
-    (d_stats, d_sets, d_off, d_idx, d_mask, d_ways, d_refresh, d_random, d_selector) = (
-        hierarchy.l1d._kernel_state()
-    )
-    (l2_stats, l2_sets, l2_off, l2_idx, l2_mask, l2_ways, l2_refresh, l2_random,
-     l2_selector, l2_shift1, mem_state, wb_pending, wb_entries) = _l2_locals(hierarchy)
-    inline_mem = mem_state is not None
-    miss_fill = hierarchy._miss_packed
-    l2_hits = l2m = l2_wb = l2_whits = l2_wm = 0
-    wb_enq = wb_over = wb_drain = 0
-    d_shift1 = d_off + 1
-    l2a_shift, mem_shift = HIER_L2_ACCESSES_SHIFT, HIER_MEM_ACCESSES_SHIFT
-    count_mask = HIER_COUNT_MASK
-    filled, wb_valid, wb_shift = PACKED_FILLED, PACKED_WRITEBACK_VALID, PACKED_WRITEBACK_SHIFT
-    op_imiss = _OP_IMISS
-    op_load = _OP_LOAD
-    da = dw = dh = dwm = dwb = 0
-    l1i_memory = 0
-    l1d_misses = 0
-    l1d_memory = 0
-    l1d_writebacks = 0
-    l2_accesses = 0
-    memory_accesses = 0
-    stream = iter(reduced)
-    for code in stream:
-        operand = next(stream)
-        if code == op_imiss:
-            # Pre-resolved i-miss: no L1 victim at all, so either L2
-            # outcome settles inline — a read hit is one probe, a read
-            # miss adds the fill/victim dict ops and memory counter bumps.
-            if l2_sets is not None:
-                b2 = operand >> l2_off
-                t2 = b2 >> l2_idx
-                bl2 = l2_sets[b2 & l2_mask]
-                p2 = bl2.get(t2)
-                if p2 is not None:
-                    if l2_refresh:
-                        del bl2[t2]
-                        bl2[t2] = p2
-                    l2_hits += 1
-                    l2_accesses += 1
-                    continue
-                if inline_mem:
-                    l2m += 1
-                    v2 = None
-                    if len(bl2) >= l2_ways:
-                        vt2 = l2_selector.choose_victim(bl2) if l2_random else next(iter(bl2))
-                        v2 = bl2.pop(vt2)
-                    bl2[t2] = b2 << l2_shift1
-                    if v2 is not None and v2 & 1:
-                        l2_wb += 1
-                        transfers = 2
-                    else:
-                        transfers = 1
-                    l2_accesses += 1
-                    memory_accesses += transfers
-                    l1i_memory += transfers
-                    continue
-            packed = miss_fill(0, operand)
-            l2_accesses += (packed >> l2a_shift) & count_mask
-            transfers = (packed >> mem_shift) & count_mask
-            memory_accesses += transfers
-            l1i_memory += transfers
-        else:
-            is_write = code != op_load
-            da += 1
-            if is_write:
-                dw += 1
-            block = operand >> d_off
-            tag = block >> d_idx
-            blocks = d_sets[block & d_mask]
-            packed = blocks.get(tag)
-            if packed is not None:
-                dh += 1
-                if is_write:
-                    packed |= 1
-                    if d_refresh:
-                        del blocks[tag]
-                    blocks[tag] = packed
-                elif d_refresh:
-                    del blocks[tag]
-                    blocks[tag] = packed
-                continue
-            if is_write:
-                dwm += 1
-            victim = None
-            if len(blocks) >= d_ways:
-                victim_tag = d_selector.choose_victim(blocks) if d_random else next(iter(blocks))
-                victim = blocks.pop(victim_tag)
             blocks[tag] = (block << d_shift1) | (1 if is_write else 0)
-            if victim is not None and victim & 1:
-                dwb += 1
-                if inline_mem:
-                    # Dirty victim: L2 read fill, buffer push, L2
-                    # write-allocate of the victim — _miss_packed's whole
-                    # body as dict ops and counter bumps.
-                    b2 = operand >> l2_off
-                    t2 = b2 >> l2_idx
-                    bl2 = l2_sets[b2 & l2_mask]
-                    p2 = bl2.get(t2)
-                    if p2 is not None:
-                        if l2_refresh:
-                            del bl2[t2]
-                            bl2[t2] = p2
-                        l2_hits += 1
-                        transfers = 0
-                    else:
-                        l2m += 1
-                        v2 = None
-                        if len(bl2) >= l2_ways:
-                            vt2 = l2_selector.choose_victim(bl2) if l2_random else next(iter(bl2))
-                            v2 = bl2.pop(vt2)
-                        bl2[t2] = b2 << l2_shift1
-                        if v2 is not None and v2 & 1:
-                            l2_wb += 1
-                            transfers = 2
-                        else:
-                            transfers = 1
-                    wb_addr = victim >> 1
-                    wb_enq += 1
-                    if len(wb_pending) >= wb_entries:
-                        wb_over += 1
-                        wb_pending.popleft()
-                        wb_drain += 1
-                    wb_pending.append(wb_addr)
-                    b3 = wb_addr >> l2_off
-                    t3 = b3 >> l2_idx
-                    bl3 = l2_sets[b3 & l2_mask]
-                    p3 = bl3.get(t3)
-                    if p3 is not None:
-                        l2_whits += 1
-                        p3 |= 1
-                        if l2_refresh:
-                            del bl3[t3]
-                        bl3[t3] = p3
-                    else:
-                        l2_wm += 1
-                        v3 = None
-                        if len(bl3) >= l2_ways:
-                            vt3 = l2_selector.choose_victim(bl3) if l2_random else next(iter(bl3))
-                            v3 = bl3.pop(vt3)
-                        bl3[t3] = (b3 << l2_shift1) | 1
-                        transfers += 1
-                        if v3 is not None and v3 & 1:
-                            l2_wb += 1
-                            transfers += 1
-                    l1d_misses += 1
-                    l1d_writebacks += 1
-                    l2_accesses += 2
-                    memory_accesses += transfers
-                    l1d_memory += transfers
-                    continue
-                l1_packed = filled | wb_valid | ((victim >> 1) << wb_shift)
-            else:
-                if l2_sets is not None:
-                    b2 = operand >> l2_off
-                    t2 = b2 >> l2_idx
-                    bl2 = l2_sets[b2 & l2_mask]
-                    p2 = bl2.get(t2)
-                    if p2 is not None:
-                        if l2_refresh:
-                            del bl2[t2]
-                            bl2[t2] = p2
-                        l2_hits += 1
-                        l1d_misses += 1
-                        l2_accesses += 1
-                        continue
-                    if inline_mem:
-                        l2m += 1
-                        v2 = None
-                        if len(bl2) >= l2_ways:
-                            vt2 = l2_selector.choose_victim(bl2) if l2_random else next(iter(bl2))
-                            v2 = bl2.pop(vt2)
-                        bl2[t2] = b2 << l2_shift1
-                        if v2 is not None and v2 & 1:
-                            l2_wb += 1
-                            transfers = 2
-                        else:
-                            transfers = 1
-                        l1d_misses += 1
-                        l2_accesses += 1
-                        memory_accesses += transfers
-                        l1d_memory += transfers
-                        continue
-                l1_packed = filled
-            packed = miss_fill(l1_packed, operand)
-            l1d_misses += 1
-            fills = (packed >> l2a_shift) & count_mask
-            l2_accesses += fills
-            transfers = (packed >> mem_shift) & count_mask
-            memory_accesses += transfers
-            l1d_memory += transfers
-            if fills > 1:
-                l1d_writebacks += fills - 1
-
-    d_stats.accesses += da
-    d_stats.writes += dw
-    d_stats.reads += da - dw
-    d_stats.hits += dh
-    dm = da - dh
-    d_stats.misses += dm
-    d_stats.write_misses += dwm
-    d_stats.read_misses += dm - dwm
-    d_stats.fills += dm
-    d_stats.writebacks += dwb
-    _flush_l2(l2_stats, mem_state, l2_hits, l2m, l2_wb, l2_whits, l2_wm,
-              wb_enq, wb_over, wb_drain)
-    return (
-        fetches, i_misses, l1i_memory, l1d_misses, l1d_memory, l1d_writebacks,
-        l2_accesses, memory_accesses,
-    )
-
-
-def _dispatch_variant_i_fast(reduced, shared, hierarchy):
-    """Per-rung kernel of an i-cache ladder (the L1d was pilot-resolved).
-
-    Same contract as :func:`_dispatch_variant_d_fast`, with the sides
-    swapped: the variant L1i runs inline for every fetch (it is read-only,
-    so the hit path is just the probe plus LRU refresh and fills are never
-    dirty), pre-resolved d-misses carry the pilot's packed outcome and so
-    its shared dirty victim, and ``shared`` is the pilot's ``(d_misses,
-    d_writebacks)``.
-    """
-    d_misses, d_writebacks = shared
-    (i_stats, i_sets, i_off, i_idx, i_mask, i_ways, i_refresh, i_random, i_selector) = (
-        hierarchy.l1i._kernel_state()
-    )
-    (l2_stats, l2_sets, l2_off, l2_idx, l2_mask, l2_ways, l2_refresh, l2_random,
-     l2_selector, l2_shift1, mem_state, wb_pending, wb_entries) = _l2_locals(hierarchy)
-    inline_mem = mem_state is not None
-    miss_fill = hierarchy._miss_packed
-    l2_hits = l2m = l2_wb = l2_whits = l2_wm = 0
-    wb_enq = wb_over = wb_drain = 0
-    i_shift1 = i_off + 1
-    l2a_shift, mem_shift = HIER_L2_ACCESSES_SHIFT, HIER_MEM_ACCESSES_SHIFT
-    count_mask = HIER_COUNT_MASK
-    filled, wb_valid, wb_shift = PACKED_FILLED, PACKED_WRITEBACK_VALID, PACKED_WRITEBACK_SHIFT
-    op_fetch = _OP_FETCH
-    ia = ih = iwb = 0
-    l1i_misses = 0
-    l1i_memory = 0
-    l1d_memory = 0
-    l2_accesses = 0
-    memory_accesses = 0
-    stream = iter(reduced)
-    for code in stream:
-        operand = next(stream)
-        if code == op_fetch:
-            ia += 1
-            block = operand >> i_off
-            tag = block >> i_idx
-            blocks = i_sets[block & i_mask]
-            packed = blocks.get(tag)
-            if packed is not None:
-                ih += 1
-                if i_refresh:
-                    del blocks[tag]
-                    blocks[tag] = packed
-                continue
-            victim = None
-            if len(blocks) >= i_ways:
-                victim_tag = i_selector.choose_victim(blocks) if i_random else next(iter(blocks))
-                victim = blocks.pop(victim_tag)
-            blocks[tag] = block << i_shift1
-            if victim is not None and victim & 1:
-                iwb += 1
-                l1_packed = filled | wb_valid | ((victim >> 1) << wb_shift)
-            else:
-                if l2_sets is not None:
-                    b2 = operand >> l2_off
-                    t2 = b2 >> l2_idx
-                    bl2 = l2_sets[b2 & l2_mask]
-                    p2 = bl2.get(t2)
-                    if p2 is not None:
-                        if l2_refresh:
-                            del bl2[t2]
-                            bl2[t2] = p2
-                        l2_hits += 1
-                        l1i_misses += 1
-                        l2_accesses += 1
-                        continue
-                    if inline_mem:
-                        l2m += 1
-                        v2 = None
-                        if len(bl2) >= l2_ways:
-                            vt2 = l2_selector.choose_victim(bl2) if l2_random else next(iter(bl2))
-                            v2 = bl2.pop(vt2)
-                        bl2[t2] = b2 << l2_shift1
-                        if v2 is not None and v2 & 1:
-                            l2_wb += 1
-                            transfers = 2
-                        else:
-                            transfers = 1
-                        l1i_misses += 1
-                        l2_accesses += 1
-                        memory_accesses += transfers
-                        l1i_memory += transfers
-                        continue
-                l1_packed = filled
-            packed = miss_fill(l1_packed, operand)
-            l1i_misses += 1
-            l2_accesses += (packed >> l2a_shift) & count_mask
-            transfers = (packed >> mem_shift) & count_mask
-            memory_accesses += transfers
-            l1i_memory += transfers
+            data = True
+        elif code == op_imiss:
+            data = False
+            wb_addr = None
         else:
             l1_packed = next(stream)
-            # Pre-resolved d-miss: l1_packed == filled means the shared
-            # L1d fill evicted no dirty victim, so the L2 access again
-            # resolves inline whatever its outcome.
-            if l1_packed == filled and l2_sets is not None:
-                b2 = operand >> l2_off
-                t2 = b2 >> l2_idx
-                bl2 = l2_sets[b2 & l2_mask]
-                p2 = bl2.get(t2)
-                if p2 is not None:
-                    if l2_refresh:
-                        del bl2[t2]
-                        bl2[t2] = p2
-                    l2_hits += 1
-                    l2_accesses += 1
-                    continue
-                if inline_mem:
-                    l2m += 1
-                    v2 = None
-                    if len(bl2) >= l2_ways:
-                        vt2 = l2_selector.choose_victim(bl2) if l2_random else next(iter(bl2))
-                        v2 = bl2.pop(vt2)
-                    bl2[t2] = b2 << l2_shift1
-                    if v2 is not None and v2 & 1:
-                        l2_wb += 1
-                        transfers = 2
-                    else:
-                        transfers = 1
-                    l2_accesses += 1
-                    memory_accesses += transfers
-                    l1d_memory += transfers
-                    continue
-            elif inline_mem and l1_packed & wb_valid:
-                # Shared dirty victim: L2 read fill, buffer push, L2
-                # write-allocate of the victim, all inline.
-                b2 = operand >> l2_off
-                t2 = b2 >> l2_idx
-                bl2 = l2_sets[b2 & l2_mask]
-                p2 = bl2.get(t2)
-                if p2 is not None:
-                    if l2_refresh:
-                        del bl2[t2]
-                        bl2[t2] = p2
-                    l2_hits += 1
-                    transfers = 0
-                else:
-                    l2m += 1
-                    v2 = None
-                    if len(bl2) >= l2_ways:
-                        vt2 = l2_selector.choose_victim(bl2) if l2_random else next(iter(bl2))
-                        v2 = bl2.pop(vt2)
-                    bl2[t2] = b2 << l2_shift1
-                    if v2 is not None and v2 & 1:
-                        l2_wb += 1
-                        transfers = 2
-                    else:
-                        transfers = 1
-                wb_addr = l1_packed >> wb_shift
-                wb_enq += 1
-                if len(wb_pending) >= wb_entries:
-                    wb_over += 1
-                    wb_pending.popleft()
-                    wb_drain += 1
-                wb_pending.append(wb_addr)
-                b3 = wb_addr >> l2_off
-                t3 = b3 >> l2_idx
-                bl3 = l2_sets[b3 & l2_mask]
-                p3 = bl3.get(t3)
-                if p3 is not None:
-                    l2_whits += 1
-                    p3 |= 1
-                    if l2_refresh:
-                        del bl3[t3]
-                    bl3[t3] = p3
-                else:
-                    l2_wm += 1
-                    v3 = None
-                    if len(bl3) >= l2_ways:
-                        vt3 = l2_selector.choose_victim(bl3) if l2_random else next(iter(bl3))
-                        v3 = bl3.pop(vt3)
-                    bl3[t3] = (b3 << l2_shift1) | 1
-                    transfers += 1
-                    if v3 is not None and v3 & 1:
+            data = True
+            wb_addr = l1_packed >> wb_shift if l1_packed & wb_valid else None
+
+        # The one miss tail: the L2 read fill, then a dirty L1d victim's
+        # buffer push and L2 write-allocate.
+        b2 = operand >> l2_off
+        t2 = b2 >> l2_idx
+        bl2 = l2_sets[b2 & l2_mask]
+        p2 = bl2.pop(t2, None)
+        if p2 is not None:
+            bl2[t2] = p2
+            if wb_addr is None:
+                continue
+            transfers = 0
+        else:
+            l2m += 1
+            transfers = 1
+            if len(bl2) >= l2_ways:
+                if bl2.pop(next(iter(bl2))) & 1:
+                    l2_wb += 1
+                    transfers = 2
+            bl2[t2] = b2 << l2_shift1
+        if wb_addr is not None:
+            if len(wb_pending) >= wb_entries:
+                wb_over += 1
+                wb_pending.popleft()
+            wb_pending.append(wb_addr)
+            b3 = wb_addr >> l2_off
+            t3 = b3 >> l2_idx
+            bl3 = l2_sets[b3 & l2_mask]
+            p3 = bl3.pop(t3, None)
+            if p3 is not None:
+                bl3[t3] = p3 | 1
+            else:
+                l2_wm += 1
+                transfers += 1
+                if len(bl3) >= l2_ways:
+                    if bl3.pop(next(iter(bl3))) & 1:
                         l2_wb += 1
                         transfers += 1
-                l2_accesses += 2
-                memory_accesses += transfers
-                l1d_memory += transfers
-                continue
-            packed = miss_fill(l1_packed, operand)
-            fills = (packed >> l2a_shift) & count_mask
-            l2_accesses += fills
-            transfers = (packed >> mem_shift) & count_mask
-            memory_accesses += transfers
+                bl3[t3] = (b3 << l2_shift1) | 1
+        if data:
             l1d_memory += transfers
+        else:
+            l1i_memory += transfers
 
-    i_stats.accesses += ia
-    i_stats.reads += ia
-    i_stats.hits += ih
     im = ia - ih
-    i_stats.misses += im
-    i_stats.read_misses += im
-    i_stats.fills += im
-    i_stats.writebacks += iwb
-    _flush_l2(l2_stats, mem_state, l2_hits, l2m, l2_wb, l2_whits, l2_wm,
-              wb_enq, wb_over, wb_drain)
+    if ia:
+        i_stats.accesses += ia
+        i_stats.reads += ia
+        i_stats.hits += ih
+        i_stats.misses += im
+        i_stats.read_misses += im
+        i_stats.fills += im
+    dm = da - dh
+    if da:
+        d_stats.accesses += da
+        d_stats.writes += dw
+        d_stats.reads += da - dw
+        d_stats.hits += dh
+        d_stats.misses += dm
+        d_stats.write_misses += dwm
+        d_stats.read_misses += dm - dwm
+        d_stats.fills += dm
+        d_stats.writebacks += dwb
+    l1i_misses = i_misses + im
+    l1d_misses = d_misses + dm
+    l1d_writebacks = d_writebacks + dwb
+    reads = l1i_misses + l1d_misses
+    _flush_l2(l2_stats, mem_state, reads, l1d_writebacks, l2m, l2_wm, l2_wb, wb_over)
     return (
-        ia, l1i_misses, l1i_memory, d_misses, l1d_memory, d_writebacks,
-        l2_accesses, memory_accesses,
+        fetches + ia, l1i_misses, l1i_memory,
+        l1d_misses, l1d_memory, l1d_writebacks,
+        reads + l1d_writebacks, l1i_memory + l1d_memory,
     )
 
 

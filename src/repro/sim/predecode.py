@@ -294,7 +294,8 @@ class PilotResolution:
         The variant-side ops of the rows are one slice of ``decoded``'s
         side-split column; the rows' misses (found by bisecting their op
         indices) splice back in where their other-side count says.
-        Returns ``(reduced, misses, dirty_victims)``, exactly what
+        Returns ``(reduced, misses, dirty_victims)``: the reduced stream
+        and the miss and dirty-victim counts that
         ``repro.sim.ladder._resolve_pilot_i`` / ``_resolve_pilot_d`` return
         when run live on the rows' ops from the pilot's state at row
         ``start``.

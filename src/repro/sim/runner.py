@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import time
@@ -1023,8 +1024,10 @@ class RetryPolicy:
             raise SimulationError(
                 f"max_attempts must be at least 1, got {self.max_attempts}"
             )
-        if self.job_timeout is not None and self.job_timeout <= 0:
-            raise SimulationError(f"job_timeout must be positive, got {self.job_timeout}")
+        if self.job_timeout is not None and not 0 < self.job_timeout < math.inf:
+            raise SimulationError(
+                f"job_timeout must be a positive finite number, got {self.job_timeout}"
+            )
 
     def should_retry(self, error: BaseException, attempt: int) -> bool:
         """Whether to re-dispatch after ``attempt`` executions failed with

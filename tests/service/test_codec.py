@@ -41,7 +41,12 @@ class TestRenderJson:
 
 class TestParseBody:
     @pytest.mark.parametrize(
-        "body", [b"", b"not json", b"[1,2]", b'"string"', b"\xff\xfe"]
+        "body",
+        [
+            b"", b"not json", b"[1,2]", b'"string"', b"\xff\xfe",
+            b'{"deadline_seconds": NaN}', b'{"deadline_seconds": Infinity}',
+            b'{"deadline_seconds": -Infinity}',
+        ],
     )
     def test_rejects_non_object_bodies(self, body):
         with pytest.raises(InvalidRequestError) as excinfo:
@@ -128,7 +133,9 @@ class TestHandles:
         assert codec.deadline_from_payload(with_deadline) == 5.0
         assert codec.deadline_from_payload(without) is None
 
-    @pytest.mark.parametrize("bad", [0, -1, "soon", True, {}])
+    @pytest.mark.parametrize(
+        "bad", [0, -1, "soon", True, {}, float("nan"), float("inf"), float("-inf")]
+    )
     def test_bad_deadlines_are_rejected(self, bad):
         with pytest.raises(InvalidRequestError):
             codec.deadline_from_payload(minimal_job(deadline_seconds=bad))

@@ -37,7 +37,15 @@ class TestParseArgs:
         assert args.max_body_kib == 64
 
     @pytest.mark.parametrize(
-        "flags", [["--queue-limit", "0"], ["--job-retries", "-1"]]
+        "flags",
+        [
+            ["--queue-limit", "0"], ["--job-retries", "-1"],
+            ["--instructions", "999"], ["--max-body-kib", "0"],
+            ["--tenant-queue-limit", "0"], ["--breaker-threshold", "0"],
+            ["--breaker-window", "nan"], ["--breaker-cooldown", "0"],
+            ["--breaker-cooldown", "inf"], ["--drain-grace", "-1"],
+            ["--drain-grace", "nan"], ["--job-timeout", "nan"],
+        ],
     )
     def test_invalid_values_exit_2(self, flags, tmp_path):
         args = parse_args(["serve", "--cache-dir", str(tmp_path), *flags])

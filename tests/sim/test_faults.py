@@ -205,6 +205,9 @@ class TestRetryPolicy:
             RetryPolicy(max_attempts=0)
         with pytest.raises(SimulationError):
             RetryPolicy(job_timeout=0.0)
+        for timeout in (float("nan"), float("inf")):
+            with pytest.raises(SimulationError):
+                RetryPolicy(job_timeout=timeout)
 
 
 @pytest.mark.parametrize("start_method", START_METHODS)

@@ -28,9 +28,11 @@ from dataclasses import replace
 
 import pytest
 
+from repro.cache.cache import Cache
 from repro.cache.replacement import ReplacementPolicy
 from repro.common.config import CoreConfig, CoreKind, SystemConfig
 from repro.common.errors import SimulationError
+from repro.mem.main_memory import MainMemory
 from repro.resizing.dynamic_strategy import DynamicResizing
 from repro.resizing.hybrid import HybridSetsAndWays
 from repro.resizing.resizable_cache import ResizableCache
@@ -278,6 +280,26 @@ class TestEngineEquivalence:
         ]
         with pytest.raises(SimulationError, match="share the interval"):
             LadderEngine().replay_many(trace, contexts)
+
+    @pytest.mark.parametrize("swap", ["fifo-l2", "memory-subclass"])
+    def test_replay_many_requires_the_stock_hierarchy(self, system, trace, swap):
+        """The dispatch kernel inlines an LRU ``Cache`` L2 over ``MainMemory``;
+        any other hierarchy is refused up front, never replayed."""
+
+        class CountingMemory(MainMemory):
+            pass
+
+        simulator = Simulator(system)
+        contexts = [simulator._prepare_run(trace, None, None, 1_500, 0) for _ in range(2)]
+        hierarchy = contexts[1].hierarchy
+        if swap == "fifo-l2":
+            hierarchy.l2 = Cache(system.l2.geometry, ReplacementPolicy.FIFO, name="l2")
+        else:
+            hierarchy.memory = CountingMemory(system.memory)
+        with pytest.raises(SimulationError, match="stock hierarchy"):
+            LadderEngine().replay_many(trace, contexts)
+        with pytest.raises(SimulationError, match="stock hierarchy"):
+            LadderEngine().replay_many(trace, contexts[1:])
 
     def test_replay_many_accepts_empty_context_list(self, trace):
         LadderEngine().replay_many(trace, [])  # no-op, not an error

@@ -187,7 +187,7 @@ def test_pilot_interval_entries_partition_consistently(trace):
         reduced, shared = resolve(
             decoded.interval_ops(0, n), Cache(geometry, name=side).access_packed
         )
-        whole = (reduced, *((shared[1], 0) if side == "i" else shared))
+        whole = (reduced, *((shared[1], 0) if side == "i" else shared[2:]))
         assert whole[1] > 0
         for interval in (1, 769, n):
             segments = [

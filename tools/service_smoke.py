@@ -7,7 +7,8 @@ service exists for (docs/SERVICE.md) through plain HTTP:
 1. **dedup** — several concurrent clients submit the identical job; every
    one must get the same ``202`` body, the settled responses must be
    byte-identical, and the ``service_deduped`` counter must prove exactly
-   one admission happened.
+   one admission happened.  A submission whose ``deadline_seconds`` is
+   ``NaN`` must be refused with a ``400``.
 2. **busy reads** — fresh jobs are submitted and, while they execute,
    the settled handle is read over and over; every read must answer
    ``200`` with the bytes of the first read.  The stage prints the read
@@ -242,6 +243,14 @@ def main(argv: list[str] | None = None) -> int:
         )
         _, again = server.request("GET", f"/jobs/{handle_a}")
         check(again == settled, "repeated polls of a done handle diverged")
+        # json.dumps writes a NaN float as the non-standard constant NaN,
+        # which the codec must refuse at the boundary, not run deadline-free.
+        status, body = server.post("/jobs", {**job_a, "deadline_seconds": float("nan")})
+        code = json.loads(body).get("error", {}).get("code") if status == 400 else None
+        check(
+            code == "invalid-request",
+            f"a NaN deadline answered {status}: {body!r}, not a 400 invalid-request",
+        )
         if args.result_out:
             with open(args.result_out, "wb") as sink:
                 sink.write(settled)
