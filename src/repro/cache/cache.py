@@ -28,9 +28,10 @@ resize/flush machinery, external callers) keeps the object API and stays
 bit-identical by construction.  To add a new cache type that plugs into
 :class:`repro.cache.hierarchy.CacheHierarchy`, implement ``access_packed``
 with this bit layout (plus ``stats``/``flush_all``); ``access`` can be
-``unpack_access_result(self.access_packed(...))``.  A cache that only
-implements the object API still works — the hierarchy adapts it — it is
-just slower.
+``unpack_access_result(self.access_packed(...))``.  The fused replay kernel
+also reads the cache's :meth:`Cache._kernel_state`, so an L1 type needs
+both, as :class:`repro.resizing.resizable_cache.ResizableCache` has.  The
+hierarchy binds ``access_packed`` directly; there is no object-API adapter.
 """
 
 from __future__ import annotations

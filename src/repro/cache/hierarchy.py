@@ -5,12 +5,11 @@ to a unified L2 and main memory, routes writebacks through the write-back
 buffer, and reports per-access latency so the timing models can expose or
 hide it depending on the core configuration.
 
-Any object exposing the :class:`repro.cache.cache.Cache` access interface
-(``access``, ``flush_all``, ``stats``) can serve as an L1, which is how the
-resizable caches plug in without the hierarchy knowing about resizing.  An
-L1 that additionally implements the packed kernel (``access_packed`` with
-the :mod:`repro.cache.cache` bit layout) is driven allocation-free; one that
-only has the object API is adapted automatically (correct, just slower).
+An L1 is a :class:`repro.cache.cache.Cache` or a
+:class:`repro.resizing.resizable_cache.ResizableCache`: the hierarchy binds
+its packed kernel (``access_packed`` with the :mod:`repro.cache.cache` bit
+layout) directly, which is how the resizable caches plug in without the
+hierarchy knowing about resizing.
 
 Architecture note — the packed-outcome kernel
 ---------------------------------------------
@@ -50,13 +49,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.cache.cache import (
-    PACKED_FILLED,
-    PACKED_HIT,
-    PACKED_WRITEBACK_SHIFT,
-    PACKED_WRITEBACK_VALID,
-    Cache,
-)
+from repro.cache.cache import PACKED_WRITEBACK_SHIFT, PACKED_WRITEBACK_VALID, Cache
 from repro.cache.writeback_buffer import WritebackBuffer
 from repro.common.config import SystemConfig
 from repro.mem.main_memory import MainMemory
@@ -83,31 +76,6 @@ def unpack_hierarchy_outcome(packed: int) -> "HierarchyAccessOutcome":
         l2_accesses=(packed >> HIER_L2_ACCESSES_SHIFT) & HIER_COUNT_MASK,
         memory_accesses=(packed >> HIER_MEM_ACCESSES_SHIFT) & HIER_COUNT_MASK,
     )
-
-
-def _packed_l1_adapter(l1):
-    """A packed access callable for any L1 (native kernel or adapted).
-
-    Caches with the packed kernel hand back their bound ``access_packed``
-    directly; object-API-only caches get a closure that re-encodes their
-    :class:`~repro.cache.cache.AccessResult` into the packed layout.
-    """
-    access_packed = getattr(l1, "access_packed", None)
-    if access_packed is not None:
-        return access_packed
-
-    def adapted(address: int, is_write: bool, _access=l1.access) -> int:
-        result = _access(address, is_write)
-        if result.hit:
-            return PACKED_HIT
-        packed = PACKED_FILLED if result.filled else 0
-        if result.writeback_address is not None:
-            packed |= PACKED_WRITEBACK_VALID | (
-                result.writeback_address << PACKED_WRITEBACK_SHIFT
-            )
-        return packed
-
-    return adapted
 
 
 class HierarchyAccessOutcome:
@@ -169,8 +137,8 @@ class CacheHierarchy:
         self._l2_block = config.l2.geometry.block_bytes
         # Kernel locals: bound packed L1 accessors, the L1-hit outcome as a
         # ready-made constant, and the shared L1+L2 hit latency term.
-        self._l1d_packed = _packed_l1_adapter(l1d)
-        self._l1i_packed = _packed_l1_adapter(l1i)
+        self._l1d_packed = l1d.access_packed
+        self._l1i_packed = l1i.access_packed
         self._l2_packed = self.l2.access_packed
         self._packed_l1_hit = HIER_L1_HIT | (self._l1_hit_latency << HIER_LATENCY_SHIFT)
         self._l1_l2_latency = self._l1_hit_latency + self._l2_hit_latency

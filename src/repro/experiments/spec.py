@@ -12,8 +12,8 @@ files fed to ``python -m repro run-spec`` — both execute through the same
 Specs are:
 
 * **dict/YAML-loadable** — :func:`load_spec` reads ``.yaml``/``.yml``/
-  ``.json`` files (PyYAML when available, a built-in parser for the
-  restricted YAML subset the spec schema needs otherwise), and
+  ``.json`` files (YAML through one built-in parser for the restricted
+  subset the spec schema needs, whatever else is installed), and
   :func:`spec_from_dict` accepts a plain mapping.
 * **schema-validated** — unknown keys, wrong types, unregistered
   organizations and impossible axis combinations are rejected at load
@@ -102,9 +102,35 @@ ANALYSIS_FIELDS: List[Tuple[str, str, str, str]] = [
 
 
 # ---------------------------------------------------------------------------
-# Minimal YAML-subset loader: used only when PyYAML is unavailable, so
-# committed and user spec files keep loading on bare-stdlib installs.
+# The spec-file parser: one built-in reader for the YAML subset the schema
+# needs, so a spec file means the same thing on every install.
 # ---------------------------------------------------------------------------
+
+#: Plain numbers only: ``float()`` alone would also read ``nan``/``inf``.
+_FLOAT_PATTERN = re.compile(r"^[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+#: YAML indicators outside the subset (flow mappings, anchors, aliases,
+#: tags, block scalars, directives, reserved characters, nested lists).
+_UNSUPPORTED_STARTS = "{}&*!|>%@`[]"
+
+
+def _unquoted(line: str, targets: str):
+    """Yield the index of every character of ``targets`` outside quotes.
+
+    A quote opens a quoted scalar only where a scalar can start (line start,
+    after a space, ``[`` or ``,``), so an apostrophe inside plain prose
+    (``the cache's size``) is just a character, as in YAML.
+    """
+    in_quote: Optional[str] = None
+    for index, char in enumerate(line):
+        if in_quote:
+            if char == in_quote:
+                in_quote = None
+        elif char in ("'", '"') and (index == 0 or line[index - 1] in " \t[,"):
+            in_quote = char
+        elif char in targets:
+            yield index
+
 
 def _parse_scalar(text: str) -> Any:
     text = text.strip()
@@ -114,36 +140,29 @@ def _parse_scalar(text: str) -> Any:
         return True
     if text in ("false", "False"):
         return False
-    if (text.startswith('"') and text.endswith('"') and len(text) >= 2) or (
-        text.startswith("'") and text.endswith("'") and len(text) >= 2
-    ):
+    if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
         return text[1:-1]
     if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
+        inner = text[1:-1]
+        if not inner.strip():
             return []
-        return [_parse_scalar(part) for part in inner.split(",")]
+        bounds = [-1, *_unquoted(inner, ","), len(inner)]
+        return [_parse_scalar(inner[a + 1:b]) for a, b in zip(bounds, bounds[1:])]
+    if text[0] in _UNSUPPORTED_STARTS or ": " in text or text.endswith(":"):
+        raise ConfigurationError(f"spec parser: unsupported YAML syntax at {text!r}")
     try:
         return int(text, 10)
     except ValueError:
         pass
-    try:
+    if _FLOAT_PATTERN.match(text):
         return float(text)
-    except ValueError:
-        pass
     return text
 
 
 def _strip_comment(line: str) -> str:
-    """Drop a trailing comment (outside quotes) from one line."""
-    in_quote: Optional[str] = None
-    for index, char in enumerate(line):
-        if in_quote:
-            if char == in_quote:
-                in_quote = None
-        elif char in ("'", '"'):
-            in_quote = char
-        elif char == "#":
+    """Drop a trailing comment (a ``#`` outside quotes, after a space) from one line."""
+    for index in _unquoted(line, "#"):
+        if index == 0 or line[index - 1] in " \t":
             return line[:index]
     return line
 
@@ -154,7 +173,8 @@ def _mini_yaml_load(text: str) -> Any:
     Supported: nested mappings by 2-space-multiple indentation, ``- item``
     lists of scalars, inline ``[a, b]`` lists, quoted/plain scalars, ints,
     floats, booleans, null, comments and blank lines.  This is NOT a
-    general YAML parser — it exists so spec files load without PyYAML.
+    general YAML parser: anything outside the subset raises
+    :class:`~repro.common.errors.ConfigurationError`.
     """
     lines: List[Tuple[int, str]] = []
     for raw in text.splitlines():
@@ -211,15 +231,8 @@ def _mini_yaml_load(text: str) -> Any:
 
 
 def load_spec_text(text: str) -> Any:
-    """Parse spec-file text into plain Python data (YAML when available)."""
-    try:
-        import yaml  # type: ignore
-    except ImportError:
-        return _mini_yaml_load(text)
-    try:
-        return yaml.safe_load(text)
-    except yaml.YAMLError as exc:  # pragma: no cover - exercised via load_spec
-        raise ConfigurationError(f"malformed spec file: {exc}") from exc
+    """Parse spec-file text into plain Python data (the built-in YAML subset)."""
+    return _mini_yaml_load(text)
 
 
 # ---------------------------------------------------------------------------
@@ -509,15 +522,11 @@ def load_spec(path: str) -> ExperimentSpec:
             text = handle.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read spec file {path}: {exc}") from exc
-    if path.endswith(".json"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"malformed spec file {path}: {exc}") from exc
-    else:
-        data = load_spec_text(text)
     try:
+        data = json.loads(text) if path.endswith(".json") else load_spec_text(text)
         return spec_from_dict(data)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"malformed spec file {path}: {exc}") from exc
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 

@@ -29,7 +29,12 @@ import math
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.common.config import CacheGeometry, CoreConfig, CoreKind, SystemConfig
-from repro.common.errors import ConfigurationError, InvalidRequestError, SimulationError
+from repro.common.errors import (
+    ConfigurationError,
+    InvalidRequestError,
+    ResizingError,
+    SimulationError,
+)
 from repro.experiments.spec import ExperimentSpec, spec_from_dict
 from repro.resizing.organization import make_config
 from repro.sim.runner import (
@@ -40,7 +45,6 @@ from repro.sim.runner import (
     SimJob,
     StrategySpec,
     TraceSpec,
-    organization_class,
 )
 from repro.workloads.profiles import get_profile
 
@@ -134,6 +138,13 @@ def _positive_int(payload: Mapping[str, Any], field: str, default: int, what: st
     return value
 
 
+def _number(payload: Mapping[str, Any], field: str, default: float, what: str) -> float:
+    value = payload.get(field, default)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InvalidRequestError(f"{what}.{field} must be a number, got {value!r}")
+    return float(value)
+
+
 def _trace_from_payload(payload: Mapping[str, Any]) -> TraceSpec:
     if not isinstance(payload, Mapping):
         raise InvalidRequestError("trace must be a mapping")
@@ -164,20 +175,15 @@ def _strategy_from_payload(
         sets = _positive_int(payload, "sets", 0, f"{what}.strategy")
         return StrategySpec.static(make_config(ways, sets, geometry.block_bytes))
     if kind == DYNAMIC:
-        miss_bound = payload.get("miss_bound", 0.0)
-        if not isinstance(miss_bound, (int, float)) or isinstance(miss_bound, bool):
-            raise InvalidRequestError(
-                f"{what}.strategy.miss_bound must be a number, got {miss_bound!r}"
-            )
         return StrategySpec.dynamic(
-            miss_bound=float(miss_bound),
+            miss_bound=_number(payload, "miss_bound", 0.0, f"{what}.strategy"),
             size_bound_bytes=_positive_int(
                 payload, "size_bound_bytes", 0, f"{what}.strategy", minimum=0
             ),
             sense_interval_accesses=_positive_int(
                 payload, "sense_interval_accesses", 16384, f"{what}.strategy"
             ),
-            downsize_fraction=float(payload.get("downsize_fraction", 1.0)),
+            downsize_fraction=_number(payload, "downsize_fraction", 1.0, f"{what}.strategy"),
             settle_intervals=_positive_int(
                 payload, "settle_intervals", 2, f"{what}.strategy"
             ),
@@ -210,17 +216,23 @@ def _setup_from_payload(
         raise InvalidRequestError(
             f"{what}.organization must be an organization name, got {organization!r}"
         )
-    try:
-        organization_class(organization)
-    except SimulationError as exc:
-        raise InvalidRequestError(str(exc)) from exc
     strategy_payload = payload.get("strategy")
     strategy = (
         None
         if strategy_payload is None
         else _strategy_from_payload(strategy_payload, geometry, what)
     )
-    return L1SetupSpec(organization=organization, strategy=strategy)
+    spec = L1SetupSpec(organization=organization, strategy=strategy)
+    # Build and bind once here, so the registry, the strategy's range checks
+    # and the organization's size lattice refuse a setup with a 400 instead
+    # of failing later in the runner.
+    try:
+        setup = spec.build(geometry)
+        if setup.strategy is not None:
+            setup.strategy.bind(setup.organization)
+    except (ConfigurationError, ResizingError, SimulationError) as exc:
+        raise InvalidRequestError(f"{what}: {exc}") from exc
+    return spec
 
 
 def job_from_payload(payload: Mapping[str, Any]) -> SimJob:

@@ -281,9 +281,9 @@ class StrategySpec:
         """Convert a live strategy object into a spec.
 
         Exact classes only — a subclass with overridden behaviour must not be
-        silently rebuilt as its base class in a worker, so it is rejected
-        here and (via the fallback of :meth:`repro.sim.sweep.Sweep.with_setups`)
-        runs in-process instead.
+        silently rebuilt as its base class in a worker, so it raises
+        :class:`SimulationError` here.  Run such a strategy with
+        :meth:`repro.sim.simulator.Simulator.run`.
         """
         if type(strategy) is StaticResizing:
             return cls.static(strategy.config)

@@ -10,6 +10,10 @@ across the organization's whole resizing ladder (and hits the on-disk job
 cache) when the caller provides a configured runner.  Without one, a serial,
 uncached runner is used and the behaviour — including every computed value —
 is identical to calling :meth:`repro.sim.simulator.Simulator.run` directly.
+Every sweep call runs as jobs: a setup the job layer cannot name (an
+unregistered organization class, a strategy subclass) raises
+:class:`~repro.common.errors.SimulationError`; call ``Simulator.run`` for
+a live, instrumented strategy object.
 
 The canonical entry point is the :class:`Sweep` facade: it binds one
 simulator and one runner (plus the run parameters shared by every job) and
@@ -45,8 +49,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.common.errors import SimulationError
-from repro.resizing.dynamic_strategy import DynamicResizing
-from repro.resizing.static_strategy import StaticResizing
 from repro.resizing.organization import ResizingOrganization, SizeConfig
 from repro.resizing.profiler import (
     DynamicParameters,
@@ -64,7 +66,6 @@ from repro.sim.runner import (
     SweepRunner,
     TraceSpec,
     require_registered,
-    resolve_trace,
 )
 from repro.sim.simulator import L1Setup, Simulator
 from repro.workloads.ingest import ExternalTraceSpec
@@ -81,18 +82,13 @@ TraceLike = Union[Trace, TraceSpec, ExternalTraceSpec]
 SetupLike = Union[L1Setup, L1SetupSpec, None]
 
 
-def _apply_to_target(target: str, setup, empty):
-    """Return (d, i) with ``setup`` on the targeted cache and ``empty`` on the other."""
-    if target == DCACHE:
-        return setup, empty
-    if target == ICACHE:
-        return empty, setup
-    raise SimulationError(f"unknown resizing target {target!r}; use 'dcache' or 'icache'")
-
-
 def _specs_for(target: str, spec: L1SetupSpec) -> Tuple[L1SetupSpec, L1SetupSpec]:
     """(d_spec, i_spec) with ``spec`` applied to the targeted cache."""
-    return _apply_to_target(target, spec, L1SetupSpec())
+    if target == DCACHE:
+        return spec, L1SetupSpec()
+    if target == ICACHE:
+        return L1SetupSpec(), spec
+    raise SimulationError(f"unknown resizing target {target!r}; use 'dcache' or 'icache'")
 
 
 def _as_setup_spec(setup: SetupLike) -> L1SetupSpec:
@@ -101,10 +97,6 @@ def _as_setup_spec(setup: SetupLike) -> L1SetupSpec:
     if isinstance(setup, L1SetupSpec):
         return setup
     return L1SetupSpec.from_setup(setup)
-
-
-def _default_runner(runner: Optional[SweepRunner]) -> SweepRunner:
-    return runner if runner is not None else SweepRunner()
 
 
 def make_job(
@@ -148,19 +140,6 @@ def make_job(
 def _job_label(kind: str, trace: TraceLike) -> str:
     name = trace.name if isinstance(trace, Trace) else trace.application
     return f"{kind}:{name}"
-
-
-def _as_live_setup(setup: SetupLike, simulator: Simulator, cache: str) -> Optional[L1Setup]:
-    """Materialise a setup argument into the L1Setup the simulator consumes."""
-    if setup is None or isinstance(setup, L1Setup):
-        return setup
-    geometry = simulator.system.l1d if cache == "l1d" else simulator.system.l1i
-    return setup.build(geometry)
-
-
-def _live_setups_for(target: str, setup: L1Setup) -> Tuple[Optional[L1Setup], Optional[L1Setup]]:
-    """(d_setup, i_setup) with the live ``setup`` applied to the targeted cache."""
-    return _apply_to_target(target, setup, None)
 
 
 @dataclass
@@ -215,7 +194,7 @@ class StaticProfile:
 
 
 def _append_point(profile: StaticProfile, target: str, config, result: SimulationResult) -> None:
-    """Record one profiled configuration's result (shared by both sweep paths)."""
+    """Record one profiled configuration's result in ``profile``."""
     if target == DCACHE:
         accesses, misses = result.l1d_accesses, result.l1d_misses
     else:
@@ -292,11 +271,8 @@ def _dynamic_job(
     organization: ResizingOrganization,
     parameters: DynamicParameters,
     target: str,
-    interval_instructions: int,
-    warmup_instructions: int,
     initial_config,
-    sample_every: int = 1,
-    sample_warmup: int = 0,
+    run_kwargs: Dict[str, int],
 ) -> SimJob:
     """The SimJob for one dynamic-resizing run (shared by both API shapes)."""
     spec = L1SetupSpec(
@@ -310,16 +286,7 @@ def _dynamic_job(
         ),
     )
     d_spec, i_spec = _specs_for(target, spec)
-    return make_job(
-        simulator,
-        trace,
-        d_setup=d_spec,
-        i_setup=i_spec,
-        interval_instructions=interval_instructions,
-        warmup_instructions=warmup_instructions,
-        sample_every=sample_every,
-        sample_warmup=sample_warmup,
-    )
+    return make_job(simulator, trace, d_setup=d_spec, i_setup=i_spec, **run_kwargs)
 
 
 class Sweep:
@@ -338,9 +305,10 @@ class Sweep:
     The ``submit_*`` methods enqueue and return futures (nothing executes
     until :meth:`drain` or a ``result()`` call); their eager counterparts
     (:meth:`baseline`, :meth:`profile`, :meth:`dynamic`,
-    :meth:`with_setups`) resolve immediately and also carry the in-process
-    fallbacks for setups the declarative job layer cannot express
-    (unregistered organization classes, custom strategy subclasses).
+    :meth:`with_setups`) submit and resolve at once.  Both shapes accept
+    only setups the declarative job layer can name: registered
+    organization classes and the built-in strategy classes.  Anything else
+    raises :class:`~repro.common.errors.SimulationError`.
     """
 
     def __init__(
@@ -357,7 +325,7 @@ class Sweep:
         #: Every job this facade submits executes through this runner, so a
         #: parallel and/or cache-backed runner accelerates the whole sweep.
         #: Serial and uncached when omitted — identical numbers, no reuse.
-        self.runner = _default_runner(runner)
+        self.runner = runner if runner is not None else SweepRunner()
         self.interval_instructions = interval_instructions
         self.warmup_instructions = warmup_instructions
         self.sample_every = sample_every
@@ -435,10 +403,10 @@ class Sweep:
     ) -> SimFuture:
         """Enqueue an arbitrary combination of L1 setups and return its future.
 
-        Unlike :meth:`with_setups` there is no in-process fallback: the
-        setups must be expressible as job specs (registered organizations,
-        built-in strategy classes), because a deferred job has to be
-        picklable for whichever worker eventually executes it.
+        The setups must be expressible as job specs (registered
+        organizations, built-in strategy classes), because a job has to be
+        picklable for whichever worker eventually executes it; any other
+        setup raises :class:`~repro.common.errors.SimulationError` here.
         """
         job = make_job(
             self.simulator,
@@ -461,34 +429,23 @@ class Sweep:
         sample_every: Optional[int] = None,
         sample_warmup: Optional[int] = None,
     ) -> SimulationResult:
-        """Run an arbitrary combination of L1 setups.
+        """Run an arbitrary combination of L1 setups (see :meth:`submit_with_setups`).
 
-        Setups that cannot be expressed as job specs (a custom strategy
-        class, an unregistered organization) are still supported: they run
-        directly in this process, exactly as before the sweep engine
-        existed, bypassing the runner's pool and cache (which both require
-        declarative, picklable jobs).
-
-        Note that for the built-in strategy classes the run executes from a
-        spec (a fresh instance, possibly in a worker process), so counters
-        on a live strategy object the caller passed in (e.g.
-        ``DynamicResizing.upsizes``) are *not* updated; pass a strategy
-        subclass to force the in-process path when instrumenting a run that
+        The run executes from a spec (a fresh instance, possibly in a
+        worker process), so counters on a live strategy object the caller
+        passed in (e.g. ``DynamicResizing.upsizes``) are *not* updated; call
+        :meth:`repro.sim.simulator.Simulator.run` to instrument a run that
         way.
         """
-        kwargs = self._run_kwargs(
-            interval_instructions, warmup_instructions, sample_every, sample_warmup
-        )
-        try:
-            future = self.submit_with_setups(trace, d_setup=d_setup, i_setup=i_setup, **kwargs)
-        except SimulationError:
-            return self.simulator.run(
-                resolve_trace(trace),  # shares the runner's per-process trace memo
-                d_setup=_as_live_setup(d_setup, self.simulator, "l1d"),
-                i_setup=_as_live_setup(i_setup, self.simulator, "l1i"),
-                **kwargs,
-            )
-        return future.result()
+        return self.submit_with_setups(
+            trace,
+            d_setup=d_setup,
+            i_setup=i_setup,
+            interval_instructions=interval_instructions,
+            warmup_instructions=warmup_instructions,
+            sample_every=sample_every,
+            sample_warmup=sample_warmup,
+        ).result()
 
     # ------------------------------------------------------------- profiling
     def submit_profile(
@@ -508,9 +465,10 @@ class Sweep:
         ``baseline`` may be an already-resolved result, a future from an
         earlier submission (shared across profiles of the same application),
         or None to enqueue the baseline alongside the ladder.  Nothing
-        executes until the runner drains; the organization must be
-        registered (the deferred path has no in-process fallback — use
-        :meth:`profile` for unregistered classes).
+        executes until the runner drains.  The organization's class must be
+        the one registered under its name (see
+        :func:`repro.sim.runner.require_registered`); any other raises
+        :class:`~repro.common.errors.SimulationError`.
 
         The whole ladder — and, when the baseline is enqueued here too, the
         baseline with it (its L1s are fixed, which is exactly the shape the
@@ -576,34 +534,18 @@ class Sweep:
         one *fused* trace pass — decoded once, dispatched to every
         candidate configuration (see :mod:`repro.sim.ladder`) — unless the
         simulator names another engine, which replays each rung standalone.
-
-        Organizations whose class is not registered with the runner's
-        registry (see :func:`repro.sim.runner.register_organization`) are
-        still supported: their ladders simulate directly in this process,
-        bypassing the pool and cache, which both need declarative job specs.
+        The organization must be registered, as for :meth:`submit_profile`.
         """
-        kwargs = self._run_kwargs(
-            interval_instructions, warmup_instructions, sample_every, sample_warmup
-        )
-        if max_slowdown is None:
-            max_slowdown = self.max_slowdown
-        try:
-            require_registered(organization)
-        except SimulationError:
-            # Unregistered organization class: simulate directly in this
-            # process (the pre-engine behaviour).
-            return _profile_static_direct(
-                self.simulator, trace, organization, target, baseline,
-                kwargs["interval_instructions"], kwargs["warmup_instructions"],
-                max_slowdown, kwargs["sample_every"], kwargs["sample_warmup"],
-            )
         return self.submit_profile(
             trace,
             organization,
             target=target,
             baseline=baseline,
             max_slowdown=max_slowdown,
-            **kwargs,
+            interval_instructions=interval_instructions,
+            warmup_instructions=warmup_instructions,
+            sample_every=sample_every,
+            sample_warmup=sample_warmup,
         ).result()
 
     # --------------------------------------------------------------- dynamic
@@ -648,10 +590,7 @@ class Sweep:
             )
             initial_config = resolved.best_config if start_at_best_config else None
             return _dynamic_job(
-                simulator, trace, organization, parameters,
-                target, kwargs["interval_instructions"], kwargs["warmup_instructions"],
-                initial_config,
-                sample_every=kwargs["sample_every"], sample_warmup=kwargs["sample_warmup"],
+                simulator, trace, organization, parameters, target, initial_config, kwargs
             )
 
         return self.runner.submit_deferred(
@@ -675,30 +614,15 @@ class Sweep:
         ``initial_config`` sets the size the cache starts in (typically the
         statically profiled size, since the dynamic parameters come from the
         same profiling pass); the controller is free to move away from it
-        immediately.  Unregistered organization classes run in-process, as
-        with :meth:`profile`.
+        immediately.  The organization must be registered, as for
+        :meth:`profile`.
         """
+        require_registered(organization)
         kwargs = self._run_kwargs(
             interval_instructions, warmup_instructions, sample_every, sample_warmup
         )
-        try:
-            require_registered(organization)
-        except SimulationError:
-            strategy = DynamicResizing(
-                miss_bound=parameters.miss_bound,
-                size_bound_bytes=parameters.size_bound_bytes,
-                sense_interval_accesses=parameters.sense_interval_accesses,
-                initial_config=initial_config,
-            )
-            d_setup, i_setup = _live_setups_for(target, L1Setup(organization, strategy))
-            return self.simulator.run(
-                resolve_trace(trace), d_setup=d_setup, i_setup=i_setup, **kwargs
-            )
         job = _dynamic_job(
-            self.simulator, trace, organization, parameters,
-            target, kwargs["interval_instructions"], kwargs["warmup_instructions"],
-            initial_config,
-            sample_every=kwargs["sample_every"], sample_warmup=kwargs["sample_warmup"],
+            self.simulator, trace, organization, parameters, target, initial_config, kwargs
         )
         return self.runner.submit(job, label=_job_label("dynamic", trace)).result()
 
@@ -706,45 +630,3 @@ class Sweep:
     def drain(self) -> None:
         """Execute every enqueued job now (dependency waves, pool batches)."""
         self.runner.drain()
-
-
-def _profile_static_direct(
-    simulator: Simulator,
-    trace: TraceLike,
-    organization: ResizingOrganization,
-    target: str,
-    baseline: Optional[SimulationResult],
-    interval_instructions: int,
-    warmup_instructions: int,
-    max_slowdown: Optional[float],
-    sample_every: int = 1,
-    sample_warmup: int = 0,
-) -> StaticProfile:
-    """In-process profiling sweep for organizations the spec layer cannot name."""
-    trace_obj = resolve_trace(trace)
-    _live_setups_for(target, L1Setup())  # validate the target up front
-    if baseline is None:
-        baseline = simulator.run(
-            trace_obj,
-            interval_instructions=interval_instructions,
-            warmup_instructions=warmup_instructions,
-            sample_every=sample_every,
-            sample_warmup=sample_warmup,
-        )
-    profile = StaticProfile(
-        organization=organization, target=target, baseline=baseline, max_slowdown=max_slowdown
-    )
-    for config in organization.ladder():
-        setup = L1Setup(organization=organization, strategy=StaticResizing(config))
-        d_setup, i_setup = _live_setups_for(target, setup)
-        result = simulator.run(
-            trace_obj,
-            d_setup=d_setup,
-            i_setup=i_setup,
-            interval_instructions=interval_instructions,
-            warmup_instructions=warmup_instructions,
-            sample_every=sample_every,
-            sample_warmup=sample_warmup,
-        )
-        _append_point(profile, target, config, result)
-    return profile

@@ -168,39 +168,6 @@ class TestKernelMatchesWrapper:
             == packed_hierarchy.writeback_buffer.enqueued
         )
 
-    def test_object_api_only_l1_is_adapted(self, base_system):
-        """An L1 without access_packed still works through the hierarchy."""
-
-        class ObjectOnlyL1:
-            def __init__(self, inner):
-                self._inner = inner
-                self.stats = inner.stats
-
-            def access(self, address, is_write=False):
-                return self._inner.access(address, is_write)
-
-            def flush_all(self):
-                return self._inner.flush_all()
-
-            def reset_stats(self):
-                self._inner.reset_stats()
-
-        native = CacheHierarchy(
-            base_system,
-            l1i=Cache(base_system.l1i, name="l1i"),
-            l1d=Cache(base_system.l1d, name="l1d"),
-        )
-        adapted = CacheHierarchy(
-            base_system,
-            l1i=ObjectOnlyL1(Cache(base_system.l1i, name="l1i")),
-            l1d=ObjectOnlyL1(Cache(base_system.l1d, name="l1d")),
-        )
-        stride = base_system.l1d.num_sets * base_system.l1d.block_bytes
-        for address, is_write in [(0x0, True), (stride, True), (2 * stride, False)]:
-            assert native.data_access_packed(address, is_write) == (
-                adapted.data_access_packed(address, is_write)
-            )
-
 
 class TestSelectorSeeds:
     def test_seed_is_deterministic_and_name_dependent(self):

@@ -3,15 +3,20 @@
 Every committed spec under ``src/repro/experiments/specs/`` must load,
 validate, fingerprint stably and plan cleanly; malformed user specs must
 fail with precise `ConfigurationError`\\ s rather than silently dropping
-an axis.  The mini-YAML fallback must agree with PyYAML whenever the
-latter is installed, because CI reads the committed specs without it.
+an axis.  Spec files are always read by the built-in YAML-subset parser;
+it must agree with PyYAML on every committed spec wherever PyYAML is
+installed, and never import it.
 """
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.common.errors import ConfigurationError
 from repro.experiments import (
     DoEOrchestrator,
@@ -95,6 +100,27 @@ class TestCommittedSpecs:
         assert _mini_yaml_load(text) == yaml.safe_load(text)
 
 
+class TestOneParser:
+    """A spec file means the same thing on every host, PyYAML or not."""
+
+    def test_exponent_floats_read_as_numbers(self):
+        # PyYAML (YAML 1.1) reads 5e-2 as the string '5e-2'.
+        assert load_spec_text("max_slowdown: 5e-2") == {"max_slowdown": 0.05}
+
+    def test_loading_every_committed_spec_never_imports_yaml(self):
+        code = (
+            "import sys\n"
+            "from repro.experiments import builtin_spec_names, load_builtin_spec\n"
+            "for name in builtin_spec_names():\n"
+            "    load_builtin_spec(name)\n"
+            "assert 'yaml' not in sys.modules, 'spec loading imported yaml'\n"
+        )
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        path = os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
 class TestRoundTrip:
     def test_dict_round_trip_is_identity(self):
         spec = spec_from_dict(minimal())
@@ -119,6 +145,30 @@ class TestRoundTrip:
             "  kind: grid\n"
         )
         assert spec_from_dict(load_spec_text(text)) == spec_from_dict(minimal())
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("l: [1, 'x, y']", {"l": [1, "x, y"]}),
+            ('l: ["a,b", c]', {"l": ["a,b", "c"]}),
+            ("l: [it's, b]", {"l": ["it's", "b"]}),
+            ("d: the cache's size # note", {"d": "the cache's size"}),
+            ("t: C#", {"t": "C#"}),
+            ("x: nan", {"x": "nan"}),
+        ],
+    )
+    def test_yaml_text_loader_respects_quotes_and_plain_text(self, text, expected):
+        assert load_spec_text(text) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a: {b: 1}", "a: &x 1", "a: *x", "a: |", "l:\n  - a: 1", "a: b: c", "a: [[1, 2]]"],
+    )
+    def test_yaml_outside_the_subset_is_rejected_naming_the_file(self, tmp_path, text):
+        path = tmp_path / "probe.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match="probe.yaml: spec parser"):
+            load_spec(str(path))
 
     def test_with_axes_revalidates(self):
         spec = spec_from_dict(minimal())

@@ -102,6 +102,30 @@ class TestJobFromPayload:
                 d_setup={"organization": "selective-sets", "strategy": {"kind": "bogus"}}
             ),
             minimal_job(interval_instructions=0),
+            # Strategies that could only fail in the runner: wrong types,
+            # out-of-range values and a size the organization lacks.
+            *[
+                minimal_job(
+                    d_setup={
+                        "organization": "selective-sets",
+                        "strategy": {"kind": "dynamic", **fields},
+                    }
+                )
+                for fields in (
+                    {"downsize_fraction": "abc"},
+                    {"downsize_fraction": [1]},
+                    {"downsize_fraction": True},
+                    {"downsize_fraction": 0},
+                    {"downsize_fraction": 7.5},
+                    {"miss_bound": -1},
+                )
+            ],
+            minimal_job(
+                d_setup={
+                    "organization": "selective-sets",
+                    "strategy": {"kind": "static", "ways": 3, "sets": 7},
+                }
+            ),
         ],
     )
     def test_invalid_payloads_fail_with_400(self, payload):

@@ -63,6 +63,17 @@ class TestHealthAndErrors:
         # 400: valid JSON, invalid job.
         status, body, _ = harness.post("/jobs", {"trace": {"application": "nope"}})
         assert status == 400
+        # 400: a strategy its own class would refuse in the runner.
+        for strategy in (
+            {"kind": "dynamic", "downsize_fraction": "abc"},
+            {"kind": "dynamic", "downsize_fraction": 7.5},
+            {"kind": "static", "ways": 3, "sets": 7},
+        ):
+            setup = {"organization": "selective-sets", "strategy": strategy}
+            status, body, _ = harness.post("/jobs", job_payload(d_setup=setup))
+            assert status == 400, strategy
+            assert json.loads(body)["error"]["code"] == "invalid-request"
+        assert harness.metrics()["service_accepted"] == 0
         # 404: unknown handle.
         status, body, _ = harness.get("/jobs/job-" + "0" * 40)
         assert status == 404

@@ -7,6 +7,7 @@ import pytest
 from repro.common.config import SystemConfig
 from repro.common.errors import SimulationError
 from repro.resizing.dynamic_strategy import DynamicResizing
+from repro.resizing.profiler import DynamicParameters
 from repro.resizing.selective_sets import SelectiveSets
 from repro.resizing.static_strategy import StaticResizing
 from repro.sim.jobcache import JobCache
@@ -316,29 +317,18 @@ class TestSweepIntegration:
         )
         assert results_equal(profile.results[config], direct)
 
-    def test_strategy_subclass_not_downgraded_to_base(self, system, organization):
-        # A DynamicResizing subclass with overridden behaviour must not be
-        # silently rebuilt as plain DynamicResizing: it routes to the
-        # in-process fallback where its overrides actually run.
-        calls = []
+    @pytest.mark.parametrize(
+        "call", ["strategy-subclass", "custom-strategy", "profile", "dynamic"]
+    )
+    def test_setups_the_job_layer_cannot_name_raise(self, system, organization, call):
+        # A strategy subclass or an unregistered organization subclass is
+        # never silently rebuilt as its base class, nor run on a side path:
+        # every sweep call raises before anything simulates.
+        from repro.resizing.strategy import ResizingStrategy
 
         class CountingDynamic(DynamicResizing):
             def observe_interval(self, accesses, misses, current):
-                calls.append(accesses)
                 return super().observe_interval(accesses, misses, current)
-
-        strategy = CountingDynamic(
-            miss_bound=5.0, size_bound_bytes=4096, sense_interval_accesses=256
-        )
-        Sweep(Simulator(system), warmup_instructions=200).with_setups(
-            TraceSpec("gcc", 2_000), d_setup=L1Setup(organization, strategy),
-        )
-        assert calls, "subclass observe_interval was never invoked"
-
-    def test_custom_strategy_falls_back_to_direct_run(self, system, organization):
-        # A strategy class the spec layer cannot express must still work
-        # through Sweep.with_setups (direct in-process execution, as pre-engine).
-        from repro.resizing.strategy import ResizingStrategy
 
         class AlwaysSmallest(ResizingStrategy):
             name = "always-smallest"
@@ -346,43 +336,33 @@ class TestSweepIntegration:
             def initial_config(self):
                 return self.organization.min_config
 
-        simulator = Simulator(system)
-        trace = TraceSpec("gcc", 2_000)
-        result = Sweep(simulator, warmup_instructions=200).with_setups(
-            trace, d_setup=L1Setup(organization, AlwaysSmallest()),
-        )
-        direct = simulator.run(
-            trace.materialize(),
-            d_setup=L1Setup(organization, AlwaysSmallest()),
-            warmup_instructions=200,
-        )
-        assert results_equal(result, direct)
-        assert result.average_l1d_capacity < system.l1d.capacity_bytes
-
-    def test_unregistered_org_profiles_via_direct_fallback(self, system):
-        # The legacy live-object API: an unregistered subclass still profiles
-        # (in-process, uncached) and matches the registered equivalent's
-        # numbers exactly.
         class PrivateSets(SelectiveSets):
             name = "private-sets"
 
-        sweep = Sweep(Simulator(system), warmup_instructions=300)
-        trace = TraceSpec("m88ksim", 3_000)
-        private = sweep.profile(trace, PrivateSets(system.l1d))
-        registered = sweep.profile(trace, SelectiveSets(system.l1d))
-        assert private.best_config == registered.best_config
-        # Identical numbers; only the organization-name label may differ.
-        left = dataclasses.asdict(private.best_result)
-        right = dataclasses.asdict(registered.best_result)
-        assert left.pop("l1d_label").endswith("(private-sets/static)")
-        right.pop("l1d_label")
-        assert left == right
-
-        parameters = private.dynamic_parameters(sense_interval_accesses=512)
-        dynamic = sweep.dynamic(
-            trace, PrivateSets(system.l1d), parameters, initial_config=private.best_config,
-        )
-        assert dynamic.average_l1d_capacity <= dynamic.full_l1d_capacity
+        sweep = Sweep(Simulator(system), warmup_instructions=200)
+        trace = TraceSpec("gcc", 2_000)
+        private = PrivateSets(system.l1d)
+        calls = {
+            "strategy-subclass": lambda: sweep.with_setups(
+                trace,
+                d_setup=L1Setup(
+                    organization,
+                    CountingDynamic(
+                        miss_bound=5.0, size_bound_bytes=4096, sense_interval_accesses=256
+                    ),
+                ),
+            ),
+            "custom-strategy": lambda: sweep.with_setups(
+                trace, d_setup=L1Setup(organization, AlwaysSmallest()),
+            ),
+            "profile": lambda: sweep.profile(trace, private),
+            "dynamic": lambda: sweep.dynamic(
+                trace, private, DynamicParameters(5.0, 4096, 512)
+            ),
+        }
+        with pytest.raises(SimulationError):
+            calls[call]()
+        assert sweep.runner.simulate_count == 0
 
     def test_inline_trace_jobs_supported(self, system, organization):
         simulator = Simulator(system)
