@@ -25,7 +25,6 @@ from bench_utils import bench_instructions  # noqa: F401  (keeps sys.path bootst
 
 from repro.cache.replacement import ReplacementPolicy
 from repro.common.config import SystemConfig
-from repro.cpu.branch import BimodalBranchPredictor
 from repro.sim import predecode
 from repro.sim.runner import TraceSpec
 from repro.sim.vector import numpy_or_none
@@ -121,12 +120,8 @@ def test_memo_hit_is_free(decode_trace):
         build = _best_of(
             lambda: predecode.build_decoded(decode_trace, _BLOCK_MASK)
         )
-        predecode.decoded_for(decode_trace, _BLOCK_MASK, BimodalBranchPredictor())
-        hit = _best_of(
-            lambda: predecode.decoded_for(
-                decode_trace, _BLOCK_MASK, BimodalBranchPredictor()
-            )
-        )
+        predecode.decoded_for(decode_trace, _BLOCK_MASK)
+        hit = _best_of(lambda: predecode.decoded_for(decode_trace, _BLOCK_MASK))
         speedups.append(build / hit)
         if speedups[-1] >= MIN_MEMO_SPEEDUP:
             break

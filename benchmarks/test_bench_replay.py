@@ -83,8 +83,9 @@ def test_bench_replay_columnar(benchmark, replay_trace):
 
 
 def test_bench_replay_columnar_sampled(benchmark, replay_trace):
-    # A sampled plan decodes live, and a live single run keeps the general
-    # mode: the full op stream through both L1s per interval.
+    # A sampled plan replays from its own memoized decode and L1d pilot, so
+    # after the warmup round this times the warm-pilot path over the
+    # plan's rows, as the exhaustive benchmark does over every row.
     _bench_engine(benchmark, replay_trace, "columnar", sample_every=4, sample_warmup=600)
 
 

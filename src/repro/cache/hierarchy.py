@@ -34,15 +34,14 @@ the packed int into the historical :class:`HierarchyAccessOutcome`, so the
 reference engine, the timing tests and external callers stay bit-identical
 by construction.
 
-The fused ladder engine (:mod:`repro.sim.ladder`) composes the same access
-out of its two halves: it calls a bound L1 kernel (``_l1i_packed`` /
-``_l1d_packed``) to resolve a configuration-invariant L1 once for a whole
-ladder of hierarchies, and each rung then performs its own L2/memory fill
-with the statements of :meth:`CacheHierarchy._miss_packed` inlined over
-:meth:`CacheHierarchy._memory_state`.  Treat those attributes as a stable
-intra-package contract: ``packed = _l1x_packed(addr, is_write)`` then, on
-a miss, ``_miss_packed(packed, addr)`` must remain exactly equivalent to
-one ``*_packed`` wrapper call.
+The fused ladder engine (:mod:`repro.sim.ladder`) inlines the same access:
+its dispatch kernel runs each L1 access against the cache's hoisted kernel
+state and each miss with the statements of
+:meth:`CacheHierarchy._miss_packed` over
+:meth:`CacheHierarchy._memory_state`.  Treat those as a stable
+intra-package contract: an L1 access followed, on a miss, by
+``_miss_packed(packed, addr)`` must remain exactly equivalent to one
+``*_packed`` wrapper call.
 """
 
 from __future__ import annotations

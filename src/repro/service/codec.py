@@ -67,11 +67,15 @@ _JOB_FIELDS = frozenset(
 )
 _TRACE_FIELDS = frozenset({"application", "n_instructions", "seed"})
 _SETUP_FIELDS = frozenset({"organization", "strategy"})
-_STRATEGY_FIELDS = frozenset({
-    "kind", "ways", "sets", "miss_bound", "size_bound_bytes",
-    "sense_interval_accesses", "downsize_fraction", "settle_intervals",
-    "reversal_backoff_intervals",
-})
+#: The fields each strategy kind reads; any other field is refused.
+_STRATEGY_FIELDS = {
+    NONE: frozenset({"kind"}),
+    STATIC: frozenset({"kind", "ways", "sets"}),
+    DYNAMIC: frozenset({
+        "kind", "miss_bound", "size_bound_bytes", "sense_interval_accesses",
+        "downsize_fraction", "settle_intervals", "reversal_backoff_intervals",
+    }),
+}
 
 
 def render_json(payload: Any) -> bytes:
@@ -166,34 +170,34 @@ def _strategy_from_payload(
 ) -> StrategySpec:
     if not isinstance(payload, Mapping):
         raise InvalidRequestError(f"{what}.strategy must be a mapping")
-    _check_fields(payload, _STRATEGY_FIELDS, f"{what}.strategy")
     kind = _require(payload, "kind", str, f"{what}.strategy")
+    if kind not in _STRATEGY_FIELDS:
+        raise InvalidRequestError(
+            f"{what}.strategy.kind must be one of {NONE!r}, {STATIC!r}, {DYNAMIC!r}; "
+            f"got {kind!r}"
+        )
+    _check_fields(payload, _STRATEGY_FIELDS[kind], f"{what}.strategy ({kind})")
     if kind == NONE:
         return StrategySpec(kind=NONE)
     if kind == STATIC:
         ways = _positive_int(payload, "ways", 0, f"{what}.strategy")
         sets = _positive_int(payload, "sets", 0, f"{what}.strategy")
         return StrategySpec.static(make_config(ways, sets, geometry.block_bytes))
-    if kind == DYNAMIC:
-        return StrategySpec.dynamic(
-            miss_bound=_number(payload, "miss_bound", 0.0, f"{what}.strategy"),
-            size_bound_bytes=_positive_int(
-                payload, "size_bound_bytes", 0, f"{what}.strategy", minimum=0
-            ),
-            sense_interval_accesses=_positive_int(
-                payload, "sense_interval_accesses", 16384, f"{what}.strategy"
-            ),
-            downsize_fraction=_number(payload, "downsize_fraction", 1.0, f"{what}.strategy"),
-            settle_intervals=_positive_int(
-                payload, "settle_intervals", 2, f"{what}.strategy"
-            ),
-            reversal_backoff_intervals=_positive_int(
-                payload, "reversal_backoff_intervals", 8, f"{what}.strategy"
-            ),
-        )
-    raise InvalidRequestError(
-        f"{what}.strategy.kind must be one of {NONE!r}, {STATIC!r}, {DYNAMIC!r}; "
-        f"got {kind!r}"
+    return StrategySpec.dynamic(
+        miss_bound=_number(payload, "miss_bound", 0.0, f"{what}.strategy"),
+        size_bound_bytes=_positive_int(
+            payload, "size_bound_bytes", 0, f"{what}.strategy", minimum=0
+        ),
+        sense_interval_accesses=_positive_int(
+            payload, "sense_interval_accesses", 16384, f"{what}.strategy"
+        ),
+        downsize_fraction=_number(payload, "downsize_fraction", 1.0, f"{what}.strategy"),
+        settle_intervals=_positive_int(
+            payload, "settle_intervals", 2, f"{what}.strategy"
+        ),
+        reversal_backoff_intervals=_positive_int(
+            payload, "reversal_backoff_intervals", 8, f"{what}.strategy"
+        ),
     )
 
 

@@ -19,14 +19,13 @@ Two engines ship:
   ladder: :meth:`repro.sim.ladder.LadderEngine.replay_many` with the run's
   context as the only rung, so single runs and profiling ladders share one
   walk and one mode rule (described in :mod:`repro.sim.ladder`).  The
-  walk replays from the trace's structure-of-arrays columns: each
-  interval is decoded *once* into a flat cache-operation stream
-  (:func:`decode_interval` — fetch-block-change detection, memory-op
-  extraction with the store bit resolved, branches resolved against the
-  predictor during the decode, since the predictor shares no state with
-  the caches), or sliced in O(1) from the whole-trace pre-decode memo
-  (:mod:`repro.sim.predecode`, vectorized when NumPy is importable,
-  memoized in memory and in the on-disk trace cache).  One dispatch
+  walk slices each segment's flat cache-operation stream in O(1) out of
+  the memoized decode of the rows the run's plan replays
+  (:mod:`repro.sim.predecode` — fetch-block-change detection, memory-op
+  extraction with the store bit resolved, branches resolved against a
+  replica of the fresh predictor, since the predictor shares no state
+  with the caches; vectorized when NumPy is importable, memoized in
+  memory and in the on-disk trace cache).  One dispatch
   kernel (:func:`repro.sim.ladder.dispatch_cache_ops_fast`) runs each
   access inline against hoisted kernel state — the L1 access and, for a
   miss, the stock L2/memory fill that ``_miss_packed`` (see
@@ -54,41 +53,25 @@ from typing import Dict, Type, Union
 
 from repro.common.errors import SimulationError
 from repro.metrics.counts import IntervalCounts
-from repro.workloads.trace import (
-    FLAG_BRANCH,
-    FLAG_MEM,
-    FLAG_STORE,
-    FLAG_TAKEN,
-    Trace,
-)
-
-#: Operation codes of the decoded per-interval cache-op stream.  The stream
-#: is a flat list alternating ``code, operand``: the operand is the fetch PC
-#: or the data address.  Branches never enter the stream — they are resolved
-#: during the decode pass (see :func:`decode_interval`).
-_OP_FETCH = 0
-_OP_LOAD = 1
-_OP_STORE = 2
+from repro.workloads.trace import Trace
 
 
 def sampling_plan(n, interval_instructions, sample_every, sample_warmup):
-    """The segment schedule for interval sampling, or None when not sampling.
+    """The segment schedule of a run: the row ranges it replays, in order.
 
-    With ``sample_every`` > 1 only every Nth interval of the trace is
-    simulated (interval 0, N, 2N, …), each optionally preceded by a warmup
-    prefix of up to ``sample_warmup`` instructions replayed to re-warm cache
-    and predictor state but excluded from all statistics — the SimPoint-style
-    scheme documented in ``docs/SAMPLING.md``.  Returns a list of
-    ``(start, stop, measured)`` row ranges in replay order; unmentioned rows
-    are skipped entirely.  Warmup ranges are pre-split into chunks of at most
-    ``interval_instructions`` rows so engines that decode a segment at a
-    time keep their bounded-memory property.
+    Only every Nth interval of the trace is simulated (interval 0, N, 2N,
+    …), each optionally preceded by a warmup prefix of up to
+    ``sample_warmup`` instructions replayed to re-warm cache and predictor
+    state but excluded from all statistics — the SimPoint-style scheme
+    documented in ``docs/SAMPLING.md``.  Returns a list of ``(start, stop,
+    measured)`` row ranges in replay order; unmentioned rows are skipped
+    entirely.  Warmup ranges are pre-split into chunks of at most
+    ``interval_instructions`` rows, so no segment is longer than an
+    interval.
 
-    When ``sample_every`` is 1 the answer is None and engines take their
-    exhaustive path untouched.
+    With ``sample_every`` 1 (or less) the plan is exhaustive: every
+    interval, contiguous and measured — a warmup has no gap to re-warm.
     """
-    if sample_every <= 1:
-        return None
     segments = []
     prev_end = 0
     index = 0
@@ -97,7 +80,7 @@ def sampling_plan(n, interval_instructions, sample_every, sample_warmup):
         stop = start + interval_instructions
         if stop > n:
             stop = n
-        if index % sample_every == 0:
+        if sample_every <= 1 or index % sample_every == 0:
             warm = max(prev_end, start - sample_warmup)
             while warm < start:
                 warm_stop = min(warm + interval_instructions, start)
@@ -108,57 +91,6 @@ def sampling_plan(n, interval_instructions, sample_every, sample_warmup):
         start = stop
         index += 1
     return segments
-
-
-def decode_interval(pcs, flags, addresses, chunk, block_mask, last_fetch_block, predict):
-    """Decode one interval's columns into a cache-op stream plus totals.
-
-    One linear scan over ``chunk`` unboxed column entries emits, in program
-    order, only the events that touch cache state — fetch-block changes and
-    memory ops with the store bit resolved — and resolves every branch
-    against ``predict`` (a bound ``predict_and_update``) on the spot.
-    Folding prediction into the decode is safe because the predictor and
-    the caches share no state: per-interval totals are what the interval
-    accounting consumes, and those are order-independent between the two
-    machines.  Crucially it also means the returned op stream is *pure
-    cache work*, so a fused ladder replay can run this decode (and the
-    predictor) once and re-dispatch the stream to K cache hierarchies.
-
-    Returns ``(ops, last_fetch_block, branches, branch_mispredicts,
-    memory_refs, stores)``; ``last_fetch_block`` threads the fetch-block
-    dedup state across interval boundaries.
-    """
-    ops = []
-    append = ops.append
-    branches = 0
-    branch_mispredicts = 0
-    memory_refs = 0
-    stores = 0
-    branch_flag, mem_flag = FLAG_BRANCH, FLAG_MEM
-    store_flag, taken_flag = FLAG_STORE, FLAG_TAKEN
-    op_fetch, op_load, op_store = _OP_FETCH, _OP_LOAD, _OP_STORE
-    for k in range(chunk):
-        pc = pcs[k]
-        fetch_block = pc & block_mask
-        if fetch_block != last_fetch_block:
-            last_fetch_block = fetch_block
-            append(op_fetch)
-            append(pc)
-        flag = flags[k]
-        if flag:
-            if flag & branch_flag:
-                branches += 1
-                if predict(pc, True if flag & taken_flag else False):
-                    branch_mispredicts += 1
-            if flag & mem_flag:
-                if flag & store_flag:
-                    stores += 1
-                    append(op_store)
-                else:
-                    append(op_load)
-                memory_refs += 1
-                append(addresses[k])
-    return ops, last_fetch_block, branches, branch_mispredicts, memory_refs, stores
 
 
 class ReplayContext:
@@ -218,7 +150,7 @@ class ReplayContext:
         self.interval_samples = []
 
     def sampling_plan(self, n: int):
-        """The segment schedule for an ``n``-row trace (see :func:`sampling_plan`)."""
+        """The segment schedule of an ``n``-row trace (see :func:`sampling_plan`)."""
         return sampling_plan(
             n, self.interval_instructions, self.sample_every, self.sample_warmup
         )
@@ -324,73 +256,14 @@ class ReferenceEngine(ReplayEngine):
     name = "reference"
 
     def replay(self, trace: Trace, ctx: ReplayContext) -> None:
-        interval_instructions = ctx.interval_instructions
-        block_mask = ctx.block_mask
-        data_access = ctx.hierarchy.data_access
-        instruction_fetch = ctx.hierarchy.instruction_fetch
-        predict = ctx.predictor.predict_and_update
+        """Walk the run's sampling plan record by record.
 
-        plan = ctx.sampling_plan(len(trace))
-        if plan is not None:
-            self._replay_sampled(trace, ctx, plan)
-            return
-
-        counts = ctx.counts
-        last_fetch_block = -1
-        instructions_in_interval = 0
-        total_seen = 0
-
-        for record in trace.records:
-            pc, data_address, is_store, is_branch, taken = record
-            counts.instructions += 1
-            total_seen += 1
-
-            fetch_block = pc & block_mask
-            if fetch_block != last_fetch_block:
-                last_fetch_block = fetch_block
-                outcome = instruction_fetch(pc)
-                counts.l1i_accesses += 1
-                if not outcome.l1_hit:
-                    counts.l1i_misses += 1
-                    counts.l2_accesses += outcome.l2_accesses
-                    counts.memory_accesses += outcome.memory_accesses
-                    counts.l1i_memory_accesses += outcome.memory_accesses
-
-            if is_branch:
-                counts.branches += 1
-                if predict(pc, taken):
-                    counts.branch_mispredicts += 1
-
-            if data_address is not None:
-                outcome = data_access(data_address, is_store)
-                counts.l1d_accesses += 1
-                if is_store:
-                    counts.l1d_stores += 1
-                if not outcome.l1_hit:
-                    counts.l1d_misses += 1
-                    counts.l2_accesses += outcome.l2_accesses
-                    counts.memory_accesses += outcome.memory_accesses
-                    counts.l1d_memory_accesses += outcome.memory_accesses
-                    if outcome.l2_accesses > 1:
-                        counts.l1d_writebacks += outcome.l2_accesses - 1
-
-            instructions_in_interval += 1
-            if instructions_in_interval >= interval_instructions:
-                ctx.total_seen = total_seen
-                ctx.close_interval()
-                counts = ctx.counts
-                instructions_in_interval = 0
-
-        ctx.total_seen = total_seen
-        ctx.close_interval(final=True)
-
-    def _replay_sampled(self, trace: Trace, ctx: ReplayContext, plan) -> None:
-        """Walk the sampling plan with the same per-record arithmetic.
-
-        Identical record handling to the exhaustive loop; the only
-        differences are segment-driven: the fetch-block dedup state resets
-        across a skipped gap (the previous block is unknowable), measured
-        segments close their interval, warmup segments are discarded.
+        An exhaustive run's plan is every interval, contiguous and
+        measured.  Per segment: the fetch-block dedup state resets across
+        a skipped gap (the previous block is unknowable), a measured
+        segment of a full interval closes its interval, a warmup segment
+        is discarded, and the final partial chunk stays open for the final
+        close.
         """
         interval_instructions = ctx.interval_instructions
         block_mask = ctx.block_mask
@@ -402,12 +275,11 @@ class ReferenceEngine(ReplayEngine):
         last_fetch_block = -1
         total_seen = 0
         prev_stop = 0
-        for start, stop, measured in plan:
+        for start, stop, measured in ctx.sampling_plan(len(trace)):
             if start != prev_stop:
                 last_fetch_block = -1
             counts = ctx.counts
-            for index in range(start, stop):
-                pc, data_address, is_store, is_branch, taken = records[index]
+            for pc, data_address, is_store, is_branch, taken in records[start:stop]:
                 counts.instructions += 1
 
                 fetch_block = pc & block_mask
@@ -457,11 +329,11 @@ class ColumnarEngine(ReplayEngine):
     Replays through :meth:`repro.sim.ladder.LadderEngine.replay_many` with
     the run's context as the only rung, so single runs and profiling
     ladders share one walk and one mode rule (see :mod:`repro.sim.ladder`).
-    An exhaustive run with a fixed L1d slices the pre-decode memo
-    (:mod:`repro.sim.predecode`) and replays the reduced stream of the
-    L1d pilot memo its trace's i-cache ladders share; any other run
-    dispatches the full op stream (decoded live for sampled plans and
-    refused memo gates) with both L1 hit paths inline.
+    Every run slices the memoized decode of its plan's rows
+    (:mod:`repro.sim.predecode`); a run with a fixed L1d replays the
+    reduced stream of the L1d pilot memo its trace's i-cache ladders
+    share, and any other run dispatches the full op stream with both L1
+    hit paths inline.
     """
 
     name = "columnar"

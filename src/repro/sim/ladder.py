@@ -17,19 +17,13 @@ is also how a single run replays: the default
 a one-rung ladder.  :class:`~repro.sim.engine.ReferenceEngine` stays
 separate as the executable specification every result is checked against.
 
-The walk (:func:`_walk`) consumes one *segment source*: a sequence of
-``(rows, measured, stream, shared, totals)`` segments taken from a
-sampling plan — an exhaustive run is the contiguous, all-measured plan.
-There are two sources:
-
-* :func:`_memo_segments` slices each interval's op stream and totals out
-  of the memoized whole-trace pre-decode
-  (:func:`repro.sim.predecode.decoded_for`) in O(1), and, with a memoized
-  pilot pre-screen in hand, the pilot-reduced stream too;
-* :func:`_live_segments` decodes each segment live with
-  :func:`~repro.sim.engine.decode_interval` (branch prediction on the first
-  context's predictor) — sampled plans, whose predictor state depends on
-  the warmup rows replayed, and runs the memo gate refuses.
+The walk (:func:`_walk`) consumes one *segment source*,
+:func:`_memo_segments`: a sequence of ``(rows, measured, stream, shared,
+totals)`` segments, one per entry of the run's sampling plan (an
+exhaustive run is the contiguous, all-measured plan).  Each segment's op
+stream and totals are an O(1) slice of the memoized decode of the rows
+the plan replays (:func:`repro.sim.predecode.decoded_for`), and, with a
+memoized pilot pre-screen in hand, so is the pilot-reduced stream.
 
 Per segment the walk hands the shared stream to every *unit* — one rung
 through the dispatch kernel, several rungs of one geometry sharing one
@@ -41,11 +35,13 @@ resizing decisions run exactly as they would standalone
 partial final chunk, ``total_seen`` threading and close/discard order
 exist once.
 
-The branch predictor is run once, on the first context's predictor: every
-standalone run starts from an identical fresh predictor and the predictor
-shares no state with the caches, so each rung's per-interval mispredict
-totals are identical to its standalone run's by construction.  The same
-argument covers the fetch-block dedup state.
+The branch predictor is run once, by the decode, on a replica of the
+fresh default predictor: every standalone run starts from an identical
+fresh predictor and the predictor shares no state with the caches, so
+each rung's per-interval mispredict totals are identical to its
+standalone run's by construction.  The same argument covers the
+fetch-block dedup state.  :meth:`LadderEngine.replay_many` refuses a
+context whose predictor is anything else.
 
 **Modes: the pilot wherever its work is shared.**  A profiling ladder
 resizes exactly one L1; the other is the full-size fixed cache in every
@@ -61,18 +57,18 @@ shares the outcome:
   the pilot's packed outcome with its victim-writeback bit), and each rung
   performs only its own L2/memory fill.
 
-The mode follows from the rungs, never from an option.  An exhaustive
-pass over the memoized decode pilots the L1d whenever every rung fixes it,
-for any K, from the pilot memo below, so a baseline or i-side single run
-reuses the pilot its trace's i-cache ladders built.  With both sides fixed
-the L1d wins because the reduced stream keeps the shorter column: a 60k
-decode has 1.6–2.2x more data ops than fetch ops.  Any other pilot needs
-K ≥ 2: the L1i (one rung gains only 6–9% from it, and the fused ladder's
-lead over K single runs fell below 1.5x when single runs took it) and
-every live segment source (sampled plans, a refused decode or pilot gate),
-which resolves the pilot interval by interval.  The remaining single runs
-and rungs resizing both sides take the general mode: each rung dispatches
-the full shared stream.  With warm memos single 60k-instruction runs
+The mode follows from the rungs, never from an option: a pass pilots
+when the pilot memo below supplies one.  It pilots the L1d whenever every
+rung fixes it, for any K, so a baseline or i-side single run reuses the
+pilot its trace's i-cache ladders built.  With both sides fixed the L1d
+wins because the reduced stream keeps the shorter column: a 60k decode
+has 1.6–2.2x more data ops than fetch ops.  It pilots the L1i from K = 2
+(one rung gains only 6–9% from it, and the fused ladder's lead over K
+single runs fell below 1.5x when single runs took it).  Sampled plans
+follow the same rule over their own decode and pilot memos.  The
+remaining single runs, rungs resizing both sides and pilots the memo
+refuses (a warm or non-stock fixed L1) take the general mode: each rung
+dispatches the full shared stream.  With warm memos single 60k-instruction runs
 (best of 9 paired runs, mean over gcc, swim and vortex) took 22.7 →
 12.3 ms with both L1s fixed and 26.6 → 14.9 ms for a static i-side run;
 a never-seen trace's pilot build made them 1.2x.
@@ -84,29 +80,27 @@ every rung's :class:`~repro.sim.results.SimulationResult` is
 ``tests/sim/test_ladder.py``, ``tests/properties/test_property_ladder.py``
 and the engine-equivalence suites).
 
-One caveat: the invariant-side cache *objects* of rungs 1..K-1 are never
-driven (the pilot is rung 0's copy), so their internal hit/miss counters
-stay zero.  Nothing in result assembly reads them — interval accounting
-works entirely off :class:`~repro.metrics.counts.IntervalCounts` — but
-introspecting ``hierarchy.miss_ratios()`` on a non-pilot context after a
-fused replay would show an idle invariant side.  When the memoized pilot
-pre-screen applies (:func:`repro.sim.predecode.pilot_for` — exhaustive
-replay, fresh fixed pilot), rung 0's copy joins them: no live pilot is
-driven at all, so an exhaustive single run leaves its fixed L1 idle too.
-The memo is sparse — only the pilot's misses, built once
-per (trace, side, pilot geometry) by the inline cache kernel — and
-each interval's reduced stream is rebuilt from it
-(:meth:`~repro.sim.predecode.PilotResolution.segment`): one slice of the
-decode's side-split op column (the variant side's ops,
-:attr:`~repro.sim.predecode.DecodedTrace.fetch_ops` or ``data_ops``)
-with the interval's misses spliced back in, bit-identical to resolving
-the interval live.
+One caveat: in a pilot mode no rung's invariant-side cache *object* is
+ever driven — the pilot is the memoized pre-screen
+(:func:`repro.sim.predecode.pilot_for`, valid from a fresh fixed L1) — so
+their internal hit/miss counters stay zero.  Nothing in result assembly
+reads them — interval accounting works entirely off
+:class:`~repro.metrics.counts.IntervalCounts` — but introspecting
+``hierarchy.miss_ratios()`` after a piloted replay, a single run's
+included, would show an idle invariant side.  The memo is sparse — only
+the pilot's misses, built once per (trace, plan, side, pilot geometry) by
+the inline cache kernel — and each segment's reduced stream is rebuilt
+from it (:meth:`~repro.sim.predecode.PilotResolution.segment`): one slice
+of the decode's side-split op column (the variant side's ops,
+:attr:`~repro.sim.predecode.DecodedTrace.fetch_ops` or ``data_ops``) with
+the segment's misses spliced back in, exactly the ops the fixed L1 would
+have missed on.
 
 **One dispatch kernel.**  Every mode replays its rungs through
-:func:`dispatch_cache_ops_fast`; a mode is only its resolver, which
-decides which ops the stream carries.  The kernel takes the whole op
-alphabet — fetch, load and store from the decode, ``_OP_IMISS`` /
-``_OP_DMISS`` from a pilot — and one ``shared`` shape, the pilot's
+:func:`dispatch_cache_ops_fast`; a mode only decides which ops the stream
+carries.  The kernel takes the whole op alphabet — fetch, load and store
+from the decode, ``OP_IMISS`` / ``OP_DMISS`` from a pilot — and one
+``shared`` shape, the pilot's
 ``(fetches, i_misses, d_misses, d_writebacks)`` (all zeros in the general
 mode).  L1 hits run inline against hoisted kernel state; every miss falls
 through to one inline tail (L2 read fill, then a dirty L1d victim's
@@ -119,8 +113,8 @@ checks it once per pass and raises :class:`SimulationError` for any other.
 **Stack-distance tier for static LRU rungs.**  Profiling ladders are
 mostly *static* rungs — a resizable L1 pinned to one (sets, ways)
 configuration for the whole run — and static rungs under LRU need not be
-simulated one by one.  In an exhaustive pilot-mode pass over the memoized
-decode the variant-side rungs whose cache is a cold
+simulated one by one.  In a pilot-mode pass the variant-side rungs whose
+cache is a cold
 :class:`~repro.cache.cache.Cache` or
 :class:`~repro.resizing.resizable_cache.ResizableCache` with LRU
 replacement, a static (or no) strategy and a cold L2 are grouped by
@@ -164,7 +158,7 @@ caches above: results never read them.
 
 Everything else replays each rung through the dispatch kernel, selected
 from properties of the rungs, never from an option: dynamic rungs, FIFO
-and RANDOM L1 replacement, live-decoded segments and the general mode.
+and RANDOM L1 replacement and the general mode.
 :func:`stats_snapshot` counts which tier served each rung of every
 :func:`run_fused` pass (``ladder_stack_rungs``, ``ladder_shared_rungs``,
 ``ladder_fallback_rungs``) plus ``ladder_passes`` and
@@ -201,17 +195,18 @@ from repro.common.errors import SimulationError
 from repro.resizing.resizable_cache import ResizableCache
 from repro.resizing.static_strategy import StaticResizing
 from repro.resizing.strategy import NoResizing
-from repro.sim.engine import _OP_FETCH, _OP_LOAD, _OP_STORE, decode_interval
-from repro.sim.predecode import decoded_for, pilot_for
+from repro.sim.predecode import (
+    OP_FETCH,
+    OP_IMISS,
+    OP_LOAD,
+    OP_STORE,
+    decoded_for,
+    is_default_predictor,
+    pilot_for,
+)
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import L1Setup, ReplayContext, Simulator, validate_run
 from repro.workloads.trace import Trace
-
-#: Extra op codes of the pilot-reduced stream (the shared decode emits only
-#: the engine module's fetch/load/store codes; pilot resolution rewrites
-#: the invariant side into these).
-_OP_IMISS = 3  #: L1i miss (pilot-resolved): operand is the fetch PC.
-_OP_DMISS = 4  #: L1d miss (pilot-resolved): operands are address, l1_packed.
 
 #: Cache types whose LRU behaviour the stack tier reproduces exactly, and
 #: the strategies that never resize after the initial configuration.
@@ -221,6 +216,9 @@ _STATIC_STRATEGIES = (StaticResizing, NoResizing)
 #: Dirty threshold of a stack entry that is clean in every rung (see the
 #: module docstring: dirty in an A-way rung iff threshold < A).
 _NEVER_DIRTY = 1 << 62
+
+#: The ``shared`` counts of the general mode: nothing was pre-resolved.
+_NOTHING_SHARED = (0, 0, 0, 0)
 
 #: Per-process tier counters (merged across workers by the runner): fused
 #: passes, stack groups, and each rung under the one tier that served it.
@@ -243,14 +241,15 @@ class LadderEngine:
     """Replays one trace through K replay contexts in a single decode pass."""
 
     def replay_many(self, trace: Trace, contexts: Sequence[ReplayContext]) -> Dict[str, int]:
-        """Replay ``trace`` through every context, decoding each interval once.
+        """Replay ``trace`` through every context from one memoized decode.
 
         All contexts must share the interval length, fetch-block geometry
         and sampling schedule (they do when built from one simulator, as
         :func:`run_fused` does); per-context cache/strategy state is free
         to diverge — that is the point.  Each context's hierarchy must be
         the stock one whose miss path the dispatch kernel inlines: an LRU
-        :class:`~repro.cache.cache.Cache` L2 over stock main memory.
+        :class:`~repro.cache.cache.Cache` L2 over stock main memory; and
+        each predictor the fresh default one the decode replicates.
         Returns the pass's tier tally (every :data:`TIER_COUNTERS` entry
         but ``ladder_passes``), which :func:`run_fused` adds to the module
         counters.
@@ -270,6 +269,11 @@ class LadderEngine:
                     "fused ladder replay requires the stock hierarchy: an LRU "
                     "Cache L2 over MainMemory"
                 )
+            if not is_default_predictor(ctx.predictor):
+                raise SimulationError(
+                    "fused ladder replay requires a fresh default branch predictor "
+                    "in every rung: the memoized decode replicates it"
+                )
             if (
                 ctx.interval_instructions != first.interval_instructions
                 or ctx.block_mask != first.block_mask
@@ -286,79 +290,55 @@ class LadderEngine:
                     "fused ladder replay requires every rung to share the "
                     "sampling schedule (sample_every/sample_warmup)"
                 )
-        # Pilot-resolve an L1 side that is fixed in every rung (see the
-        # module docstring): an i-cache ladder pilots the L1d, and so do
-        # rungs with both sides fixed; a d-cache ladder pilots the L1i only
-        # from two rungs up.  Rungs resizing both sides take the general
-        # mode — the full shared stream per rung.
-        hierarchy = first.hierarchy
-        side = pilot_cache = None
-        if all(not ctx.d_runtime.is_resizable for ctx in contexts):
-            side, pilot_cache = "d", hierarchy.l1d
-        elif len(contexts) > 1 and all(not ctx.i_runtime.is_resizable for ctx in contexts):
-            side, pilot_cache = "i", hierarchy.l1i
-
-        n = len(trace)
         interval_instructions = first.interval_instructions
-        plan = first.sampling_plan(n)
-        decoded = pilot_res = None
-        if plan is None:
-            plan = [
-                (start, min(start + interval_instructions, n), True)
-                for start in range(0, n, interval_instructions)
-            ]
-            decoded = decoded_for(trace, first.block_mask, first.predictor)
-        if decoded is not None and side is not None:
-            # The memoized pilot pre-screen is valid because the pilot is
-            # the fixed full-size L1, identical in every rung and every run
-            # of this trace.
-            pilot_res = pilot_for(trace, decoded, side, pilot_cache)
-        if pilot_res is None and len(contexts) == 1:
-            # Without the memo a pilot is resolved live, interval by
-            # interval; that pays off only when rungs share it.
+        decoded = decoded_for(
+            trace, first.block_mask,
+            (interval_instructions, first.sample_every, first.sample_warmup),
+        )
+        # Pilot an L1 side that is fixed in every rung when the memo
+        # supplies one (see the module docstring): an i-cache ladder pilots
+        # the L1d, and so do rungs with both sides fixed; a d-cache ladder
+        # pilots the L1i only from two rungs up.  Everything else takes the
+        # general mode — the full shared stream per rung.
+        hierarchy = first.hierarchy
+        side = pilot_res = None
+        if all(not ctx.d_runtime.is_resizable for ctx in contexts):
+            side, pilot_res = "d", pilot_for(trace, decoded, "d", hierarchy.l1d)
+        elif len(contexts) > 1 and all(not ctx.i_runtime.is_resizable for ctx in contexts):
+            side, pilot_res = "i", pilot_for(trace, decoded, "i", hierarchy.l1i)
+        if pilot_res is None:
             side = None
-
-        if side == "i":
-            pilot = hierarchy._l1i_packed
-            resolve = lambda ops: _resolve_pilot_i(ops, pilot)  # noqa: E731
-        elif side == "d":
-            pilot = hierarchy._l1d_packed
-            resolve = lambda ops: _resolve_pilot_d(ops, pilot)  # noqa: E731
-        else:
-            resolve = _resolve_general
-        if decoded is None:
-            segments = _live_segments(trace, first, plan, resolve)
-            units = [_KernelUnit([ctx]) for ctx in contexts]
-        else:
-            segments = _memo_segments(decoded, plan, side, resolve, pilot_res)
-            units = _plan_units(contexts, side)
+        units = _plan_units(contexts, side)
         for unit in units:
             unit.count(tally)
+        segments = _memo_segments(decoded, first.sampling_plan(len(trace)), side, pilot_res)
         _walk(units, segments, interval_instructions)
         return tally
 
 
-def _memo_segments(decoded, plan, side, resolve, pilot_res):
-    """Segments sliced from the memoized pre-decode (exhaustive plans only).
+def _memo_segments(decoded, plan, side, pilot_res):
+    """The plan's segments, sliced from the memoized decode of its rows.
 
-    Interval totals come from the decode's per-row prefix arrays and the op
-    stream is an O(1) slice.  With a pilot resolution in hand the pilot
-    pre-screen is skipped too: the reduced stream is rebuilt from the
-    sparse memo (:meth:`~repro.sim.predecode.PilotResolution.segment`) and
-    no live pilot is driven.
-    Without one, ``resolve`` runs on each interval's stream.
+    The decode holds only the rows the plan replays, in plan order, so
+    each segment maps to the next ``stop - start`` decode rows.  Totals
+    come from the decode's per-row prefix arrays and the op stream is an
+    O(1) slice; with a pilot resolution in hand the reduced stream is
+    rebuilt from the sparse memo
+    (:meth:`~repro.sim.predecode.PilotResolution.segment`) instead.
     """
-    interval_ops = decoded.interval_ops
     op_prefix = decoded.op_prefix
     branch_prefix = decoded.branch_prefix
     mispredict_prefix = decoded.mispredict_prefix
     memref_prefix = decoded.memref_prefix
     store_prefix = decoded.store_prefix
-    for start, stop, measured in plan:
+    stop = 0
+    for segment_start, segment_stop, measured in plan:
+        start = stop
+        stop = start + segment_stop - segment_start
         memory_refs = memref_prefix[stop] - memref_prefix[start]
         fetches = (op_prefix[stop] - op_prefix[start]) - memory_refs
         if pilot_res is None:
-            reduced, shared = resolve(interval_ops(start, stop))
+            reduced, shared = decoded.interval_ops(start, stop), _NOTHING_SHARED
         else:
             reduced, misses, writebacks = pilot_res.segment(decoded, start, stop)
             shared = (fetches, misses, 0, 0) if side == "i" else (0, 0, misses, writebacks)
@@ -368,41 +348,6 @@ def _memo_segments(decoded, plan, side, resolve, pilot_res):
             memory_refs,
             store_prefix[stop] - store_prefix[start],
             fetches,
-        )
-
-
-def _live_segments(trace, first, plan, resolve):
-    """Segments decoded live from the trace columns, one plan entry at a time.
-
-    Segments are at most one interval long, so the decode keeps bounded
-    memory; the fetch-block dedup state resets across a skipped gap (the
-    previous block is unknowable), and branches are predicted on the
-    first context's predictor.
-    """
-    pc_column, address_column, flag_column = trace.columns()
-    pc_view = memoryview(pc_column)
-    address_view = memoryview(address_column)
-    flag_view = memoryview(flag_column)
-    block_mask = first.block_mask
-    predict = first.predictor.predict_and_update
-    last_fetch_block = -1
-    prev_stop = 0
-    for start, stop, measured in plan:
-        if start != prev_stop:
-            last_fetch_block = -1
-        prev_stop = stop
-        chunk = stop - start
-        ops, last_fetch_block, branches, branch_mispredicts, memory_refs, stores = (
-            decode_interval(
-                pc_view[start:stop].tolist(), flag_view[start:stop].tolist(),
-                address_view[start:stop].tolist(), chunk, block_mask,
-                last_fetch_block, predict,
-            )
-        )
-        reduced, shared = resolve(ops)
-        # No fetch total: only stack groups read it, and they need the memo.
-        yield chunk, measured, reduced, shared, (
-            branches, branch_mispredicts, memory_refs, stores, None,
         )
 
 
@@ -622,7 +567,7 @@ def _stack_pass_d(reduced, stacks, dirty_after, off, mask, ways):
     appends = [entries.append for entries in streams]
     min_ways = ways[0]
     cap = ways[-1]
-    op_imiss, op_store = _OP_IMISS, _OP_STORE
+    op_imiss, op_store = OP_IMISS, OP_STORE
     never_dirty = _NEVER_DIRTY
     stream = iter(reduced)
     for code in stream:
@@ -696,7 +641,7 @@ def _stack_pass_i(reduced, stacks, off, mask, ways):
     victim_appends = [entries.append for entries in victims]
     min_ways = ways[0]
     cap = ways[-1]
-    op_fetch = _OP_FETCH
+    op_fetch = OP_FETCH
     wb_valid, wb_shift = PACKED_WRITEBACK_VALID, PACKED_WRITEBACK_SHIFT
     stream = iter(reduced)
     for code in stream:
@@ -813,83 +758,8 @@ def _drive_misses(stream, victims, l2_state, mem_state):
 
 
 # ---------------------------------------------------------------------------
-# Pilot resolution and the dispatch kernel
+# The dispatch kernel
 # ---------------------------------------------------------------------------
-
-#: The ``shared`` counts of the general mode: nothing was pre-resolved.
-_NOTHING_SHARED = (0, 0, 0, 0)
-
-
-def _resolve_general(ops):
-    """General mode: nothing to pre-resolve, every rung replays all ops."""
-    return ops, _NOTHING_SHARED
-
-
-def _resolve_pilot_i(ops, l1i_kernel):
-    """Resolve every fetch op on the pilot L1i; keep only the misses.
-
-    Hits leave the stream entirely — an L1i hit touches no per-rung state
-    and the replay path never consumes per-access latency.  Returns
-    ``(reduced, (fetches, i_misses, 0, 0))``; each rung adds ``fetches`` to
-    its ``l1i_accesses`` and ``i_misses`` to ``l1i_misses`` and performs one
-    L2 fill per ``_OP_IMISS`` op (the L1i never holds dirty blocks, so
-    there is no victim writeback to forward).
-    """
-    reduced = []
-    append = reduced.append
-    fetches = 0
-    i_misses = 0
-    op_fetch = _OP_FETCH
-    op_imiss = _OP_IMISS
-    stream = iter(ops)
-    for code in stream:
-        operand = next(stream)
-        if code == op_fetch:
-            fetches += 1
-            if not l1i_kernel(operand, False) & 1:
-                i_misses += 1
-                append(op_imiss)
-                append(operand)
-        else:
-            append(code)
-            append(operand)
-    return reduced, (fetches, i_misses, 0, 0)
-
-
-def _resolve_pilot_d(ops, l1d_kernel):
-    """Resolve every load/store on the pilot L1d; keep only the misses.
-
-    A surviving ``_OP_DMISS`` op carries the pilot's packed L1 outcome so
-    each rung can forward the (shared) dirty-victim writeback into its own
-    L2.  Returns ``(reduced, (0, 0, d_misses, d_writebacks))`` — both
-    shared per-interval counts, since the victim sequence of a fixed L1d is
-    configuration-independent.
-    """
-    reduced = []
-    append = reduced.append
-    d_misses = 0
-    d_writebacks = 0
-    op_fetch = _OP_FETCH
-    op_load = _OP_LOAD
-    op_dmiss = _OP_DMISS
-    writeback_valid = PACKED_WRITEBACK_VALID
-    stream = iter(ops)
-    for code in stream:
-        operand = next(stream)
-        if code == op_fetch:
-            append(op_fetch)
-            append(operand)
-        else:
-            l1_packed = l1d_kernel(operand, code != op_load)
-            if not l1_packed & 1:
-                d_misses += 1
-                if l1_packed & writeback_valid:
-                    d_writebacks += 1
-                append(op_dmiss)
-                append(operand)
-                append(l1_packed)
-    return reduced, (0, 0, d_misses, d_writebacks)
-
 
 def _flush_l2(l2_stats, mem_state, reads, writes, l2m, l2_wm, l2_wb, wb_over):
     """Flush one L2 miss stream's L2, memory and write-back-buffer deltas.
@@ -925,10 +795,10 @@ def dispatch_cache_ops_fast(ops, shared, hierarchy):
     """The dispatch kernel: one hierarchy through one interval's op stream.
 
     ``ops`` is any mode's stream: the decode's fetch, load and store ops,
-    with a pilot's ``_OP_IMISS`` / ``_OP_DMISS`` ops in place of the side
+    with a pilot's ``OP_IMISS`` / ``OP_DMISS`` ops in place of the side
     it resolved.  ``shared`` is the pilot's ``(fetches, i_misses, d_misses,
-    d_writebacks)``, all zeros in the general mode; each ``_OP_IMISS`` op is
-    one of its i-misses and each ``_OP_DMISS`` op one of its d-misses, with
+    d_writebacks)``, all zeros in the general mode; each ``OP_IMISS`` op is
+    one of its i-misses and each ``OP_DMISS`` op one of its d-misses, with
     the dirty victim (if any) in its packed outcome.  Returns the interval
     deltas ``(l1i_accesses, l1i_misses, l1i_memory, l1d_misses, l1d_memory,
     l1d_writebacks, l2_accesses, memory_accesses)``.  A single run in the
@@ -969,7 +839,7 @@ def dispatch_cache_ops_fast(ops, shared, hierarchy):
     d_shift1 = d_off + 1
     l2_shift1 = l2_off + 1
     wb_valid, wb_shift = PACKED_WRITEBACK_VALID, PACKED_WRITEBACK_SHIFT
-    op_fetch, op_load, op_imiss = _OP_FETCH, _OP_LOAD, _OP_IMISS
+    op_fetch, op_load, op_imiss = OP_FETCH, OP_LOAD, OP_IMISS
     ia = ih = 0
     da = dw = dh = dwm = dwb = 0
     l2m = l2_wm = l2_wb = wb_over = 0

@@ -1,29 +1,30 @@
-"""Configuration-invariant trace pre-decode, memoized per trace.
+"""Configuration-invariant trace pre-decode, memoized per trace and plan.
 
-``decode_interval`` re-derives, for every interval of every run, work that
-does not depend on the cache configuration at all: fetch-block-change
-detection, branch resolution against a fresh bimodal predictor, and the
-extraction of the memory-op stream.  A profiling sweep replays the same
-trace dozens of times, so this module computes that invariant phase **once
-per (trace, block mask)** into flat buffers and lets every subsequent run
-slice its intervals out of the precomputed stream:
+Every replay needs the same configuration-invariant phase before any cache
+is touched: fetch-block-change detection, branch resolution against a
+fresh bimodal predictor, and the extraction of the memory-op stream.  A
+profiling sweep replays the same trace dozens of times, so this module
+computes that phase **once per (trace, block mask, plan)** into flat
+buffers and lets every run slice its segments out of the precomputed
+stream:
 
-* :class:`DecodedTrace` — the whole-trace cache-op stream (the exact
-  concatenation of per-interval ``decode_interval`` outputs) plus per-row
-  prefix arrays for the branch/mispredict/memory-ref/store totals, so any
-  row range ``[start, stop)`` yields its interval ops and totals in O(1)
-  slicing.  Built vectorized when NumPy is importable (see
+* :class:`DecodedTrace` — the cache-op stream of the rows a plan replays
+  (every row for an exhaustive plan; the measured intervals and their
+  warmup prefixes for a sampled one, concatenated) plus per-row prefix
+  arrays for the branch/mispredict/memory-ref/store totals, so any
+  segment of decode rows ``[start, stop)`` yields its ops and totals in
+  O(1) slicing.  Built vectorized when NumPy is importable (see
   :mod:`repro.sim.vector`), with a bit-identical stdlib builder otherwise.
 * :class:`PilotResolution` — the fused-ladder pilot pre-screen: a fixed
   (non-resizable) L1's hit/miss sequence over the shared op stream depends
   only on its own geometry, so the pilot-reduced stream of
-  :mod:`repro.sim.ladder` is itself trace-invariant and is memoized per
-  (trace, side, pilot geometry).  The memo is sparse — it holds only the
-  pilot's misses, O(misses): 1.5–107 KB (median 20 KB) per pilot over the
-  twelve 60k-instruction application traces, where the dense layout it
-  replaced took ~1 MB — and is built by one pass of the same inline
-  kernel the dispatch loops run.
-  :meth:`PilotResolution.segment` rebuilds any interval's reduced stream
+  :mod:`repro.sim.ladder` is itself configuration-invariant and is
+  memoized per (trace, plan, side, pilot geometry).  The memo is sparse —
+  it holds only the pilot's misses, O(misses): 1.5–107 KB (median 20 KB)
+  per pilot over the twelve 60k-instruction application traces, where the
+  dense layout it replaced took ~1 MB — and is built by one pass of the
+  same inline kernel the dispatch loops run.
+  :meth:`PilotResolution.segment` rebuilds any segment's reduced stream
   by splicing those misses into one slice of the decode's variant-side
   ops (:attr:`DecodedTrace.fetch_ops` / :attr:`DecodedTrace.data_ops`,
   split lazily from ``stream`` and never persisted).
@@ -32,22 +33,31 @@ Both memos key off live :class:`~repro.workloads.trace.Trace` objects
 (weakly, so traces die normally); :class:`DecodedTrace` additionally
 round-trips through the on-disk trace memo
 (:meth:`repro.sim.tracecache.TraceCache.put_decoded`) keyed by (trace
-digest, block mask, decode version), so worker processes share decodes
-across runs and pool restarts.
+digest, block mask, plan, decode version), so worker processes share
+decodes across runs and pool restarts.
+
+Plans.  A plan replays *runs* of rows (:func:`replay_runs`): an
+exhaustive plan is the single run ``[0, n)``, so its decode and memo key
+do not depend on the interval length; a sampled plan's runs are its
+measured intervals merged with their warmup prefixes, and its memo key is
+the schedule that decides them, ``(interval_instructions, sample_every,
+sample_warmup)``.  The fetch-block dedup restarts at every run (the
+block before a skipped gap is unknowable), while one predictor replica
+and one pilot cache carry across the gaps, as a replay's own predictor
+and caches do.
 
 Correctness argument, pinned by ``tests/sim/test_predecode.py`` and the
-property suite: whole-trace decode with the initial ``last_fetch_block =
--1`` equals the concatenation of per-interval decodes because the decode
-threads exactly that one integer across interval boundaries; branch
-resolution on a *replica* fresh predictor is bit-identical because every
-run constructs a fresh default predictor and nothing reads the predictor
-object's own counters after replay.  :func:`decoded_for` therefore gates
-on the run's predictor being a fresh default
-:class:`~repro.cpu.branch.BimodalBranchPredictor` and refuses (returns
-None, callers fall back to the scalar path) for anything else.
+property suite: the decode of a run equals the concatenation of its
+segments' per-row decodes because the decode threads exactly one integer
+(the last fetch block) across segment boundaries; branch resolution on a
+*replica* fresh predictor is bit-identical because every run constructs a
+fresh default predictor and nothing reads the predictor object's own
+counters after replay.  :meth:`repro.sim.ladder.LadderEngine.replay_many`
+therefore refuses any context whose predictor is not a fresh default
+:class:`~repro.cpu.branch.BimodalBranchPredictor`
+(:func:`is_default_predictor`).
 
-Op codes (shared layout with :mod:`repro.sim.engine` /
-:mod:`repro.sim.ladder`, which keep their private aliases)::
+Op codes (the one copy; :mod:`repro.sim.ladder` imports them)::
 
     0  fetch   operand = pc
     1  load    operand = data address
@@ -72,6 +82,7 @@ from repro.cache.cache import (
 )
 from repro.common.counters import CounterRegistry
 from repro.cpu.branch import BimodalBranchPredictor
+from repro.sim.engine import sampling_plan
 from repro.sim.vector import numpy_or_none
 from repro.workloads.trace import FLAG_BRANCH, FLAG_MEM, FLAG_STORE, FLAG_TAKEN, Trace
 
@@ -85,13 +96,15 @@ OP_DMISS = 4
 #: on-disk memo key, so stale entries are simply never found.
 DECODE_VERSION = 1
 
-#: The decode applies only to runs driven by the default predictor build
-#: (``Simulator._prepare_run`` always constructs this); anything else fails
-#: the :func:`decoded_for` gate and replays scalar.
+#: The decode replicates the default predictor build
+#: (``Simulator._prepare_run`` always constructs this); a replay driven by
+#: anything else is refused (:func:`is_default_predictor`).
 _PREDICTOR_TABLE = 4096
 
-#: Row-count ceilings: the prefix arrays are 32-bit ('I'), and the cached
-#: boxed-int view trades memory for slice speed only while it stays small.
+#: Row-count ceilings: the prefix arrays are 32-bit ('I'), so
+#: :func:`repro.sim.simulator.validate_run` refuses traces of ``MAX_ROWS``
+#: rows or more, and the cached boxed-int view trades memory for slice
+#: speed only while it stays small.
 #: The view is a tuple, not a list: a tuple holding only ints is untracked
 #: by the cyclic collector at its first collection, so no later gen-2 pass
 #: walks it, while a list would be walked by every one of them.
@@ -106,7 +119,7 @@ _STATS = CounterRegistry({
     "pilot_memo_hits": 0,
 })
 
-_DECODE_MEMO: "weakref.WeakKeyDictionary[Trace, Dict[int, DecodedTrace]]" = (
+_DECODE_MEMO: "weakref.WeakKeyDictionary[Trace, Dict[tuple, DecodedTrace]]" = (
     weakref.WeakKeyDictionary()
 )
 _PILOT_MEMO: "weakref.WeakKeyDictionary[Trace, Dict[tuple, PilotResolution]]" = (
@@ -129,25 +142,30 @@ def reset_stats() -> None:
 
 
 class DecodedTrace:
-    """The whole-trace decode of one (trace, block mask) pair.
+    """The decode of one (trace, block mask, plan): the plan's replayed rows.
 
-    ``stream`` is the flat interleaved ``code, operand`` cache-op stream —
-    byte-for-byte what concatenating ``decode_interval`` over any interval
-    partition produces — and the five prefix arrays (length ``n + 1``) give
-    every per-row running total, so interval ``[start, stop)`` slices as::
+    ``n`` counts *decode rows*: the replayed rows of the plan, run after run
+    (every trace row for an exhaustive plan).  ``stream`` is the flat
+    interleaved ``code, operand`` cache-op stream of those rows and the five
+    prefix arrays (length ``n + 1``) give every per-row running total, so
+    decode rows ``[start, stop)`` slice as::
 
         ops      = decoded.interval_ops(start, stop)
         branches = decoded.branch_prefix[stop] - decoded.branch_prefix[start]
 
     ``op_prefix`` counts op *pairs* (half the flat stream offset).
-    :attr:`fetch_ops` and :attr:`data_ops` split the stream by side (see
-    there); they are derived on first use and are not part of the on-disk
-    payload, so :data:`DECODE_VERSION` does not cover them.
+    ``schedule`` is the sampled plan's memo key (None when exhaustive); it
+    is set when the decode is built or loaded and is not persisted — the
+    on-disk key carries it.  :attr:`fetch_ops` and
+    :attr:`data_ops` split the stream by side (see there); they are derived
+    on first use and are not part of the on-disk payload, so
+    :data:`DECODE_VERSION` does not cover them.
     """
 
     __slots__ = (
         "n",
         "block_mask",
+        "schedule",
         "stream",
         "op_prefix",
         "branch_prefix",
@@ -164,6 +182,7 @@ class DecodedTrace:
                  mispredict_prefix, memref_prefix, store_prefix):
         self.n = n
         self.block_mask = block_mask
+        self.schedule: Optional[tuple] = None
         self.stream = stream
         self.op_prefix = op_prefix
         self.branch_prefix = branch_prefix
@@ -200,7 +219,7 @@ class DecodedTrace:
         return self._data_ops
 
     def interval_ops(self, start: int, stop: int) -> List[int]:
-        """The flat op list for rows ``[start, stop)`` (a fresh, mutable list).
+        """The flat op list for decode rows ``[start, stop)`` (a fresh, mutable list).
 
         The stream is boxed once into a tuple (see ``_OPS_LIST_MAX_ROWS``);
         each interval is then two C-level pointer copies, the tuple slice
@@ -254,7 +273,7 @@ class DecodedTrace:
 
 
 class PilotResolution:
-    """A fixed L1's misses over a whole trace: the sparse pilot memo.
+    """A fixed L1's misses over a decode's rows: the sparse pilot memo.
 
     The pilot-reduced stream of :mod:`repro.sim.ladder` is the shared op
     stream with every pilot-side hit removed and every pilot-side miss
@@ -262,7 +281,7 @@ class PilotResolution:
     keeping.  Every column is an ``array`` with one entry per miss unless
     noted:
 
-    * ``op_index`` — the miss's whole-trace op index (its pair position in
+    * ``op_index`` — the miss's op index in the decode (its pair position in
       :attr:`DecodedTrace.stream`); interval bounds bisect this column;
     * ``other_before`` — how many other-side ops precede it (data ops for
       side "i", fetch ops for side "d"), i.e. where it splices into
@@ -289,16 +308,16 @@ class PilotResolution:
         self.victims = victims
 
     def segment(self, decoded: DecodedTrace, start: int, stop: int):
-        """Rows ``[start, stop)`` of the pilot-reduced stream.
+        """Decode rows ``[start, stop)`` of the pilot-reduced stream.
 
         The variant-side ops of the rows are one slice of ``decoded``'s
         side-split column; the rows' misses (found by bisecting their op
         indices) splice back in where their other-side count says.
-        Returns ``(reduced, misses, dirty_victims)``: the reduced stream
-        and the miss and dirty-victim counts that
-        ``repro.sim.ladder._resolve_pilot_i`` / ``_resolve_pilot_d`` return
-        when run live on the rows' ops from the pilot's state at row
-        ``start``.
+        Returns ``(reduced, misses, dirty_victims)``: the rows' ops with
+        every pilot-side hit dropped and every pilot-side miss rewritten
+        (``OP_IMISS`` with the PC; ``OP_DMISS`` with the address and the
+        pilot's packed outcome, dirty victim included), and the rows' miss
+        and dirty-victim counts.
         """
         op_start = decoded.op_prefix[start]
         op_stop = decoded.op_prefix[stop]
@@ -350,25 +369,46 @@ class PilotResolution:
 # ---------------------------------------------------------------------------
 
 
-def build_decoded(trace: Trace, block_mask: int) -> Optional[DecodedTrace]:
-    """Decode a whole trace; None when it falls outside the supported gates."""
-    n = len(trace)
-    if n == 0 or n >= MAX_ROWS:
-        return None
+def replay_runs(n: int, schedule: Optional[tuple] = None) -> List[Tuple[int, int]]:
+    """The rows a plan replays, as maximal contiguous ``(start, stop)`` runs.
+
+    ``schedule`` is a sampled plan's ``(interval_instructions, sample_every,
+    sample_warmup)`` (see :func:`repro.sim.engine.sampling_plan`); None is
+    the exhaustive plan, the single run ``[0, n)``.
+    """
+    if schedule is None:
+        return [(0, n)] if n else []
+    runs: List[Tuple[int, int]] = []
+    for start, stop, _ in sampling_plan(n, *schedule):
+        if runs and runs[-1][1] == start:
+            runs[-1] = (runs[-1][0], stop)
+        else:
+            runs.append((start, stop))
+    return runs
+
+
+def build_decoded(trace: Trace, block_mask: int, schedule: Optional[tuple] = None) -> DecodedTrace:
+    """Decode the rows ``schedule``'s plan replays (every row when None)."""
     _STATS["decode_builds"] += 1
+    runs = replay_runs(len(trace), schedule)
     np = numpy_or_none()
     if np is not None:
-        return _build_numpy(trace, block_mask, np)
-    return _build_scalar(trace, block_mask)
+        decoded = _build_numpy(trace, block_mask, np, runs)
+    else:
+        decoded = _build_scalar(trace, block_mask, runs)
+    decoded.schedule = schedule
+    return decoded
 
 
-def _build_scalar(trace: Trace, block_mask: int) -> DecodedTrace:
-    """One whole-trace pass mirroring ``decode_interval`` row for row."""
+def _build_scalar(trace: Trace, block_mask: int, runs=None) -> DecodedTrace:
+    """One pass over the replayed rows, run by run, carrying one predictor replica."""
     pc_column, address_column, flag_column = trace.columns()
     pcs = memoryview(pc_column).tolist()
     flags = memoryview(flag_column).tolist()
     addresses = memoryview(address_column).tolist()
-    n = len(pcs)
+    if runs is None:
+        runs = replay_runs(len(pcs))
+    n = sum(stop - start for start, stop in runs)
 
     stream = array("Q")
     append = stream.append
@@ -387,67 +427,84 @@ def _build_scalar(trace: Trace, block_mask: int) -> DecodedTrace:
     branch_flag, mem_flag = FLAG_BRANCH, FLAG_MEM
     store_flag, taken_flag = FLAG_STORE, FLAG_TAKEN
     op_fetch, op_load, op_store = OP_FETCH, OP_LOAD, OP_STORE
-    last_fetch_block = -1
     op_count = 0
     branches = 0
     mispredicts = 0
     memory_refs = 0
     stores = 0
-    for k in range(n):
-        pc = pcs[k]
-        fetch_block = pc & block_mask
-        if fetch_block != last_fetch_block:
-            last_fetch_block = fetch_block
-            append(op_fetch)
-            append(pc)
-            op_count += 1
-        flag = flags[k]
-        if flag:
-            if flag & branch_flag:
-                branches += 1
-                index = (pc >> 2) & pmask
-                counter = counters[index]
-                taken = bool(flag & taken_flag)
-                if (counter >= 2) != taken:
-                    mispredicts += 1
-                if taken:
-                    if counter < 3:
-                        counters[index] = counter + 1
-                elif counter > 0:
-                    counters[index] = counter - 1
-            if flag & mem_flag:
-                if flag & store_flag:
-                    stores += 1
-                    append(op_store)
-                else:
-                    append(op_load)
-                memory_refs += 1
-                append(addresses[k])
+    row = 1
+    for run_start, run_stop in runs:
+        # Trace row k's running totals land at prefix index k + shift.
+        shift = row - run_start
+        last_fetch_block = -1
+        for k in range(run_start, run_stop):
+            pc = pcs[k]
+            fetch_block = pc & block_mask
+            if fetch_block != last_fetch_block:
+                last_fetch_block = fetch_block
+                append(op_fetch)
+                append(pc)
                 op_count += 1
-        j = k + 1
-        op_prefix[j] = op_count
-        branch_prefix[j] = branches
-        mispredict_prefix[j] = mispredicts
-        memref_prefix[j] = memory_refs
-        store_prefix[j] = stores
+            flag = flags[k]
+            if flag:
+                if flag & branch_flag:
+                    branches += 1
+                    index = (pc >> 2) & pmask
+                    counter = counters[index]
+                    taken = bool(flag & taken_flag)
+                    if (counter >= 2) != taken:
+                        mispredicts += 1
+                    if taken:
+                        if counter < 3:
+                            counters[index] = counter + 1
+                    elif counter > 0:
+                        counters[index] = counter - 1
+                if flag & mem_flag:
+                    if flag & store_flag:
+                        stores += 1
+                        append(op_store)
+                    else:
+                        append(op_load)
+                    memory_refs += 1
+                    append(addresses[k])
+                    op_count += 1
+            j = k + shift
+            op_prefix[j] = op_count
+            branch_prefix[j] = branches
+            mispredict_prefix[j] = mispredicts
+            memref_prefix[j] = memory_refs
+            store_prefix[j] = stores
+        row += run_stop - run_start
 
     return DecodedTrace(n, block_mask, stream, op_prefix, branch_prefix,
                         mispredict_prefix, memref_prefix, store_prefix)
 
 
-def _build_numpy(trace: Trace, block_mask: int, np) -> DecodedTrace:
+def _build_numpy(trace: Trace, block_mask: int, np, runs=None) -> DecodedTrace:
     """Vectorized builder: everything but the (sequential) predictor replica."""
     pc_column, address_column, flag_column = trace.columns()
     pc = np.frombuffer(pc_column, dtype=np.uint64)
     addresses = np.frombuffer(address_column, dtype=np.uint64)
     flags = np.frombuffer(flag_column, dtype=np.uint8)
-    n = len(pc)
+    if runs is None:
+        runs = replay_runs(len(pc))
+    run_starts = []
+    n = 0
+    for start, stop in runs:
+        run_starts.append(n)
+        n += stop - start
+    if n != len(pc):
+        # A sampled plan: gather its replayed rows, run after run.
+        pc, addresses, flags = (
+            np.concatenate([column[start:stop] for start, stop in runs])
+            for column in (pc, addresses, flags)
+        )
 
     mask64 = np.uint64(block_mask & 0xFFFFFFFFFFFFFFFF)
     blocks = pc & mask64
     fetch = np.empty(n, dtype=bool)
-    fetch[0] = True  # initial last_fetch_block is -1, never a real block
     np.not_equal(blocks[1:], blocks[:-1], out=fetch[1:])
+    fetch[run_starts] = True  # the dedup restarts at every run: last block unknown
 
     mem = (flags & FLAG_MEM) != 0
     store = mem & ((flags & FLAG_STORE) != 0)
@@ -524,13 +581,15 @@ def _split_stream(stream: array, fetch: bool) -> array:
     return side
 
 
-def build_pilot(decoded: DecodedTrace, side: str, geometry, replacement, name: str) -> PilotResolution:
+def build_pilot(
+    decoded: DecodedTrace, side: str, geometry, replacement, name: str
+) -> PilotResolution:
     """Resolve the invariant L1 side over the whole decoded stream.
 
     Drives a throwaway fixed cache with the pilot's exact geometry,
     replacement policy and name (the name seeds RANDOM victim selection),
-    which by construction behaves identically to the live pilot a fused
-    replay would otherwise drive interval by interval.  The cache's
+    which by construction behaves identically to the rung's own fixed L1
+    driven over the same ops, across a sampled plan's gaps included.  The cache's
     access kernel runs inline over its hoisted :meth:`Cache._kernel_state`
     — statement for statement :meth:`Cache.access_packed`, refresh flag
     and RANDOM selector included, minus the throwaway cache's own stats —
@@ -621,7 +680,8 @@ def build_pilot(decoded: DecodedTrace, side: str, geometry, replacement, name: s
 # ---------------------------------------------------------------------------
 
 
-def _predictor_is_default(predictor) -> bool:
+def is_default_predictor(predictor) -> bool:
+    """Whether ``predictor`` is the fresh default one the decode replicates."""
     return (
         type(predictor) is BimodalBranchPredictor
         and predictor.table_entries == _PREDICTOR_TABLE
@@ -629,52 +689,54 @@ def _predictor_is_default(predictor) -> bool:
     )
 
 
-def decoded_for(trace: Trace, block_mask: int, predictor) -> Optional[DecodedTrace]:
-    """The memoized decode for a run, or None when the run must stay scalar.
+def decoded_for(trace: Trace, block_mask: int, schedule: Optional[tuple] = None) -> DecodedTrace:
+    """The memoized decode of the rows a run's plan replays.
 
-    Gates: the run's predictor must be a fresh default bimodal predictor
-    (the precomputed mispredict totals were produced by exactly that
-    machine) and the trace must fit the 32-bit prefix layout.  Checks the
-    in-memory weak memo, then the on-disk trace memo, then builds.
+    ``schedule`` is the run's ``(interval_instructions, sample_every,
+    sample_warmup)``; an exhaustive one (``sample_every`` 1) and None name
+    the same decode, every row of the trace, whatever the interval length.
+    Checks the in-memory weak memo, then the on-disk trace memo, then
+    builds.  The branch totals are those of a fresh default predictor
+    (see :func:`is_default_predictor`).
     """
-    n = len(trace)
-    if n == 0 or n >= MAX_ROWS or not _predictor_is_default(predictor):
-        return None
+    if schedule is not None and schedule[1] <= 1:
+        schedule = None
+    key = (block_mask, schedule)
     per_trace = _DECODE_MEMO.get(trace)
     if per_trace is not None:
-        decoded = per_trace.get(block_mask)
+        decoded = per_trace.get(key)
         if decoded is not None:
             _STATS["decode_memo_hits"] += 1
             return decoded
-    decoded = _load_from_disk(trace, block_mask)
+    decoded = _load_from_disk(trace, block_mask, schedule)
     if decoded is None:
-        decoded = build_decoded(trace, block_mask)
-        if decoded is None:
-            return None
-        _store_to_disk(trace, block_mask, decoded)
+        decoded = build_decoded(trace, block_mask, schedule)
+        _store_to_disk(trace, block_mask, schedule, decoded)
     if per_trace is None:
         per_trace = {}
         try:
             _DECODE_MEMO[trace] = per_trace
         except TypeError:  # unweakrefable trace stand-ins (tests)
             return decoded
-    per_trace[block_mask] = decoded
+    per_trace[key] = decoded
     return decoded
 
 
 def pilot_for(trace: Trace, decoded: DecodedTrace, side: str, cache) -> Optional[PilotResolution]:
     """The memoized pilot pre-screen, or None when the pilot is unsupported.
 
-    ``cache`` is the live pilot (rung 0's fixed L1).  It must be exactly a
-    fresh :class:`~repro.cache.cache.Cache` — the memoized resolution is
-    only valid from a cold pilot, and any subclass could change the access
-    semantics.  On a memo hit the live pilot is never driven at all, which
-    extends the documented fused-ladder caveat (idle invariant-side caches)
-    to rung 0.
+    ``cache`` is rung 0's fixed L1.  It must be exactly a fresh
+    :class:`~repro.cache.cache.Cache` — the memoized resolution is only
+    valid from a cold pilot, and any subclass could change the access
+    semantics.  The memo is keyed by ``decoded``'s plan too, since the
+    pilot's misses depend on the rows replayed.  ``cache`` itself is never
+    driven (the fused-ladder caveat of idle invariant-side caches).
     """
     if type(cache) is not Cache or cache.stats.accesses != 0:
         return None
-    key = (side, decoded.block_mask, cache.geometry, cache.replacement, cache.name)
+    key = (
+        side, decoded.block_mask, decoded.schedule, cache.geometry, cache.replacement, cache.name
+    )
     per_trace = _PILOT_MEMO.get(trace)
     if per_trace is not None:
         pilot = per_trace.get(key)
@@ -692,7 +754,7 @@ def pilot_for(trace: Trace, decoded: DecodedTrace, side: str, cache) -> Optional
     return pilot
 
 
-def _load_from_disk(trace: Trace, block_mask: int) -> Optional[DecodedTrace]:
+def _load_from_disk(trace: Trace, block_mask: int, schedule) -> Optional[DecodedTrace]:
     # The trace cache verifies a checksum around every ``.decode`` entry
     # and self-heals corrupt ones into misses; the blanket except below is
     # the last-resort guard (a checksum-valid payload from a buggy writer),
@@ -703,24 +765,26 @@ def _load_from_disk(trace: Trace, block_mask: int) -> Optional[DecodedTrace]:
         cache = get_trace_cache()
         if cache is None:
             return None
-        data = cache.get_decoded(_trace_digest(trace), block_mask)
+        data = cache.get_decoded(_trace_digest(trace), block_mask, schedule)
         if data is None:
             return None
         decoded = DecodedTrace.from_bytes(data)
-        if decoded.n != len(trace) or decoded.block_mask != block_mask:
+        rows = sum(stop - start for start, stop in replay_runs(len(trace), schedule))
+        if decoded.n != rows or decoded.block_mask != block_mask:
             return None
+        decoded.schedule = schedule
         _STATS["decode_disk_hits"] += 1
         return decoded
     except Exception:
         return None
 
 
-def _store_to_disk(trace: Trace, block_mask: int, decoded: DecodedTrace) -> None:
+def _store_to_disk(trace: Trace, block_mask: int, schedule, decoded: DecodedTrace) -> None:
     try:
         from repro.sim.runner import _trace_digest, get_trace_cache
 
         cache = get_trace_cache()
         if cache is not None:
-            cache.put_decoded(_trace_digest(trace), block_mask, decoded.to_bytes())
+            cache.put_decoded(_trace_digest(trace), block_mask, decoded.to_bytes(), schedule)
     except Exception:
         pass

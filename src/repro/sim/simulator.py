@@ -42,6 +42,7 @@ from repro.resizing.organization import ResizingOrganization
 from repro.resizing.resizable_cache import ResizableCache
 from repro.resizing.strategy import ResizingStrategy
 from repro.sim.engine import ReplayContext, ReplayEngine, get_engine
+from repro.sim.predecode import MAX_ROWS
 from repro.sim.results import SimulationResult
 from repro.workloads.trace import Trace
 
@@ -206,6 +207,11 @@ def validate_run(trace: Trace, interval_instructions: int, sample_every: int,
     """Reject run parameters no replay can honour (shared with fused ladders)."""
     if len(trace) == 0:
         raise SimulationError("cannot simulate an empty trace")
+    if len(trace) >= MAX_ROWS:
+        raise SimulationError(
+            f"cannot simulate a trace of {len(trace)} instructions: the replay "
+            f"decode holds at most {MAX_ROWS - 1}"
+        )
     if interval_instructions < 1:
         raise SimulationError("interval length must be at least one instruction")
     if sample_every < 1:

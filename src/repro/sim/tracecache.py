@@ -168,24 +168,29 @@ class TraceCache:
         return self._entry_path(self.key_for(spec)).is_file()
 
     # ------------------------------------------------------- decoded streams
-    def _decoded_path(self, trace_digest: str, block_mask: int) -> Path:
+    def _decoded_path(self, trace_digest: str, block_mask: int, schedule=None) -> Path:
         from repro.sim.predecode import DECODE_VERSION  # deferred: cheap, avoids cycles
 
+        fields = {
+            "version": TRACE_CACHE_VERSION,
+            "decode_version": DECODE_VERSION,
+            "trace": trace_digest,
+            "block_mask": block_mask,
+        }
+        if schedule is not None:
+            fields["schedule"] = list(schedule)
         payload = json.dumps(
-            {
-                "version": TRACE_CACHE_VERSION,
-                "decode_version": DECODE_VERSION,
-                "trace": trace_digest,
-                "block_mask": block_mask,
-            },
+            fields,
             sort_keys=True,
             separators=(",", ":"),
         )
         key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
         return self.directory / key[:2] / f"{key}.decode"
 
-    def get_decoded(self, trace_digest: str, block_mask: int) -> Optional[bytes]:
-        """The serialized pre-decode for (trace digest, block mask), or None.
+    def get_decoded(
+        self, trace_digest: str, block_mask: int, schedule=None
+    ) -> Optional[bytes]:
+        """The serialized pre-decode for (trace digest, block mask, plan), or None.
 
         Stores :meth:`repro.sim.predecode.DecodedTrace.to_bytes` payloads —
         the configuration-invariant decode phase — so replays across
@@ -194,13 +199,18 @@ class TraceCache:
         invalidate when either the trace bytes or the decode semantics
         change; the package source digest is deliberately not mixed in
         (the payload depends only on the trace and the decode layout).
+        ``schedule`` is a sampled plan's ``(interval_instructions,
+        sample_every, sample_warmup)``; None, the exhaustive plan, keeps
+        the key it always had.
         """
-        return self._read_entry(self._decoded_path(trace_digest, block_mask))
+        return self._read_entry(self._decoded_path(trace_digest, block_mask, schedule))
 
-    def put_decoded(self, trace_digest: str, block_mask: int, payload: bytes) -> None:
+    def put_decoded(
+        self, trace_digest: str, block_mask: int, payload: bytes, schedule=None
+    ) -> None:
         """Persist a serialized pre-decode (atomically, best-effort)."""
         try:
-            path = self._decoded_path(trace_digest, block_mask)
+            path = self._decoded_path(trace_digest, block_mask, schedule)
             path.parent.mkdir(parents=True, exist_ok=True)
             self._write_entry(path, payload)
         except OSError:

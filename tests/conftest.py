@@ -77,3 +77,84 @@ def short_trace():
 def tiny_trace():
     """A very short (3k instruction) ammp trace for fast end-to-end tests."""
     return WorkloadGenerator(get_profile("ammp")).generate(3_000)
+
+
+class _DecodeModel:
+    """Independent per-row models of the pre-decode and of a pilot.
+
+    The oracles of the pre-decode suites: each row is decoded from the
+    trace's :class:`~repro.workloads.trace.InstructionRecord` view against
+    a real :class:`~repro.cpu.branch.BimodalBranchPredictor`, and a pilot
+    is a real cache driven op by op through ``access_packed``.
+    """
+
+    @staticmethod
+    def rows(trace, block_mask, runs):
+        """Per replayed row: ``(ops, branches, mispredicts, memory_refs, stores)``.
+
+        ``runs`` are the ``(start, stop)`` row ranges replayed, in order;
+        the fetch-block dedup restarts at each run, the predictor does not.
+        """
+        from repro.cpu.branch import BimodalBranchPredictor
+        from repro.sim.predecode import OP_FETCH, OP_LOAD, OP_STORE
+
+        predict = BimodalBranchPredictor().predict_and_update
+        rows = []
+        for start, stop in runs:
+            last_block = None
+            for pc, address, is_store, is_branch, taken in trace.records[start:stop]:
+                ops = []
+                if pc & block_mask != last_block:
+                    last_block = pc & block_mask
+                    ops += [OP_FETCH, pc]
+                if address is not None:
+                    ops += [OP_STORE if is_store else OP_LOAD, address]
+                mispredicted = bool(is_branch and predict(pc, taken))
+                memory = address is not None
+                rows.append((
+                    ops, int(is_branch), int(mispredicted), int(memory),
+                    int(memory and is_store),
+                ))
+        return rows
+
+    @staticmethod
+    def totals(rows):
+        """One segment's ``(ops, branches, mispredicts, memory_refs, stores)``."""
+        return (
+            [op for row in rows for op in row[0]],
+            *(sum(row[column] for row in rows) for column in range(1, 5)),
+        )
+
+    @staticmethod
+    def pilot(ops, side, access):
+        """Resolve one segment's ops on a fixed L1 (``access`` = its ``access_packed``).
+
+        Returns ``(reduced, misses, dirty_victims)``: the pilot side's hits
+        dropped, its misses rewritten to ``OP_IMISS`` (with the PC) or
+        ``OP_DMISS`` (with the address and the packed outcome).
+        """
+        from repro.cache.cache import PACKED_WRITEBACK_VALID
+        from repro.sim.predecode import OP_DMISS, OP_FETCH, OP_IMISS, OP_STORE
+
+        reduced = []
+        misses = dirty = 0
+        for code, operand in zip(ops[::2], ops[1::2]):
+            if (code == OP_FETCH) != (side == "i"):
+                reduced += [code, operand]
+                continue
+            packed = access(operand, code == OP_STORE)
+            if packed & 1:
+                continue
+            misses += 1
+            if side == "i":
+                reduced += [OP_IMISS, operand]
+            else:
+                dirty += bool(packed & PACKED_WRITEBACK_VALID)
+                reduced += [OP_DMISS, operand, packed]
+        return reduced, misses, dirty
+
+
+@pytest.fixture(scope="session")
+def decode_model():
+    """The independent per-row decode and pilot models (see :class:`_DecodeModel`)."""
+    return _DecodeModel

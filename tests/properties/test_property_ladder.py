@@ -1,9 +1,10 @@
 """Property-based fused-vs-reference equivalence for ladder replay.
 
 Hypothesis drives randomly drawn workload mixes, trace lengths (including
-odd-length final intervals), warmup boundaries, resizing targets and rung
-mixes (static ladders, dynamic rungs, a fixed baseline rung, heterogeneous
-both-sides rungs) through :func:`repro.sim.ladder.run_fused` and asserts
+odd-length final intervals), warmup boundaries, sampling schedules,
+resizing targets and rung mixes (static ladders, dynamic rungs, a fixed
+baseline rung, heterogeneous both-sides rungs) through
+:func:`repro.sim.ladder.run_fused` and asserts
 byte-identical ``SimulationResult.to_dict()`` payloads against standalone
 :meth:`Simulator.run` executions of every rung under the reference engine
 (the default engine is itself a one-rung ladder, so it is no oracle here).  Any divergence — a
@@ -49,6 +50,11 @@ _ORGANIZATIONS = st.sampled_from([SelectiveWays, SelectiveSets, HybridSetsAndWay
 _TARGETS = st.sampled_from(["d", "i", "both"])
 _WITH_BASELINE = st.booleans()
 _WITH_DYNAMIC = st.booleans()
+
+#: Interval sampling: every Nth interval (1 = exhaustive), with no warmup
+#: prefix or one of about half an interval.
+_SAMPLE_EVERY = st.sampled_from([1, 2, 3, 5])
+_SAMPLE_WARMUP_FRACTIONS = st.sampled_from([0.0, 0.5])
 
 
 def _build_setups(factory, target, with_baseline, with_dynamic):
@@ -98,14 +104,20 @@ def _build_setups(factory, target, with_baseline, with_dynamic):
     target=_TARGETS,
     with_baseline=_WITH_BASELINE,
     with_dynamic=_WITH_DYNAMIC,
+    sample_every=_SAMPLE_EVERY,
+    sample_warmup_fraction=_SAMPLE_WARMUP_FRACTIONS,
 )
 @settings(max_examples=15, deadline=None)
 def test_fused_ladder_agrees_with_standalone_runs(
     application, length, interval, warmup_fraction, factory, target,
-    with_baseline, with_dynamic,
+    with_baseline, with_dynamic, sample_every, sample_warmup_fraction,
 ):
     trace = TraceSpec(application, length).materialize()
     warmup = int(length * warmup_fraction)
+    sampling = {
+        "sample_every": sample_every,
+        "sample_warmup": int(interval * sample_warmup_fraction),
+    }
 
     standalone = [
         Simulator(_SYSTEM, engine="reference").run(
@@ -114,6 +126,7 @@ def test_fused_ladder_agrees_with_standalone_runs(
             i_setup=i_setup,
             interval_instructions=interval,
             warmup_instructions=warmup,
+            **sampling,
         ).to_dict()
         for d_setup, i_setup in _build_setups(factory, target, with_baseline, with_dynamic)
     ]
@@ -125,6 +138,7 @@ def test_fused_ladder_agrees_with_standalone_runs(
             _build_setups(factory, target, with_baseline, with_dynamic),
             interval_instructions=interval,
             warmup_instructions=warmup,
+            **sampling,
         )
     ]
     assert fused == standalone

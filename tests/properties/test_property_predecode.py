@@ -1,18 +1,18 @@
 """Property-based equivalence for the vectorized trace pre-decode.
 
 Hypothesis draws applications, trace lengths (odd ones included), fetch
-block sizes and interval partitions, and asserts two invariants of
-:mod:`repro.sim.predecode`:
+block sizes, interval partitions and sampling schedules, and asserts three
+invariants of :mod:`repro.sim.predecode`:
 
 * the NumPy builder and the stdlib builder produce bit-identical
   :class:`~repro.sim.predecode.DecodedTrace` payloads (skipped when NumPy
   is not importable — the CI matrix runs both legs);
-* the whole-trace decode equals the concatenation of per-interval
-  :func:`repro.sim.engine.decode_interval` outputs, ops and totals alike,
-  for any partition — the contract that lets engines slice intervals out
-  of one precomputed stream;
-* every segment rebuilt from the sparse pilot memo equals the live pilot
-  resolution of that segment on a fresh cache of the same geometry,
+* the decode of a plan's replayed rows equals an independent per-row
+  model of them (the ``decode_model`` fixture), ops and totals alike, for
+  any partition — the contract that lets the replay slice segments out of
+  one precomputed stream;
+* every segment rebuilt from the sparse pilot memo equals the same
+  segment resolved op by op on one fresh cache of the same geometry,
   replacement policy and name, over any partition — including one cut at
   a row without a fetch op, where the other-side counts tie.
 """
@@ -24,10 +24,8 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.cache import Cache
 from repro.cache.replacement import ReplacementPolicy
 from repro.common.config import SystemConfig
-from repro.cpu.branch import BimodalBranchPredictor
 from repro.sim import predecode
-from repro.sim.engine import decode_interval
-from repro.sim.ladder import _memo_segments, _resolve_pilot_d, _resolve_pilot_i
+from repro.sim.ladder import _memo_segments
 from repro.sim.runner import TraceSpec
 from repro.sim.vector import numpy_or_none
 
@@ -37,6 +35,15 @@ _APPLICATIONS = st.sampled_from(["gcc", "compress", "swim", "vortex"])
 _LENGTHS = st.integers(min_value=257, max_value=2_500)
 _BLOCK_BYTES = st.sampled_from([16, 32, 64])
 _INTERVALS = st.sampled_from([97, 250, 1_024])
+
+#: None (exhaustive) or a sampled ``(interval, every, warmup)`` schedule.
+_SCHEDULES = st.one_of(
+    st.none(),
+    st.tuples(
+        st.sampled_from([61, 200, 333]), st.sampled_from([2, 3, 5]),
+        st.sampled_from([0, 40, 150]),
+    ),
+)
 
 
 def _fields(decoded):
@@ -54,12 +61,16 @@ def _fields(decoded):
 
 @pytest.mark.skipif(numpy_or_none() is None, reason="NumPy unavailable")
 @settings(max_examples=25, deadline=None)
-@given(application=_APPLICATIONS, length=_LENGTHS, block_bytes=_BLOCK_BYTES)
-def test_numpy_decode_equals_scalar_decode(application, length, block_bytes):
+@given(
+    application=_APPLICATIONS, length=_LENGTHS, block_bytes=_BLOCK_BYTES,
+    schedule=_SCHEDULES,
+)
+def test_numpy_decode_equals_scalar_decode(application, length, block_bytes, schedule):
     trace = TraceSpec(application, length).materialize()
     mask = ~(block_bytes - 1)
-    vectorized = predecode._build_numpy(trace, mask, numpy_or_none())
-    scalar = predecode._build_scalar(trace, mask)
+    runs = predecode.replay_runs(length, schedule)
+    vectorized = predecode._build_numpy(trace, mask, numpy_or_none(), runs)
+    scalar = predecode._build_scalar(trace, mask, runs)
     assert _fields(vectorized) == _fields(scalar)
 
 
@@ -69,25 +80,21 @@ def test_numpy_decode_equals_scalar_decode(application, length, block_bytes):
     length=_LENGTHS,
     block_bytes=_BLOCK_BYTES,
     interval=_INTERVALS,
+    schedule=_SCHEDULES,
 )
-def test_decode_equals_interval_concatenation(application, length, block_bytes, interval):
+def test_decode_equals_per_row_model(
+    application, length, block_bytes, interval, schedule, decode_model
+):
     trace = TraceSpec(application, length).materialize()
     mask = ~(block_bytes - 1)
-    decoded = predecode.build_decoded(trace, mask)
-    assert decoded is not None
+    decoded = predecode.build_decoded(trace, mask, schedule)
+    rows = decode_model.rows(trace, mask, predecode.replay_runs(length, schedule))
+    assert decoded.n == len(rows)
 
-    predict = BimodalBranchPredictor().predict_and_update
-    pc_col, addr_col, flag_col = trace.columns()
-    last_fetch_block = -1
     start = 0
-    while start < length:
-        stop = min(start + interval, length)
-        ops, last_fetch_block, branches, mispredicts, memrefs, stores = (
-            decode_interval(
-                pc_col[start:stop], flag_col[start:stop], addr_col[start:stop],
-                stop - start, mask, last_fetch_block, predict,
-            )
-        )
+    while start < len(rows):
+        stop = min(start + interval, len(rows))
+        ops, branches, mispredicts, memrefs, stores = decode_model.totals(rows[start:stop])
         assert decoded.interval_ops(start, stop) == ops
         assert decoded.branch_prefix[stop] - decoded.branch_prefix[start] == branches
         assert (
@@ -113,8 +120,8 @@ _PILOT_MASK = ~(_SYSTEM.l1i.block_bytes - 1)
     side=st.sampled_from(["i", "d"]),
     data=st.data(),
 )
-def test_sparse_pilot_equals_live_resolution(
-    application, length, associativity, capacity, replacement, side, data
+def test_sparse_pilot_equals_per_op_model(
+    application, length, associativity, capacity, replacement, side, data, decode_model
 ):
     trace = TraceSpec(application, length).materialize()
     decoded = predecode.build_decoded(trace, _PILOT_MASK)
@@ -134,8 +141,12 @@ def test_sparse_pilot_equals_live_resolution(
     bounds = [0, *sorted(cuts), length]
     plan = [(start, stop, True) for start, stop in zip(bounds, bounds[1:])]
 
-    kernel = Cache(geometry, replacement, name=name).access_packed
-    resolve = _resolve_pilot_i if side == "i" else _resolve_pilot_d
-    segments = _memo_segments(decoded, plan, side, None, pilot)
-    for (start, stop, _), (_, _, reduced, shared, _) in zip(plan, segments):
-        assert (reduced, shared) == resolve(decoded.interval_ops(start, stop), kernel)
+    access = Cache(geometry, replacement, name=name).access_packed
+    segments = _memo_segments(decoded, plan, side, pilot)
+    for (start, stop, _), (_, _, reduced, shared, totals) in zip(plan, segments):
+        expected, misses, dirty = decode_model.pilot(
+            decoded.interval_ops(start, stop), side, access
+        )
+        fetches = totals[4]
+        assert reduced == expected
+        assert shared == ((fetches, misses, 0, 0) if side == "i" else (0, 0, misses, dirty))

@@ -126,6 +126,14 @@ class TestJobFromPayload:
                     "strategy": {"kind": "static", "ways": 3, "sets": 7},
                 }
             ),
+            # Fields another strategy kind reads are refused, not dropped.
+            *[
+                minimal_job(d_setup={"organization": "selective-sets", "strategy": strategy})
+                for strategy in (
+                    {"kind": "dynamic", "ways": 1, "sets": 4},
+                    {"kind": "static", "ways": 2, "sets": 128, "miss_bound": "x"},
+                )
+            ],
         ],
     )
     def test_invalid_payloads_fail_with_400(self, payload):

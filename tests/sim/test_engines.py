@@ -28,7 +28,7 @@ from repro.sim.engine import (
     get_engine,
     register_engine,
 )
-from repro.sim import ladder, predecode
+from repro.sim import ladder
 from repro.sim.jobcache import JobCache
 from repro.sim.runner import SimJob, SweepRunner, TraceSpec
 from repro.sim.simulator import L1Setup, Simulator
@@ -132,7 +132,7 @@ class TestEquivalence:
             (6_000 + 1, 0),  # single partial interval (interval > trace)
         ],
     )
-    def test_engines_are_bit_identical(self, system, kind, interval, warmup, monkeypatch):
+    def test_engines_are_bit_identical(self, system, kind, interval, warmup):
         trace = TraceSpec("gcc", 6_000).materialize()  # fresh: no memo hits
 
         def run(engine):
@@ -151,13 +151,6 @@ class TestEquivalence:
         # A single run is a one-rung ladder, not a fused pass on the ladder
         # tier counters.
         assert ladder.stats_snapshot() == tiers
-        # With the pre-decode memo refused, the one-rung ladder decodes
-        # each interval live from the trace columns and builds no pilot;
-        # still identical.
-        monkeypatch.setattr(ladder, "decoded_for", lambda *args: None)
-        pilot_builds = predecode.stats_snapshot()["pilot_builds"]
-        assert run("columnar") == reference
-        assert predecode.stats_snapshot()["pilot_builds"] == pilot_builds
 
     def test_run_level_engine_override_beats_simulator_default(self, system, trace):
         simulator = Simulator(system, engine="reference")

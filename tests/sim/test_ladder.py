@@ -11,9 +11,9 @@ Four layers are covered here:
   coalesced grid replays all three organizations' full ladders in one
   pass at several associativities, so the stack-distance tier, shared
   geometries and every fallback (FIFO, RANDOM, dynamic) ride together.
-* **Pilot rule** — which passes pilot which L1: exhaustive ones with a
-  fixed L1d for any K (single runs reusing their trace's memoized pilot),
-  the L1i and live-decoded passes only from two rungs up.
+* **Pilot rule** — which passes pilot which L1: a fixed L1d for any K
+  (single runs reusing their trace's memoized pilot), the L1i only from
+  two rungs up, sampled plans alike.
 * **Job layer** — :class:`LadderJob` validation, worker execution and the
   per-rung cache fan-out of :meth:`SweepRunner.submit_ladder`, including
   the partially-warm case (only missing rungs are fused), the
@@ -32,6 +32,7 @@ from repro.cache.cache import Cache
 from repro.cache.replacement import ReplacementPolicy
 from repro.common.config import CoreConfig, CoreKind, SystemConfig
 from repro.common.errors import SimulationError
+from repro.cpu.branch import BimodalBranchPredictor
 from repro.mem.main_memory import MainMemory
 from repro.resizing.dynamic_strategy import DynamicResizing
 from repro.resizing.hybrid import HybridSetsAndWays
@@ -304,6 +305,18 @@ class TestEngineEquivalence:
     def test_replay_many_accepts_empty_context_list(self, trace):
         LadderEngine().replay_many(trace, [])  # no-op, not an error
 
+    def test_replay_many_requires_fresh_default_predictors(self, system, trace):
+        """The memoized decode replicates a fresh default predictor; a rung
+        driven by anything else is refused up front, never replayed."""
+        simulator = Simulator(system)
+        contexts = [simulator._prepare_run(trace, None, None, 1_500, 0) for _ in range(2)]
+        contexts[1].predictor.predict_and_update(0x1000, True)
+        with pytest.raises(SimulationError, match="branch predictor"):
+            LadderEngine().replay_many(trace, contexts)
+        contexts[1].predictor = BimodalBranchPredictor(table_entries=1024)
+        with pytest.raises(SimulationError, match="branch predictor"):
+            LadderEngine().replay_many(trace, contexts[1:])
+
 
 def _static(system, side):
     """A static selective-sets setup resizing one L1, as ``run`` keywords."""
@@ -326,7 +339,7 @@ def _dynamic_both(system):
 
 
 class TestPilotRule:
-    """Which passes pilot: exhaustive ones with a fixed L1d for any K, the rest from K = 2."""
+    """Which passes pilot: a fixed L1d for any K, a fixed L1i from K = 2, sampled or not."""
 
     @pytest.fixture
     def fresh(self):
@@ -334,30 +347,20 @@ class TestPilotRule:
 
     @pytest.fixture
     def spy(self, monkeypatch):
-        """Records the side of every pilot memo lookup and live pilot interval."""
-        calls = {"memo": [], "live": []}
-        pilot_for, resolve_i, resolve_d = (
-            ladder.pilot_for, ladder._resolve_pilot_i, ladder._resolve_pilot_d
-        )
+        """Records the side of every pilot memo lookup."""
+        calls = []
+        pilot_for = ladder.pilot_for
 
         def memo(trace, decoded, side, cache):
-            calls["memo"].append(side)
+            calls.append(side)
             return pilot_for(trace, decoded, side, cache)
 
-        def live(side, resolve):
-            def wrapped(ops, kernel):
-                calls["live"].append(side)
-                return resolve(ops, kernel)
-            return wrapped
-
         monkeypatch.setattr(ladder, "pilot_for", memo)
-        monkeypatch.setattr(ladder, "_resolve_pilot_i", live("i", resolve_i))
-        monkeypatch.setattr(ladder, "_resolve_pilot_d", live("d", resolve_d))
         return calls
 
     def test_both_sides_fixed_pilots_the_d_side(self, system, fresh, spy):
         result = Simulator(system).run(fresh)
-        assert spy == {"memo": ["d"], "live": []}
+        assert spy == ["d"]
         assert result.to_dict() == Simulator(system, engine="reference").run(fresh).to_dict()
 
     def test_single_run_reuses_the_ladders_pilot(self, system, fresh):
@@ -370,20 +373,31 @@ class TestPilotRule:
         reference = Simulator(system, engine="reference").run(fresh, **_static(system, "i"))
         assert result.to_dict() == reference.to_dict()
 
-    def test_sampled_runs_pilot_live_only_from_two_rungs(self, system, fresh, spy):
+    def test_sampled_runs_follow_the_same_rule(self, system, fresh, spy):
+        """A sampled plan pilots from its own memo, and its ladders reach the stack tier."""
         sampled = {"sample_every": 4, "sample_warmup": 600}
+        before = predecode.stats_snapshot()
         single = Simulator(system).run(fresh, **_static(system, "i"), **sampled)
-        assert spy == {"memo": [], "live": []}  # no pilot built or resolved
+        assert spy == ["d"]
+        tiers = ladder.stats_snapshot()
         fused = run_fused(
-            Simulator(system), fresh, [(None, _static(system, "i")["i_setup"]), (None, None)],
-            **sampled,
+            Simulator(system), fresh, _ladder_setups(system, SelectiveWays, DCACHE), **sampled
         )
-        assert spy["memo"] == [] and set(spy["live"]) == {"d"}
+        assert spy == ["d", "i"]
+        tiers = {key: value - tiers[key] for key, value in ladder.stats_snapshot().items()}
+        assert tiers["ladder_stack_groups"] > 0
+        after = predecode.stats_snapshot()
+        # One sampled decode, shared by both passes; one pilot per side.
+        assert after["decode_builds"] - before["decode_builds"] == 1
+        assert after["pilot_builds"] - before["pilot_builds"] == 2
         reference = Simulator(system, engine="reference")
-        assert single.to_dict() == fused[0].to_dict() == reference.run(
+        assert single.to_dict() == reference.run(
             fresh, **_static(system, "i"), **sampled
         ).to_dict()
-        assert fused[1].to_dict() == reference.run(fresh, **sampled).to_dict()
+        assert [result.to_dict() for result in fused] == [
+            reference.run(fresh, d_setup=d_setup, i_setup=i_setup, **sampled).to_dict()
+            for d_setup, i_setup in _ladder_setups(system, SelectiveWays, DCACHE)
+        ]
 
     @pytest.mark.parametrize(
         "setups", [_dynamic_both, lambda system: _static(system, "d")],
@@ -392,7 +406,7 @@ class TestPilotRule:
     def test_single_run_resizing_the_l1d_builds_no_pilot(self, system, fresh, spy, setups):
         """Piloting the L1i pays off only when rungs share the pass."""
         result = Simulator(system).run(fresh, **setups(system))
-        assert spy == {"memo": [], "live": []}  # no pilot built or resolved
+        assert spy == []  # no pilot built or looked up
         reference = Simulator(system, engine="reference").run(fresh, **setups(system))
         assert result.to_dict() == reference.to_dict()
 

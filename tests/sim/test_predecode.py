@@ -1,11 +1,13 @@
 """Tests for the configuration-invariant trace pre-decode (repro.sim.predecode).
 
-The module's correctness contract is that a whole-trace decode equals the
-concatenation of per-interval :func:`repro.sim.engine.decode_interval`
-outputs — ops and all four totals — for *any* interval partition, and that
+The module's correctness contract is that the decode of a plan's replayed
+rows equals an independent per-row model of those rows (the
+``decode_model`` fixture: records decoded one by one against a real
+predictor) — ops and all four totals — for *any* segment partition, with
+the fetch-block dedup restarting at each run of a sampled plan, and that
 the NumPy and stdlib builders are bit-identical.  These tests pin both,
-plus the disk serialization round-trip, the memo counters, and the gates
-that force scalar replay (non-default predictors, warm pilots).
+plus the disk serialization round-trip, the memo keys and counters, and
+the gates (non-default predictors, warm pilots).
 """
 
 import gc
@@ -17,15 +19,17 @@ from repro.cache.cache import Cache
 from repro.common.config import SystemConfig
 from repro.cpu.branch import BimodalBranchPredictor
 from repro.sim import predecode
-from repro.sim.engine import decode_interval
-from repro.sim.ladder import _resolve_pilot_d, _resolve_pilot_i
+from repro.sim.engine import sampling_plan
 from repro.sim.predecode import (
+    OP_FETCH,
     DecodedTrace,
     PilotResolution,
     build_decoded,
     build_pilot,
     decoded_for,
+    is_default_predictor,
     pilot_for,
+    replay_runs,
 )
 from repro.sim.runner import TraceSpec
 from repro.sim.vector import numpy_or_none
@@ -34,6 +38,10 @@ _SYSTEM = SystemConfig()
 
 #: The mask every real run uses: the L1i fetch-block selector.
 _BLOCK_MASK = ~(_SYSTEM.l1i.block_bytes - 1)
+
+#: A sampled schedule (interval, every, warmup) whose gap after rows
+#: [408, 459) resumes at row 510 inside the fetch block of row 458.
+_GAP_SCHEDULE = (51, 2, 0)
 
 
 @pytest.fixture(scope="module")
@@ -51,32 +59,10 @@ def _partition(n, interval):
     return boundaries
 
 
-def _interval_reference(trace, block_mask, boundaries):
-    """Per-interval scalar decode, exactly as a live replay drives it."""
-    predict = BimodalBranchPredictor().predict_and_update
-    pc_col, addr_col, flag_col = trace.columns()
-    last_fetch_block = -1
-    out = []
+def _assert_segments_match(decoded, rows, boundaries, model):
+    """Every decode-row segment's ops and totals equal the model's rows."""
     for start, stop in boundaries:
-        ops, last_fetch_block, branches, mispredicts, memrefs, stores = (
-            decode_interval(
-                pc_col[start:stop], flag_col[start:stop], addr_col[start:stop],
-                stop - start, block_mask, last_fetch_block, predict,
-            )
-        )
-        out.append((ops, branches, mispredicts, memrefs, stores))
-    return out
-
-
-@pytest.mark.parametrize("interval", [997, 1_024, 5_003])
-def test_decoded_equals_per_interval_decode(trace, interval):
-    decoded = build_decoded(trace, _BLOCK_MASK)
-    assert decoded is not None
-    boundaries = _partition(len(trace), interval)
-    reference = _interval_reference(trace, _BLOCK_MASK, boundaries)
-    for (start, stop), (ops, branches, mispredicts, memrefs, stores) in zip(
-        boundaries, reference
-    ):
+        ops, branches, mispredicts, memrefs, stores = model.totals(rows[start:stop])
         assert decoded.interval_ops(start, stop) == ops
         assert decoded.branch_prefix[stop] - decoded.branch_prefix[start] == branches
         assert (
@@ -85,6 +71,44 @@ def test_decoded_equals_per_interval_decode(trace, interval):
         )
         assert decoded.memref_prefix[stop] - decoded.memref_prefix[start] == memrefs
         assert decoded.store_prefix[stop] - decoded.store_prefix[start] == stores
+
+
+@pytest.mark.parametrize("interval", [997, 1_024, 5_003])
+def test_decoded_equals_per_row_model(trace, interval, decode_model):
+    decoded = build_decoded(trace, _BLOCK_MASK)
+    rows = decode_model.rows(trace, _BLOCK_MASK, [(0, len(trace))])
+    assert decoded.n == len(rows) == len(trace)
+    _assert_segments_match(decoded, rows, _partition(len(trace), interval), decode_model)
+
+
+@pytest.mark.parametrize("schedule", [(997, 2, 0), (500, 3, 250), _GAP_SCHEDULE])
+def test_sampled_decode_equals_per_row_model(trace, schedule, decode_model):
+    """A sampled decode holds only the replayed rows, segment after segment."""
+    runs = replay_runs(len(trace), schedule)
+    decoded = build_decoded(trace, _BLOCK_MASK, schedule)
+    rows = decode_model.rows(trace, _BLOCK_MASK, runs)
+    assert decoded.n == len(rows) == sum(stop - start for start, stop in runs) < len(trace)
+    assert decoded.schedule == schedule
+    position = 0
+    boundaries = []
+    for start, stop, _ in sampling_plan(len(trace), *schedule):
+        boundaries.append((position, position + stop - start))
+        position += stop - start
+    _assert_segments_match(decoded, rows, boundaries, decode_model)
+
+
+def test_sampled_decode_restarts_fetch_dedup_after_a_gap(trace, decode_model):
+    """The first row after a gap fetches even inside the last replayed row's block."""
+    pcs = trace.columns()[0]
+    runs = replay_runs(len(trace), _GAP_SCHEDULE)
+    (_, before), (after, _) = runs[4], runs[5]
+    assert (before, after) == (459, 510)
+    assert pcs[before - 1] & _BLOCK_MASK == pcs[after] & _BLOCK_MASK
+    decoded = build_decoded(trace, _BLOCK_MASK, _GAP_SCHEDULE)
+    row = sum(stop - start for start, stop in runs[:5])
+    assert decoded.interval_ops(row, row + 1)[:2] == [OP_FETCH, pcs[after]]
+    rows = decode_model.rows(trace, _BLOCK_MASK, runs)
+    assert decoded.interval_ops(row - 1, row + 1) == rows[row - 1][0] + rows[row][0]
 
 
 def _decoded_fields(decoded):
@@ -101,9 +125,11 @@ def _decoded_fields(decoded):
 
 
 @pytest.mark.skipif(numpy_or_none() is None, reason="NumPy unavailable")
-def test_numpy_builder_matches_scalar_builder(trace):
-    vectorized = predecode._build_numpy(trace, _BLOCK_MASK, numpy_or_none())
-    scalar = predecode._build_scalar(trace, _BLOCK_MASK)
+@pytest.mark.parametrize("schedule", [None, (500, 3, 250), _GAP_SCHEDULE])
+def test_numpy_builder_matches_scalar_builder(trace, schedule):
+    runs = replay_runs(len(trace), schedule)
+    vectorized = predecode._build_numpy(trace, _BLOCK_MASK, numpy_or_none(), runs)
+    scalar = predecode._build_scalar(trace, _BLOCK_MASK, runs)
     assert _decoded_fields(vectorized) == _decoded_fields(scalar)
 
 
@@ -131,29 +157,37 @@ def test_from_bytes_rejects_foreign_payloads(trace):
         DecodedTrace.from_bytes(b"")
 
 
-def test_decoded_for_memoizes_per_trace_and_mask(trace):
+def test_decoded_for_memoizes_per_trace_mask_and_plan(trace):
+    trace = TraceSpec("gcc", 3_001).materialize()  # fresh: nothing memoized yet
     predecode.reset_stats()
-    first = decoded_for(trace, _BLOCK_MASK, BimodalBranchPredictor())
-    second = decoded_for(trace, _BLOCK_MASK, BimodalBranchPredictor())
-    assert first is not None and second is first
+    first = decoded_for(trace, _BLOCK_MASK)
+    # Every exhaustive plan replays every row: one decode, whatever the interval.
+    assert decoded_for(trace, _BLOCK_MASK, (997, 1, 0)) is first
+    assert decoded_for(trace, _BLOCK_MASK, (1_500, 1, 300)) is first
     snapshot = predecode.stats_snapshot()
     assert snapshot["decode_builds"] == 1
-    assert snapshot["decode_memo_hits"] == 1
-    # A different mask is a distinct decode, not a hit.
-    other = decoded_for(trace, ~15, BimodalBranchPredictor())
-    assert other is not None and other is not first
-    assert predecode.stats_snapshot()["decode_builds"] == 2
+    assert snapshot["decode_memo_hits"] == 2
+    # A different mask or a sampled plan is a distinct decode, not a hit.
+    other = decoded_for(trace, ~15)
+    sampled = decoded_for(trace, _BLOCK_MASK, (500, 3, 250))
+    assert len({id(first), id(other), id(sampled)}) == 3
+    assert sampled.schedule == (500, 3, 250) and first.schedule is None
+    assert decoded_for(trace, _BLOCK_MASK, (500, 3, 250)) is sampled
+    assert decoded_for(trace, _BLOCK_MASK, (500, 3, 0)) is not sampled
+    assert predecode.stats_snapshot()["decode_builds"] == 4
 
 
-def test_decoded_for_refuses_nondefault_predictors(trace):
+def test_only_fresh_default_predictors_are_replicated():
+    assert is_default_predictor(BimodalBranchPredictor())
     warm = BimodalBranchPredictor()
     warm.predict_and_update(0x1000, True)
-    assert decoded_for(trace, _BLOCK_MASK, warm) is None
+    assert not is_default_predictor(warm)
+    assert not is_default_predictor(BimodalBranchPredictor(table_entries=1024))
 
     class OtherPredictor(BimodalBranchPredictor):
         pass
 
-    assert decoded_for(trace, _BLOCK_MASK, OtherPredictor()) is None
+    assert not is_default_predictor(OtherPredictor())
 
 
 def test_pilot_memoizes_and_refuses_warm_caches(trace):
@@ -165,6 +199,10 @@ def test_pilot_memoizes_and_refuses_warm_caches(trace):
     second = pilot_for(trace, decoded, "i", Cache(_SYSTEM.l1i, name="l1i"))
     assert second is first
     assert predecode.stats_snapshot()["pilot_memo_hits"] == 1
+    # A sampled plan's decode has its own pilot.
+    sampled = build_decoded(trace, _BLOCK_MASK, (500, 3, 250))
+    assert pilot_for(trace, sampled, "i", Cache(_SYSTEM.l1i, name="l1i")) is not first
+    assert predecode.stats_snapshot()["pilot_builds"] == 2
     # The memoized resolution is only valid from a cold pilot.
     warm = Cache(_SYSTEM.l1i, name="l1i")
     warm.access_packed(0x40, False)
@@ -176,19 +214,17 @@ def test_pilot_memoizes_and_refuses_warm_caches(trace):
     assert pilot_for(trace, decoded, "i", OtherCache(_SYSTEM.l1i, name="l1i")) is None
 
 
-def test_pilot_interval_entries_partition_consistently(trace):
+def test_pilot_interval_entries_partition_consistently(trace, decode_model):
     """Sparse pilot segments tile, over any partition, the whole-trace
     reduced stream and its whole-trace miss and writeback totals."""
     decoded = build_decoded(trace, _BLOCK_MASK)
     n = decoded.n
     for side, geometry in (("i", _SYSTEM.l1i), ("d", _SYSTEM.l1d)):
         pilot = build_pilot(decoded, side, geometry, Cache(geometry).replacement, side)
-        resolve = _resolve_pilot_i if side == "i" else _resolve_pilot_d
-        reduced, shared = resolve(
-            decoded.interval_ops(0, n), Cache(geometry, name=side).access_packed
+        whole = decode_model.pilot(
+            decoded.interval_ops(0, n), side, Cache(geometry, name=side).access_packed
         )
-        whole = (reduced, *((shared[1], 0) if side == "i" else shared[2:]))
-        assert whole[1] > 0
+        assert whole[1] > 0 and (whole[2] > 0) == (side == "d")
         for interval in (1, 769, n):
             segments = [
                 pilot.segment(decoded, start, stop) for start, stop in _partition(n, interval)
@@ -237,12 +273,15 @@ def test_disk_round_trip_counts_disk_hits(trace, tmp_path):
     previous = get_trace_cache()
     set_trace_cache(str(tmp_path / "traces"))
     try:
-        built = build_decoded(trace, _BLOCK_MASK)
-        predecode._store_to_disk(trace, _BLOCK_MASK, built)
-        loaded = predecode._load_from_disk(trace, _BLOCK_MASK)
-        assert loaded is not None
-        assert _decoded_fields(loaded) == _decoded_fields(built)
-        assert predecode.stats_snapshot()["decode_disk_hits"] == 1
+        for schedule in (None, (500, 3, 250)):
+            built = build_decoded(trace, _BLOCK_MASK, schedule)
+            predecode._store_to_disk(trace, _BLOCK_MASK, schedule, built)
+            loaded = predecode._load_from_disk(trace, _BLOCK_MASK, schedule)
+            assert loaded is not None and loaded.schedule == schedule
+            assert _decoded_fields(loaded) == _decoded_fields(built)
+        assert predecode.stats_snapshot()["decode_disk_hits"] == 2
+        # Each plan has its own entry: a schedule never finds another's decode.
+        assert predecode._load_from_disk(trace, _BLOCK_MASK, (500, 3, 0)) is None
     finally:
         set_trace_cache(previous)
 

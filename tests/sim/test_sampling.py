@@ -47,8 +47,15 @@ def fixture_trace():
 
 class TestPlan:
     def test_exhaustive_runs_have_no_plan(self):
-        assert sampling_plan(10_000, 1500, 1, 0) is None
-        assert sampling_plan(10_000, 1500, 0, 500) is None
+        """An exhaustive plan is every interval, contiguous and measured."""
+        every_interval = [
+            (start, min(start + 1500, 10_000), True) for start in range(0, 10_000, 1500)
+        ]
+        assert sampling_plan(10_000, 1500, 1, 0) == every_interval
+        # No gap to re-warm, whatever the warmup; below 1 reads as 1.
+        assert sampling_plan(10_000, 1500, 1, 500) == every_interval
+        assert sampling_plan(10_000, 1500, 0, 500) == every_interval
+        assert sampling_plan(0, 1500, 1, 0) == []
 
     def test_measured_intervals_are_every_nth(self):
         plan = sampling_plan(9_000, 1500, 3, 0)

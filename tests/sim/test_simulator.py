@@ -7,6 +7,7 @@ from repro.common.errors import SimulationError
 from repro.resizing.dynamic_strategy import DynamicResizing
 from repro.resizing.selective_sets import SelectiveSets
 from repro.resizing.static_strategy import StaticResizing
+from repro.sim.predecode import MAX_ROWS
 from repro.sim.simulator import L1Setup, Simulator
 from repro.workloads.trace import Trace
 
@@ -62,6 +63,16 @@ class TestBaselineRuns:
     def test_empty_trace_rejected(self, simulator):
         with pytest.raises(SimulationError):
             simulator.run(Trace("empty", []))
+
+    def test_trace_beyond_the_decode_ceiling_rejected(self, simulator):
+        """The decode's 32-bit prefixes hold fewer than MAX_ROWS rows."""
+
+        class HugeTrace(Trace):
+            def __len__(self):
+                return MAX_ROWS
+
+        with pytest.raises(SimulationError, match="at most"):
+            simulator.run(HugeTrace("huge", []))
 
     def test_invalid_interval_rejected(self, simulator, tiny_trace):
         with pytest.raises(SimulationError):
