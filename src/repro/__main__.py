@@ -737,7 +737,8 @@ def ladder_stats_line(runner: SweepRunner) -> str:
         f"ladder: {tiers['ladder_passes']} fused pass(es), "
         f"{tiers['ladder_stack_groups']} stack group(s); rungs by tier: "
         f"{tiers['ladder_stack_rungs']} stack, {tiers['ladder_shared_rungs']} shared, "
-        f"{tiers['ladder_fallback_rungs']} per-rung"
+        f"{tiers['ladder_fallback_rungs']} per-rung; "
+        f"{tiers['ladder_l2_filtered_passes']} L2-filtered"
     )
 
 

@@ -96,6 +96,13 @@ of the decode's side-split op column (the variant side's ops,
 the segment's misses spliced back in, exactly the ops the fixed L1 would
 have missed on.
 
+The same caveat covers the L2, memory and write-back buffer of every rung
+of an L2-filtered pass (the compulsory-miss filter below): no replay
+drives them.  Only resize flushes
+(:meth:`~repro.cache.hierarchy.CacheHierarchy.absorb_l1_writebacks`)
+still write into that idle L2, and their one effect on results,
+``counts.l2_accesses``, is the flush count whether they hit or not.
+
 **One dispatch kernel.**  Every mode replays its rungs through
 :func:`dispatch_cache_ops_fast`; a mode only decides which ops the stream
 carries.  The kernel takes the whole op alphabet — fetch, load and store
@@ -161,9 +168,37 @@ from properties of the rungs, never from an option: dynamic rungs, FIFO
 and RANDOM L1 replacement and the general mode.
 :func:`stats_snapshot` counts which tier served each rung of every
 :func:`run_fused` pass (``ladder_stack_rungs``, ``ladder_shared_rungs``,
-``ladder_fallback_rungs``) plus ``ladder_passes`` and
-``ladder_stack_groups``; the runner merges them into ``--stats``.  Single
-runs are not ladder passes and are not counted.
+``ladder_fallback_rungs``) plus ``ladder_passes``,
+``ladder_l2_filtered_passes`` and ``ladder_stack_groups``; the runner
+merges them into ``--stats``.  Single runs are not ladder passes and are
+not counted.
+
+Compulsory-miss filter
+----------------------
+The paper resizes only the L1s; its L2 is fixed, and no paper trace maps
+more than ``ways`` distinct blocks to one L2 set.  A cold LRU L2 that
+never sees more never evicts, so it has only compulsory misses (Hill &
+Smith, IEEE ToC 1989): an L2 access misses exactly when it is the
+trace's first touch of its block.  Since every L1 fill reads through the
+L2 and an L1 block lies inside one L2 block, that first touch is always
+an L1 miss, in every rung (multilevel inclusion, Baer & Wang, ISCA 1988),
+and a dirty L1 victim's write-allocate always hits a block its own fill
+brought in.  So a rung's memory traffic per interval is the interval's
+first touches, by a fetch (``l1i_memory``) or by a load or store
+(``l1d_memory``), whatever its L1 does, and ``l2_accesses`` stays reads
++ writes.  :meth:`LadderEngine.replay_many` checks the gate once per
+pass: every rung has the first rung's L2 geometry and a cold L2, both L1
+block sizes are at most the L2's, and
+:func:`~repro.sim.predecode.l2_filter_for` returns a first-touch index
+for the decode (None once some set overflows).  A filtered pass skips
+the dispatch kernel's miss tail (one branch per miss) and the stack
+tier's :func:`_drive_misses`; each segment's counts come from bisecting
+the index.  Sampled plans qualify too: the decode holds exactly the
+rows the plan replays.  Refused passes (an external trace with a large
+footprint, a longer trace, a smaller L2) simulate the L2 through the
+miss tail and :func:`_drive_misses`.  The index is one pass per (trace,
+plan, L2 geometry), about 5 ms for a 60k-instruction decode, which the
+first replay of a trace pays.
 
 Amortization: K standalone runs cost ``K × (slice + decode + predict +
 full dispatch + close)``; the fused pass costs ``slice + decode + predict
@@ -185,6 +220,7 @@ as its own ``Simulator.run`` (:func:`repro.sim.runner.execute_ladder_job`).
 from __future__ import annotations
 
 import gc
+from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -202,6 +238,7 @@ from repro.sim.predecode import (
     OP_STORE,
     decoded_for,
     is_default_predictor,
+    l2_filter_for,
     pilot_for,
 )
 from repro.sim.results import SimulationResult
@@ -221,9 +258,11 @@ _NEVER_DIRTY = 1 << 62
 _NOTHING_SHARED = (0, 0, 0, 0)
 
 #: Per-process tier counters (merged across workers by the runner): fused
-#: passes, stack groups, and each rung under the one tier that served it.
+#: passes, those that took the L2 filter, stack groups, and each rung under
+#: the one tier that served it.
 TIER_COUNTERS = (
     "ladder_passes",
+    "ladder_l2_filtered_passes",
     "ladder_stack_groups",
     "ladder_stack_rungs",
     "ladder_shared_rungs",
@@ -251,19 +290,23 @@ class LadderEngine:
         :class:`~repro.cache.cache.Cache` L2 over stock main memory; and
         each predictor the fresh default one the decode replicates.
         Returns the pass's tier tally (every :data:`TIER_COUNTERS` entry
-        but ``ladder_passes``), which :func:`run_fused` adds to the module
-        counters.
+        but ``ladder_passes``; ``ladder_l2_filtered_passes`` is 1 when the
+        pass took the compulsory-miss filter), which :func:`run_fused` adds
+        to the module counters.
         """
         tally = dict.fromkeys(TIER_COUNTERS[1:], 0)
         if not contexts:
             return tally
         first = contexts[0]
+        l2_geometry = first.hierarchy.l2.geometry
+        filterable = True
         for ctx in contexts:
-            l2 = ctx.hierarchy.l2
+            hierarchy = ctx.hierarchy
+            l2 = hierarchy.l2
             if (
                 type(l2) is not Cache
                 or l2.replacement is not ReplacementPolicy.LRU
-                or ctx.hierarchy._memory_state() is None
+                or hierarchy._memory_state() is None
             ):
                 raise SimulationError(
                     "fused ladder replay requires the stock hierarchy: an LRU "
@@ -290,6 +333,11 @@ class LadderEngine:
                     "fused ladder replay requires every rung to share the "
                     "sampling schedule (sample_every/sample_warmup)"
                 )
+            filterable = filterable and (
+                l2.geometry == l2_geometry and not l2.stats.accesses
+                and max(hierarchy.l1i.geometry.block_bytes,
+                        hierarchy.l1d.geometry.block_bytes) <= l2_geometry.block_bytes
+            )
         interval_instructions = first.interval_instructions
         decoded = decoded_for(
             trace, first.block_mask,
@@ -311,12 +359,16 @@ class LadderEngine:
         units = _plan_units(contexts, side)
         for unit in units:
             unit.count(tally)
-        segments = _memo_segments(decoded, first.sampling_plan(len(trace)), side, pilot_res)
+        l2_filter = l2_filter_for(trace, decoded, l2_geometry) if filterable else None
+        tally["ladder_l2_filtered_passes"] = int(l2_filter is not None)
+        segments = _memo_segments(
+            decoded, first.sampling_plan(len(trace)), side, pilot_res, l2_filter
+        )
         _walk(units, segments, interval_instructions)
         return tally
 
 
-def _memo_segments(decoded, plan, side, pilot_res):
+def _memo_segments(decoded, plan, side, pilot_res, l2_filter):
     """The plan's segments, sliced from the memoized decode of its rows.
 
     The decode holds only the rows the plan replays, in plan order, so
@@ -324,7 +376,9 @@ def _memo_segments(decoded, plan, side, pilot_res):
     come from the decode's per-row prefix arrays and the op stream is an
     O(1) slice; with a pilot resolution in hand the reduced stream is
     rebuilt from the sparse memo
-    (:meth:`~repro.sim.predecode.PilotResolution.segment`) instead.
+    (:meth:`~repro.sim.predecode.PilotResolution.segment`) instead.  With
+    an L2 filter in hand each segment also carries its ``(i_first,
+    d_first)`` first-touch counts (None without one).
     """
     op_prefix = decoded.op_prefix
     branch_prefix = decoded.branch_prefix
@@ -342,7 +396,10 @@ def _memo_segments(decoded, plan, side, pilot_res):
         else:
             reduced, misses, writebacks = pilot_res.segment(decoded, start, stop)
             shared = (fetches, misses, 0, 0) if side == "i" else (0, 0, misses, writebacks)
-        yield stop - start, measured, reduced, shared, (
+        first = None if l2_filter is None else tuple(
+            bisect_left(rows, stop) - bisect_left(rows, start) for rows in l2_filter
+        )
+        yield stop - start, measured, reduced, shared, first, (
             branch_prefix[stop] - branch_prefix[start],
             mispredict_prefix[stop] - mispredict_prefix[start],
             memory_refs,
@@ -359,12 +416,12 @@ def _walk(units, segments, interval_instructions) -> None:
     partial chunk) stays open for the final close.
     """
     total_seen = 0
-    for chunk, measured, reduced, shared, totals in segments:
+    for chunk, measured, reduced, shared, first, totals in segments:
         branches, branch_mispredicts, memory_refs, stores, fetches = totals
         total_seen += chunk
         close = measured and chunk == interval_instructions
         for unit in units:
-            for members, deltas in unit.replay(reduced, shared, fetches):
+            for members, deltas in unit.replay(reduced, shared, fetches, first):
                 (
                     l1i_accesses, l1i_misses, l1i_memory, l1d_misses,
                     l1d_memory, l1d_writebacks, l2_accesses, memory_accesses,
@@ -477,8 +534,8 @@ class _KernelUnit:
         tally["ladder_fallback_rungs"] += 1
         tally["ladder_shared_rungs"] += len(self.members) - 1
 
-    def replay(self, reduced, shared, fetches):
-        return ((self.members, dispatch_cache_ops_fast(reduced, shared, self.hierarchy)),)
+    def replay(self, reduced, shared, fetches, first):
+        return ((self.members, dispatch_cache_ops_fast(reduced, shared, self.hierarchy, first)),)
 
 
 class _StackGroup:
@@ -516,8 +573,12 @@ class _StackGroup:
         tally["ladder_stack_rungs"] += len(self.ways)
         tally["ladder_shared_rungs"] += rungs - len(self.ways)
 
-    def replay(self, reduced, shared, fetches):
-        """One interval: the stack pass, then each geometry's L2 stream."""
+    def replay(self, reduced, shared, fetches, first):
+        """One interval: the stack pass, then each geometry's L2 stream.
+
+        Under the L2 filter (``first`` not None) no stream is driven: every
+        geometry's memory traffic is the segment's first touches.
+        """
         if self.side == "i":
             streams, victims, misses, dirty = _stack_pass_d(
                 reduced, self.stacks, self.dirty_after, self.off, self.mask, self.ways
@@ -529,9 +590,14 @@ class _StackGroup:
         i_fetches, i_misses, d_misses, d_writebacks = shared
         out = []
         for j, (l2_state, mem_state) in enumerate(self.drives):
-            l1i_memory, l1d_memory, l2_accesses, memory_accesses = _drive_misses(
-                streams[j], victims[j], l2_state, mem_state
-            )
+            if first is None:
+                l1i_memory, l1d_memory, l2_accesses, memory_accesses = _drive_misses(
+                    streams[j], victims[j], l2_state, mem_state
+                )
+            else:
+                l1i_memory, l1d_memory = first
+                l2_accesses = len(streams[j]) + len(victims[j])
+                memory_accesses = l1i_memory + l1d_memory
             if self.side == "i":
                 deltas = (
                     i_fetches, i_misses, l1i_memory, misses[j], l1d_memory, dirty[j],
@@ -791,7 +857,7 @@ def _flush_l2(l2_stats, mem_state, reads, writes, l2m, l2_wm, l2_wb, wb_over):
         wb_buffer.drained += wb_over
 
 
-def dispatch_cache_ops_fast(ops, shared, hierarchy):
+def dispatch_cache_ops_fast(ops, shared, hierarchy, first=None):
     """The dispatch kernel: one hierarchy through one interval's op stream.
 
     ``ops`` is any mode's stream: the decode's fetch, load and store ops,
@@ -821,8 +887,11 @@ def dispatch_cache_ops_fast(ops, shared, hierarchy):
     deltas accumulate in locals and are flushed into each cache's
     ``stats`` before returning, so at every interval boundary (where
     strategies and accounting look) the counters are exactly the per-call
-    kernel's.
+    kernel's.  Under the L2 filter ``first`` is the interval's ``(i_first,
+    d_first)`` first-touch counts: a miss then skips the tail, the L2 stays
+    idle, and the memory deltas are those counts.
     """
+    filtered = first is not None
     fetches, i_misses, d_misses, d_writebacks = shared
     (i_stats, i_sets, i_off, i_idx, i_mask, i_ways, i_refresh, i_random, i_selector) = (
         hierarchy.l1i._kernel_state()
@@ -903,6 +972,8 @@ def dispatch_cache_ops_fast(ops, shared, hierarchy):
             data = True
             wb_addr = l1_packed >> wb_shift if l1_packed & wb_valid else None
 
+        if filtered:
+            continue
         # The one miss tail: the L2 read fill, then a dirty L1d victim's
         # buffer push and L2 write-allocate.
         b2 = operand >> l2_off
@@ -969,7 +1040,10 @@ def dispatch_cache_ops_fast(ops, shared, hierarchy):
     l1d_misses = d_misses + dm
     l1d_writebacks = d_writebacks + dwb
     reads = l1i_misses + l1d_misses
-    _flush_l2(l2_stats, mem_state, reads, l1d_writebacks, l2m, l2_wm, l2_wb, wb_over)
+    if filtered:
+        l1i_memory, l1d_memory = first
+    else:
+        _flush_l2(l2_stats, mem_state, reads, l1d_writebacks, l2m, l2_wm, l2_wb, wb_over)
     return (
         fetches + ia, l1i_misses, l1i_memory,
         l1d_misses, l1d_memory, l1d_writebacks,

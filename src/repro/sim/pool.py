@@ -23,7 +23,10 @@ the machinery fault containment needs, and nothing else:
 * **Deadlines kill, never wait.**  A task dispatched under a timeout gets
   ``now + timeout`` as its deadline; when it passes, the parent SIGKILLs
   the worker (a hung worker by definition does not respond to polite
-  signals), joins it, and emits a ``timeout`` event.
+  signals), joins it, and emits a ``timeout`` event.  The clock times the
+  task, not the worker's start: a worker sends one ready message once its
+  imports and initializer are done, and a task sent to it before then
+  gets its deadline when that message arrives.
 * **Resubmission during iteration.**  :meth:`run_batch` is a generator of
   :class:`PoolEvent`; the consumer (the runner's retry loop) may call
   :meth:`resubmit` while iterating to queue another attempt — optionally
@@ -80,9 +83,13 @@ class _QueueEntry:
 
 
 class _Worker:
-    """Parent-side handle: the process, its pipe, and its current task."""
+    """Parent-side handle: the process, its pipe, and its current task.
 
-    __slots__ = ("process", "conn", "task_id", "deadline", "started_at")
+    ``ready`` turns true when the worker's ready message has been read;
+    until then a task's ``timeout`` waits there to become its deadline.
+    """
+
+    __slots__ = ("process", "conn", "task_id", "deadline", "started_at", "ready", "timeout")
 
     def __init__(self, process, conn) -> None:
         self.process = process
@@ -90,14 +97,27 @@ class _Worker:
         self.task_id: Optional[int] = None
         self.deadline: Optional[float] = None
         self.started_at: float = 0.0
+        self.ready = False
+        self.timeout: Optional[float] = None
+
+    def start_clock(self, now: float) -> None:
+        """Start the current task's clock; a ready worker's task under a
+        timeout also gets its deadline."""
+        self.started_at = now
+        armed = self.ready and self.timeout is not None
+        self.deadline = now + self.timeout if armed else None
 
     @property
     def busy(self) -> bool:
         return self.task_id is not None
 
 
+#: The first message every worker sends: its imports and initializer are done.
+_READY = "ready"
+
+
 def _worker_main(conn, target, initializer, initargs) -> None:
-    """Worker process body: initialize once, then serve tasks until EOF.
+    """Worker process body: initialize once, report ready, then serve tasks until EOF.
 
     A ``None`` task is the shutdown handshake.  ``KeyboardInterrupt``
     (Ctrl-C fans out to the whole process group) exits quietly — the
@@ -117,6 +137,10 @@ def _worker_main(conn, target, initializer, initargs) -> None:
     try:
         if initializer is not None:
             initializer(*initargs)
+        try:
+            conn.send(_READY)
+        except (BrokenPipeError, OSError):
+            return
         while True:
             try:
                 task = conn.recv()
@@ -314,6 +338,11 @@ class FaultTolerantPool:
                 except (EOFError, OSError):
                     events.append(self._crash_event(worker))
                     continue
+                if not worker.ready:
+                    # The ready message: the task's clock starts now.
+                    worker.ready = True
+                    worker.start_clock(time.monotonic())
+                    continue
                 task_id = worker.task_id
                 worker.task_id = None
                 worker.deadline = None
@@ -348,8 +377,8 @@ class FaultTolerantPool:
                 continue
             self._queue.remove(entry)
             worker.task_id = entry.task_id
-            worker.started_at = now
-            worker.deadline = None if timeout is None else now + timeout
+            worker.timeout = timeout
+            worker.start_clock(now)
 
     def _idle_worker(self) -> Optional[_Worker]:
         for worker in self._workers:

@@ -28,8 +28,14 @@ stream:
   by splicing those misses into one slice of the decode's variant-side
   ops (:attr:`DecodedTrace.fetch_ops` / :attr:`DecodedTrace.data_ops`,
   split lazily from ``stream`` and never persisted).
+* The L2 filter (:func:`l2_filter_for`) — the decode rows whose fetch, or
+  whose load or store, first touches each L2 block, found by one pass
+  over ``stream`` per (trace, plan, L2 geometry), or None once some L2
+  set maps more distinct blocks than it has ways.  Sparse (O(blocks),
+  a few KB per trace) and never persisted; the compulsory-miss filter of
+  :mod:`repro.sim.ladder` reads each interval's memory traffic from it.
 
-Both memos key off live :class:`~repro.workloads.trace.Trace` objects
+All three memos key off live :class:`~repro.workloads.trace.Trace` objects
 (weakly, so traces die normally); :class:`DecodedTrace` additionally
 round-trips through the on-disk trace memo
 (:meth:`repro.sim.tracecache.TraceCache.put_decoded`) keyed by (trace
@@ -71,7 +77,7 @@ from __future__ import annotations
 import struct
 import weakref
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Tuple
 
 from repro.cache.cache import (
@@ -123,6 +129,9 @@ _DECODE_MEMO: "weakref.WeakKeyDictionary[Trace, Dict[tuple, DecodedTrace]]" = (
     weakref.WeakKeyDictionary()
 )
 _PILOT_MEMO: "weakref.WeakKeyDictionary[Trace, Dict[tuple, PilotResolution]]" = (
+    weakref.WeakKeyDictionary()
+)
+_L2_FILTER_MEMO: "weakref.WeakKeyDictionary[Trace, Dict[tuple, Optional[tuple]]]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -675,6 +684,32 @@ def build_pilot(
     return PilotResolution(side, op_index, other_before, operands, wb_prefix, victims)
 
 
+def build_l2_filter(decoded: DecodedTrace, l2_geometry) -> Optional[Tuple[array, array]]:
+    """The decode's first touch of every L2 block, or None if an L2 set overflows.
+
+    One pass over ``decoded.stream``.  Returns None as soon as some L2 set
+    maps more distinct blocks than the L2 has ways; otherwise the sorted
+    decode rows of the first touches by a fetch and by a load or store.
+    """
+    off = l2_geometry.block_bytes.bit_length() - 1
+    mask = l2_geometry.num_sets - 1
+    ways = l2_geometry.associativity
+    op_prefix = decoded.op_prefix
+    stream = decoded.stream
+    seen = set()
+    filled = [0] * (mask + 1)
+    rows = (array("I"), array("I"))
+    for index, address in enumerate(stream[1::2]):
+        block = address >> off
+        if block not in seen:
+            seen.add(block)
+            filled[block & mask] += 1
+            if filled[block & mask] > ways:
+                return None  # this set would evict
+            rows[stream[2 * index] != OP_FETCH].append(bisect_right(op_prefix, index) - 1)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Memoized entry points
 # ---------------------------------------------------------------------------
@@ -702,22 +737,15 @@ def decoded_for(trace: Trace, block_mask: int, schedule: Optional[tuple] = None)
     if schedule is not None and schedule[1] <= 1:
         schedule = None
     key = (block_mask, schedule)
-    per_trace = _DECODE_MEMO.get(trace)
-    if per_trace is not None:
-        decoded = per_trace.get(key)
-        if decoded is not None:
-            _STATS["decode_memo_hits"] += 1
-            return decoded
+    per_trace = _DECODE_MEMO.setdefault(trace, {})
+    decoded = per_trace.get(key)
+    if decoded is not None:
+        _STATS["decode_memo_hits"] += 1
+        return decoded
     decoded = _load_from_disk(trace, block_mask, schedule)
     if decoded is None:
         decoded = build_decoded(trace, block_mask, schedule)
         _store_to_disk(trace, block_mask, schedule, decoded)
-    if per_trace is None:
-        per_trace = {}
-        try:
-            _DECODE_MEMO[trace] = per_trace
-        except TypeError:  # unweakrefable trace stand-ins (tests)
-            return decoded
     per_trace[key] = decoded
     return decoded
 
@@ -737,21 +765,32 @@ def pilot_for(trace: Trace, decoded: DecodedTrace, side: str, cache) -> Optional
     key = (
         side, decoded.block_mask, decoded.schedule, cache.geometry, cache.replacement, cache.name
     )
-    per_trace = _PILOT_MEMO.get(trace)
-    if per_trace is not None:
-        pilot = per_trace.get(key)
-        if pilot is not None:
-            _STATS["pilot_memo_hits"] += 1
-            return pilot
-    pilot = build_pilot(decoded, side, cache.geometry, cache.replacement, cache.name)
-    if per_trace is None:
-        per_trace = {}
-        try:
-            _PILOT_MEMO[trace] = per_trace
-        except TypeError:
-            return pilot
-    per_trace[key] = pilot
+    per_trace = _PILOT_MEMO.setdefault(trace, {})
+    pilot = per_trace.get(key)
+    if pilot is not None:
+        _STATS["pilot_memo_hits"] += 1
+        return pilot
+    pilot = per_trace[key] = build_pilot(
+        decoded, side, cache.geometry, cache.replacement, cache.name
+    )
     return pilot
+
+
+def l2_filter_for(
+    trace: Trace, decoded: DecodedTrace, l2_geometry
+) -> Optional[Tuple[array, array]]:
+    """The memoized :func:`build_l2_filter` of ``decoded`` for one L2 geometry.
+
+    Keyed like :func:`pilot_for`, refusals (None) included; in memory only.
+    """
+    key = (
+        decoded.block_mask, decoded.schedule,
+        l2_geometry.block_bytes, l2_geometry.num_sets, l2_geometry.associativity,
+    )
+    per_trace = _L2_FILTER_MEMO.setdefault(trace, {})
+    if key not in per_trace:
+        per_trace[key] = build_l2_filter(decoded, l2_geometry)
+    return per_trace[key]
 
 
 def _load_from_disk(trace: Trace, block_mask: int, schedule) -> Optional[DecodedTrace]:

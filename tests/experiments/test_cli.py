@@ -168,6 +168,17 @@ class TestResilienceFlags:
         assert sum(int(count) for count in tiers.groups()) == fused
         assert "0 stack group(s)" not in line
 
+    def test_every_cold_run_all_pass_takes_the_l2_filter(self, tmp_path, capsys):
+        # No paper trace overflows an L2 set, so every fused pass reads its
+        # L2 traffic from the compulsory-miss filter.
+        assert main(["run-all", *TINY, "--cache-dir", str(tmp_path / "cache"), "--stats"]) == 0
+        line = next(
+            line for line in capsys.readouterr().out.splitlines() if line.startswith("ladder:")
+        )
+        passes = int(re.search(r"(\d+) fused pass\(es\)", line).group(1))
+        assert passes > 0
+        assert f"; {passes} L2-filtered" in line
+
     def test_resume_names_quarantined_fingerprints(self, tmp_path, capsys):
         # A checkpoint whose previous attempt quarantined a job: --resume
         # names the job and its cache fingerprints instead of silently

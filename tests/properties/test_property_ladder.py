@@ -16,12 +16,20 @@ one pass over a drawn L1 associativity, with duplicate rungs and FIFO,
 RANDOM and dynamic rungs mixed in: that pins the stack-distance tier
 (hits, victims, dirty thresholds), the shared geometries and the fallback
 selection to standalone runs.
+
+The L2 is drawn too: the default one, which no drawn trace overflows (so
+the pass takes the compulsory-miss filter and never simulates it), or one
+shrunk until it evicts (so the pass is refused and simulates it).  The
+dynamic rung's bound makes it resize, so resize flushes reach both.
 """
+
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.replacement import ReplacementPolicy
-from repro.common.config import SystemConfig
+from repro.common.config import CacheGeometry, L2Config, SystemConfig
+from repro.common.units import KIB
 from repro.resizing.dynamic_strategy import DynamicResizing
 from repro.resizing.hybrid import HybridSetsAndWays
 from repro.resizing.resizable_cache import ResizableCache
@@ -56,6 +64,19 @@ _WITH_DYNAMIC = st.booleans()
 _SAMPLE_EVERY = st.sampled_from([1, 2, 3, 5])
 _SAMPLE_WARMUP_FRACTIONS = st.sampled_from([0.0, 0.5])
 
+#: The default L2 (filtered), or a shrunk one that evicts (refused):
+#: (capacity, ways) of a 64-byte-block L2.
+_L2S = st.sampled_from([None, (8 * KIB, 1), (16 * KIB, 2), (32 * KIB, 1), (32 * KIB, 2)])
+
+
+def _system_with_l2(l2):
+    if l2 is None:
+        return _SYSTEM
+    capacity, ways = l2
+    return replace(_SYSTEM, l2=L2Config(geometry=CacheGeometry(
+        capacity_bytes=capacity, associativity=ways, block_bytes=64, subarray_bytes=KIB,
+    )))
+
 
 def _build_setups(factory, target, with_baseline, with_dynamic):
     """Fresh, stateful setup objects for one ladder (standalone or fused)."""
@@ -73,9 +94,11 @@ def _build_setups(factory, target, with_baseline, with_dynamic):
                 L1Setup(
                     factory(geometry),
                     DynamicResizing(
-                        miss_bound=0.02,
-                        size_bound_bytes=8 * 1024,
+                        miss_bound=60,
+                        size_bound_bytes=4 * 1024,
                         sense_interval_accesses=256,
+                        settle_intervals=0,
+                        reversal_backoff_intervals=0,
                     ),
                 )
             )
@@ -106,12 +129,14 @@ def _build_setups(factory, target, with_baseline, with_dynamic):
     with_dynamic=_WITH_DYNAMIC,
     sample_every=_SAMPLE_EVERY,
     sample_warmup_fraction=_SAMPLE_WARMUP_FRACTIONS,
+    l2=_L2S,
 )
 @settings(max_examples=15, deadline=None)
 def test_fused_ladder_agrees_with_standalone_runs(
     application, length, interval, warmup_fraction, factory, target,
-    with_baseline, with_dynamic, sample_every, sample_warmup_fraction,
+    with_baseline, with_dynamic, sample_every, sample_warmup_fraction, l2,
 ):
+    system = _system_with_l2(l2)
     trace = TraceSpec(application, length).materialize()
     warmup = int(length * warmup_fraction)
     sampling = {
@@ -120,7 +145,7 @@ def test_fused_ladder_agrees_with_standalone_runs(
     }
 
     standalone = [
-        Simulator(_SYSTEM, engine="reference").run(
+        Simulator(system, engine="reference").run(
             trace,
             d_setup=d_setup,
             i_setup=i_setup,
@@ -133,7 +158,7 @@ def test_fused_ladder_agrees_with_standalone_runs(
     fused = [
         result.to_dict()
         for result in run_fused(
-            Simulator(_SYSTEM),
+            Simulator(system),
             trace,
             _build_setups(factory, target, with_baseline, with_dynamic),
             interval_instructions=interval,

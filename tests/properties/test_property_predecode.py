@@ -142,8 +142,8 @@ def test_sparse_pilot_equals_per_op_model(
     plan = [(start, stop, True) for start, stop in zip(bounds, bounds[1:])]
 
     access = Cache(geometry, replacement, name=name).access_packed
-    segments = _memo_segments(decoded, plan, side, pilot)
-    for (start, stop, _), (_, _, reduced, shared, totals) in zip(plan, segments):
+    segments = _memo_segments(decoded, plan, side, pilot, None)
+    for (start, stop, _), (_, _, reduced, shared, _, totals) in zip(plan, segments):
         expected, misses, dirty = decode_model.pilot(
             decoded.interval_ops(start, stop), side, access
         )

@@ -44,6 +44,7 @@ class TestHealthAndErrors:
         # even when no ladder ever ran.
         assert metrics["runner_ladder_passes"] == 0
         assert metrics["runner_ladder_stack_rungs"] == 0
+        assert metrics["runner_ladder_l2_filtered_passes"] == 0
         assert metrics["runner_pilot_builds"] == 0
         assert metrics["runner_pilot_memo_hits"] == 0
 

@@ -14,6 +14,7 @@ import glob
 import gc
 import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.common.errors import (
 )
 from repro.sim import faults, shm
 from repro.sim.jobcache import JobCache
+from repro.sim.pool import FaultTolerantPool
 from repro.sim.runner import (
     L1SetupSpec,
     RetryPolicy,
@@ -270,6 +272,53 @@ class TestChaosContract:
         assert runner.worker_deaths == 1
         assert runner.timeouts == 1
         assert runner.retries == 2
+
+
+#: A worker start slower than the job budget below: the job clock must not
+#: count it.
+SLOW_START_S = 1.3
+
+
+def _slow_start(seconds):
+    time.sleep(seconds)
+
+
+def _serve(payload):
+    """A pool target: echo, hard-exit the worker, or hang until killed."""
+    if payload == "crash":
+        os._exit(faults.CRASH_EXIT_CODE)
+    if payload == "hang":
+        time.sleep(3600)
+    return payload
+
+
+@pytest.mark.parametrize("start_method", START_METHODS)
+class TestJobClock:
+    """``job_timeout`` times the job, not the worker's start (docs/ROBUSTNESS.md)."""
+
+    def test_slow_worker_starts_are_not_timeouts(self, start_method):
+        pool = FaultTolerantPool(
+            multiprocessing.get_context(start_method), 1, _serve,
+            initializer=_slow_start, initargs=(SLOW_START_S,),
+        )
+        try:
+            # The crash leaves the replacement worker to start lazily, and
+            # slowly, under the next job's budget.
+            events = list(pool.run_batch(
+                [(0, "a"), (1, "crash"), (2, "b"), (3, "c")], timeout=1.0
+            ))
+            assert [(event.kind, event.value) for event in events] == [
+                ("result", "a"), ("crash", None), ("result", "b"), ("result", "c"),
+            ]
+            # A hung job still times out, exactly once, and its slowly
+            # started replacement serves the next job.
+            events = list(pool.run_batch([(4, "hang"), (5, "d")], timeout=1.0))
+            assert [(event.kind, event.task_id) for event in events] == [
+                ("timeout", 4), ("result", 5),
+            ]
+        finally:
+            pool.terminate()
+            pool.join()
 
 
 @pytest.mark.parametrize("start_method", START_METHODS)
