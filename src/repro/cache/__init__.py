@@ -2,7 +2,7 @@
 
 This package implements the RAM-tag set-associative caches the paper builds
 on: replacement policies, cache sets, SRAM subarray book-keeping, a
-write-back/write-allocate cache, a write-back buffer and the two-level
+write-back/write-allocate cache and the two-level
 hierarchy (L1 instruction + data caches over a unified L2 over main memory).
 
 The per-access hot path is an allocation-free packed-integer kernel
@@ -22,7 +22,6 @@ from repro.cache.cache import (
     pack_access_result,
     unpack_access_result,
 )
-from repro.cache.writeback_buffer import WritebackBuffer
 from repro.cache.hierarchy import (
     CacheHierarchy,
     HierarchyAccessOutcome,
@@ -36,7 +35,6 @@ __all__ = [
     "AccessResult",
     "Cache",
     "CacheStats",
-    "WritebackBuffer",
     "CacheHierarchy",
     "HierarchyAccessOutcome",
     "pack_access_result",

@@ -1,9 +1,9 @@
 """Two-level cache hierarchy.
 
 The hierarchy wires the (possibly resizable) L1 instruction and data caches
-to a unified L2 and main memory, routes writebacks through the write-back
-buffer, and reports per-access latency so the timing models can expose or
-hide it depending on the core configuration.
+to a unified L2 and main memory, writes dirty L1 victims back into the L2,
+and reports per-access latency so the timing models can expose or hide it
+depending on the core configuration.
 
 An L1 is a :class:`repro.cache.cache.Cache` or a
 :class:`repro.resizing.resizable_cache.ResizableCache`: the hierarchy binds
@@ -49,7 +49,6 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from repro.cache.cache import PACKED_WRITEBACK_SHIFT, PACKED_WRITEBACK_VALID, Cache
-from repro.cache.writeback_buffer import WritebackBuffer
 from repro.common.config import SystemConfig
 from repro.mem.main_memory import MainMemory
 
@@ -129,7 +128,6 @@ class CacheHierarchy:
         self.l1d = l1d
         self.l2 = l2 if l2 is not None else Cache(config.l2.geometry, name="l2")
         self.memory = memory if memory is not None else MainMemory(config.memory)
-        self.writeback_buffer = WritebackBuffer.from_core(config.core)
         self._l1_hit_latency = config.l1_timing.hit_latency
         self._l2_hit_latency = config.l2.hit_latency
         self._l1_block = config.l1d.block_bytes
@@ -160,25 +158,21 @@ class CacheHierarchy:
     def _memory_state(self):
         """Hoistable main-memory counters for the inline dispatch kernel.
 
-        ``(reads, writes, bytes_transferred, l2_block_bytes,
-        writeback_buffer)`` — the live counter objects, the L2 block size
-        and the write-back buffer, or None when the memory is not the
-        stock :class:`MainMemory` (whose block transfers are pure counter
-        increments; a substitute model may do more, so the fused replay
-        in :mod:`repro.sim.ladder` refuses a hierarchy without this
-        state).  With it the dispatch kernel resolves any L1 miss
-        entirely inline — L2 fill, victim spill, the dirty-victim buffer
-        push and write-allocate, memory transfer counts: the replay path
-        never consumes the returned latency, which is the only other
-        thing :meth:`_miss_packed` computes.
+        ``(reads, writes, bytes_transferred, l2_block_bytes)`` — the live
+        counter objects and the L2 block size, or None when the memory is
+        not the stock :class:`MainMemory` (whose block transfers are pure
+        counter increments; a substitute model may do more, so the fused
+        replay in :mod:`repro.sim.ladder` refuses a hierarchy without
+        this state).  With it the dispatch kernel resolves any L1 miss
+        entirely inline — L2 fill, victim spill, the dirty victim's
+        write-allocate, memory transfer counts: the replay path never
+        consumes the returned latency, which is the only other thing
+        :meth:`_miss_packed` computes.
         """
         memory = self.memory
         if type(memory) is not MainMemory:
             return None
-        return (
-            memory._reads, memory._writes, memory._bytes_transferred,
-            self._l2_block, self.writeback_buffer,
-        )
+        return memory._reads, memory._writes, memory._bytes_transferred, self._l2_block
 
     def _miss_packed(self, l1_packed: int, address: int) -> int:
         """Shared L1-miss path: fill from L2, spill the dirty victim into L2."""
@@ -197,10 +191,9 @@ class CacheHierarchy:
             memory_accesses += 1
             self.memory.write_block(l2_packed >> PACKED_WRITEBACK_SHIFT, self._l2_block)
 
-        # A dirty L1 victim goes through the write-back buffer into L2.
+        # A dirty L1 victim is written back into L2.
         if l1_packed & PACKED_WRITEBACK_VALID:
             writeback_address = l1_packed >> PACKED_WRITEBACK_SHIFT
-            self.writeback_buffer.push(writeback_address)
             l2_accesses = 2
             wb_packed = self._l2_packed(writeback_address, True)
             if not wb_packed & 1:
@@ -238,7 +231,6 @@ class CacheHierarchy:
         l2_accesses = 0
         l2_packed_access = self._l2_packed
         for block_address in block_addresses:
-            self.writeback_buffer.push(block_address)
             l2_accesses += 1
             packed = l2_packed_access(block_address, True)
             if not packed & 1:
@@ -262,4 +254,3 @@ class CacheHierarchy:
         self.l1d.reset_stats()
         self.l2.reset_stats()
         self.memory.reset_stats()
-        self.writeback_buffer.reset()

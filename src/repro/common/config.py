@@ -204,7 +204,9 @@ class CoreConfig:
         issue_width: instructions issued/decoded per cycle.
         rob_entries: reorder-buffer size (bounds memory-level parallelism).
         lsq_entries: load/store queue size.
-        writeback_buffer_entries: number of outstanding writebacks.
+        writeback_buffer_entries: number of outstanding writebacks.  Table 2
+            text that :meth:`SystemConfig.describe` prints; no write-back
+            buffer is simulated (dirty L1 victims go straight to the L2).
         mshr_entries: number of outstanding misses for the non-blocking cache.
         branch_mispredict_penalty: cycles lost per mispredicted branch.
     """

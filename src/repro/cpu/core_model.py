@@ -36,12 +36,9 @@ class CoreModel:
         memory_portion = counts.l1i_memory_accesses * self._memory_latency
         return l2_portion + memory_portion
 
-    def _frontend_cycles(self, counts: IntervalCounts) -> float:
-        """Branch misprediction and writeback-buffer stall cycles."""
-        return (
-            counts.branch_mispredicts * self.core.branch_mispredict_penalty
-            + counts.writeback_overflows * self.timing.writeback_overflow_penalty
-        )
+    def _frontend_cycles(self, counts: IntervalCounts) -> int:
+        """Branch misprediction stall cycles."""
+        return counts.branch_mispredicts * self.core.branch_mispredict_penalty
 
     # ------------------------------------------------------------- to override
     def interval_cycles(self, counts: IntervalCounts) -> float:

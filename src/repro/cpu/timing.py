@@ -34,8 +34,6 @@ class CoreTimingParameters:
         inorder_icache_exposure: same for the in-order pipeline; slightly
             lower than the d-cache exposure there because fetch runs ahead
             of a frequently-stalled back end.
-        writeback_overflow_penalty: cycles lost per write-back-buffer
-            overflow.
     """
 
     inorder_base_cpi: float = 1.0
@@ -44,7 +42,6 @@ class CoreTimingParameters:
     ooo_dcache_exposure: float = 0.30
     ooo_icache_exposure: float = 0.95
     inorder_icache_exposure: float = 0.70
-    writeback_overflow_penalty: float = 1.0
 
     def __post_init__(self) -> None:
         if self.inorder_base_cpi <= 0 or self.ooo_base_cpi <= 0:
@@ -58,5 +55,3 @@ class CoreTimingParameters:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
-        if self.writeback_overflow_penalty < 0:
-            raise ConfigurationError("writeback overflow penalty must be non-negative")

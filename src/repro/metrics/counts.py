@@ -41,8 +41,6 @@ class IntervalCounts:
     memory_accesses: int = 0
     branches: int = 0
     branch_mispredicts: int = 0
-    #: Writeback-buffer overflows (each costs a small stall).
-    writeback_overflows: int = 0
     #: Blocks flushed by cache resizing during the interval.
     resize_flush_writebacks: int = 0
     #: Average memory-level parallelism the workload exposes in this interval.
@@ -71,7 +69,6 @@ class IntervalCounts:
         self.memory_accesses += other.memory_accesses
         self.branches += other.branches
         self.branch_mispredicts += other.branch_mispredicts
-        self.writeback_overflows += other.writeback_overflows
         self.resize_flush_writebacks += other.resize_flush_writebacks
 
     @property

@@ -96,9 +96,9 @@ of the decode's side-split op column (the variant side's ops,
 the segment's misses spliced back in, exactly the ops the fixed L1 would
 have missed on.
 
-The same caveat covers the L2, memory and write-back buffer of every rung
-of an L2-filtered pass (the compulsory-miss filter below): no replay
-drives them.  Only resize flushes
+The same caveat covers the L2 and memory of every rung of an L2-filtered
+pass (the compulsory-miss filter below): no replay drives them.  Only
+resize flushes
 (:meth:`~repro.cache.hierarchy.CacheHierarchy.absorb_l1_writebacks`)
 still write into that idle L2, and their one effect on results,
 ``counts.l2_accesses``, is the flush count whether they hit or not.
@@ -110,9 +110,10 @@ from the decode, ``OP_IMISS`` / ``OP_DMISS`` from a pilot — and one
 ``shared`` shape, the pilot's
 ``(fetches, i_misses, d_misses, d_writebacks)`` (all zeros in the general
 mode).  L1 hits run inline against hoisted kernel state; every miss falls
-through to one inline tail (L2 read fill, then a dirty L1d victim's
-write-back buffer push and L2 write-allocate).  That tail is the stock
-hierarchy's miss path, an LRU :class:`~repro.cache.cache.Cache` L2 over
+through to one inline tail (L2 read fill, then a dirty L1d victim's L2
+write-allocate), the only code that simulates a fused pass's L2.  That
+tail is the stock hierarchy's miss path, an LRU
+:class:`~repro.cache.cache.Cache` L2 over
 :class:`~repro.mem.main_memory.MainMemory`, the only hierarchy
 :meth:`Simulator._prepare_run` builds; :meth:`LadderEngine.replay_many`
 checks it once per pass and raises :class:`SimulationError` for any other.
@@ -125,10 +126,11 @@ cache is a cold
 :class:`~repro.cache.cache.Cache` or
 :class:`~repro.resizing.resizable_cache.ResizableCache` with LRU
 replacement, a static (or no) strategy and a cold L2 are grouped by
-their enabled set count.  Every group with at least two distinct way
-counts is replayed by one per-set LRU stack pass (Mattson et al., IBM
-Systems Journal 1970) over the pilot-reduced stream, with each set's
-stack capped at the group's largest way count.  The pass is exact:
+their enabled set count.  When the pass took the L2 filter (below), every
+group with at least two distinct way counts is replayed by one per-set
+LRU stack pass (Mattson et al., IBM Systems Journal 1970) over the
+pilot-reduced stream, with each set's stack capped at the group's
+largest way count.  The pass is exact:
 
 * *Inclusion.*  At a fixed set count every access maps to the same set in
   every rung, and an A-way LRU set holds exactly the A most recently used
@@ -147,21 +149,21 @@ stack capped at the group's largest way count.  The pass is exact:
   sets t = ∞.  The entry is dirty in an A-way rung if and only if t < A,
   so the victim at depth A−1 is written back exactly when its t < A.
 
-Each geometry in the group then drives only its own ordered stream — its
-misses, its dirty victims and the shared invariant-side misses — through
-an inline L2, write-back buffer and memory loop (:func:`_drive_misses`,
-the same statements as the dispatch kernel's miss tail, over one stream
-word per miss).  That is exact because a rung's L2, buffer and memory
-state depend on nothing but that stream.  Rungs with an identical enabled
-geometry are simulated once: their streams are identical, so one
-representative's L2 is driven and every rung of the geometry receives
-the same per-interval counts, then closes its own interval (energy
-depends on the organization, so each rung keeps its own accountant).  A
-set-count group with a single way count skips the stack pass — alone it
-costs more than the dispatch kernel — but its duplicate geometries are
-still shared.  The tier leaves the rungs' variant L1 objects (and the L2
-of every rung that is not a representative) idle, like the invariant-side
-caches above: results never read them.
+The stack pass only counts: per geometry, its misses and dirty victims.
+The filter supplies each interval's memory traffic, and every L1 miss is
+one L2 read and every dirty L1d victim one L2 write, so a geometry's
+deltas follow from those counts and the pilot's shared ones.  A pass the
+filter refused forms no stack group, so the dispatch kernel's miss tail
+stays the one code path that simulates an L2.  Rungs with an identical
+enabled geometry are replayed once, in either pass: every rung of the
+geometry receives the same per-interval counts, then closes its own
+interval (energy depends on the organization, so each rung keeps its own
+accountant).  Outside a stack group each geometry is one dispatch-kernel
+unit; a set-count group with a single way count is too, since alone the
+stack pass costs more than the kernel.  The tier leaves the rungs'
+variant L1 objects (and the hierarchy of every rung that is not its
+geometry's first) idle, like the invariant-side caches above: results
+never read them.
 
 Everything else replays each rung through the dispatch kernel, selected
 from properties of the rungs, never from an option: dynamic rungs, FIFO
@@ -191,14 +193,15 @@ pass: every rung has the first rung's L2 geometry and a cold L2, both L1
 block sizes are at most the L2's, and
 :func:`~repro.sim.predecode.l2_filter_for` returns a first-touch index
 for the decode (None once some set overflows).  A filtered pass skips
-the dispatch kernel's miss tail (one branch per miss) and the stack
-tier's :func:`_drive_misses`; each segment's counts come from bisecting
-the index.  Sampled plans qualify too: the decode holds exactly the
-rows the plan replays.  Refused passes (an external trace with a large
-footprint, a longer trace, a smaller L2) simulate the L2 through the
-miss tail and :func:`_drive_misses`.  The index is one pass per (trace,
-plan, L2 geometry), about 5 ms for a 60k-instruction decode, which the
-first replay of a trace pays.
+the dispatch kernel's miss tail (one branch per miss) and may form stack
+groups; each segment's counts come from bisecting the index.  Sampled
+plans qualify too: the decode holds exactly the rows the plan replays.
+Refused passes (an external trace with a large footprint, a longer
+trace, a smaller L2) simulate the L2 through the miss tail, with no stack
+groups: a static ladder there runs one kernel pass per distinct
+geometry.  The index is one pass per (trace, plan, L2 geometry), about
+5 ms for a 60k-instruction decode, which the first replay of a trace
+pays.
 
 Amortization: K standalone runs cost ``K × (slice + decode + predict +
 full dispatch + close)``; the fused pass costs ``slice + decode + predict
@@ -356,11 +359,11 @@ class LadderEngine:
             side, pilot_res = "i", pilot_for(trace, decoded, "i", hierarchy.l1i)
         if pilot_res is None:
             side = None
-        units = _plan_units(contexts, side)
-        for unit in units:
-            unit.count(tally)
         l2_filter = l2_filter_for(trace, decoded, l2_geometry) if filterable else None
         tally["ladder_l2_filtered_passes"] = int(l2_filter is not None)
+        units = _plan_units(contexts, side, l2_filter is not None)
+        for unit in units:
+            unit.count(tally)
         segments = _memo_segments(
             decoded, first.sampling_plan(len(trace)), side, pilot_res, l2_filter
         )
@@ -483,15 +486,16 @@ def _stack_key(ctx, side):
     return (hierarchy.config, hierarchy.l2.geometry, off, idx, mask), ways
 
 
-def _plan_units(contexts, side):
+def _plan_units(contexts, side, filtered):
     """Group a ladder's rungs into the units the walk replays.
 
     In the general mode (``side`` None) every rung is its own
     :class:`_KernelUnit`.  In a pilot mode, eligible rungs (see
-    :func:`_stack_key`) are grouped by set count: a group with at least two
-    distinct way counts becomes one :class:`_StackGroup`; a group with one
-    way count runs the dispatch kernel once for all its rungs
-    (:class:`_KernelUnit`).  Ineligible rungs each get their own unit.
+    :func:`_stack_key`) are grouped by set count: under the L2 filter a
+    group with at least two distinct way counts becomes one
+    :class:`_StackGroup`; otherwise the rungs of each way count run the
+    dispatch kernel once for all of them (:class:`_KernelUnit`).
+    Ineligible rungs each get their own unit.
     """
     if side is None:
         return [_KernelUnit([ctx]) for ctx in contexts]
@@ -505,11 +509,10 @@ def _plan_units(contexts, side):
             group, ways = key
             groups.setdefault(group, {}).setdefault(ways, []).append(ctx)
     for group, by_ways in groups.items():
-        if len(by_ways) > 1:
+        if filtered and len(by_ways) > 1:
             units.append(_StackGroup(side, group[2], group[4], by_ways))
         else:
-            (members,) = by_ways.values()
-            units.append(_KernelUnit(members))
+            units.extend(_KernelUnit(members) for members in by_ways.values())
     return units
 
 
@@ -541,15 +544,16 @@ class _KernelUnit:
 class _StackGroup:
     """Static LRU rungs of one set count, replayed from one stack pass.
 
-    ``ways`` lists the group's distinct way counts in ascending order;
-    ``members[j]`` are the contexts of the rungs with ``ways[j]`` ways and
-    ``drives[j]`` the L2/memory state of the first of them, the one whose
-    L2 the geometry's miss stream drives.  ``stacks`` (one MRU-first block
-    list per set, capped at the largest way count) and ``dirty_after``
-    (block -> dirty threshold) persist across intervals.
+    Formed only in L2-filtered passes: the pass counts each geometry's
+    misses and dirty victims, and the filter supplies the memory traffic.
+    ``ways`` lists the group's distinct way counts in ascending order and
+    ``members[j]`` are the contexts of the rungs with ``ways[j]`` ways.
+    ``stacks`` (one MRU-first block list per set, capped at the largest way
+    count) and ``dirty_after`` (block -> dirty threshold) persist across
+    intervals.
     """
 
-    __slots__ = ("side", "off", "mask", "ways", "members", "drives", "stacks", "dirty_after")
+    __slots__ = ("side", "off", "mask", "ways", "members", "stacks", "dirty_after")
 
     def __init__(self, side, off, mask, by_ways):
         self.side = side
@@ -557,10 +561,6 @@ class _StackGroup:
         self.mask = mask
         self.ways = sorted(by_ways)
         self.members = [by_ways[ways] for ways in self.ways]
-        self.drives = []
-        for members in self.members:
-            hierarchy = members[0].hierarchy
-            self.drives.append((hierarchy.l2._kernel_state(), hierarchy._memory_state()))
         self.stacks = [[] for _ in range(mask + 1)]
         self.dirty_after: Dict[int, int] = {}
 
@@ -574,63 +574,46 @@ class _StackGroup:
         tally["ladder_shared_rungs"] += rungs - len(self.ways)
 
     def replay(self, reduced, shared, fetches, first):
-        """One interval: the stack pass, then each geometry's L2 stream.
+        """One interval's deltas per geometry, from the stack pass and ``first``.
 
-        Under the L2 filter (``first`` not None) no stream is driven: every
-        geometry's memory traffic is the segment's first touches.
+        Every L1 miss is one L2 read and every dirty L1d victim one L2
+        write; the interval's first touches are its memory traffic.
         """
+        l1i_memory, l1d_memory = first
+        memory_accesses = l1i_memory + l1d_memory
+        i_fetches, i_misses, d_misses, d_writebacks = shared
         if self.side == "i":
-            streams, victims, misses, dirty = _stack_pass_d(
+            misses, dirty = _stack_pass_d(
                 reduced, self.stacks, self.dirty_after, self.off, self.mask, self.ways
             )
-        else:
-            streams, victims, misses = _stack_pass_i(
-                reduced, self.stacks, self.off, self.mask, self.ways
-            )
-        i_fetches, i_misses, d_misses, d_writebacks = shared
-        out = []
-        for j, (l2_state, mem_state) in enumerate(self.drives):
-            if first is None:
-                l1i_memory, l1d_memory, l2_accesses, memory_accesses = _drive_misses(
-                    streams[j], victims[j], l2_state, mem_state
-                )
-            else:
-                l1i_memory, l1d_memory = first
-                l2_accesses = len(streams[j]) + len(victims[j])
-                memory_accesses = l1i_memory + l1d_memory
-            if self.side == "i":
-                deltas = (
-                    i_fetches, i_misses, l1i_memory, misses[j], l1d_memory, dirty[j],
-                    l2_accesses, memory_accesses,
-                )
-            else:
-                deltas = (
-                    fetches, misses[j], l1i_memory, d_misses, l1d_memory, d_writebacks,
-                    l2_accesses, memory_accesses,
-                )
-            out.append((self.members[j], deltas))
-        return out
+            return [
+                (members, (
+                    i_fetches, i_misses, l1i_memory, d_miss, l1d_memory, d_dirty,
+                    i_misses + d_miss + d_dirty, memory_accesses,
+                ))
+                for members, d_miss, d_dirty in zip(self.members, misses, dirty)
+            ]
+        misses = _stack_pass_i(reduced, self.stacks, self.off, self.mask, self.ways)
+        return [
+            (members, (
+                fetches, i_miss, l1i_memory, d_misses, l1d_memory, d_writebacks,
+                i_miss + d_misses + d_writebacks, memory_accesses,
+            ))
+            for members, i_miss in zip(self.members, misses)
+        ]
 
 
 def _stack_pass_d(reduced, stacks, dirty_after, off, mask, ways):
     """Per-set LRU stack pass of a d-cache ladder's reduced stream.
 
-    Loads and stores are the variant accesses; pilot-resolved i-misses go
-    to every geometry's stream unchanged.  Returns ``(streams, victims,
-    misses, dirty)``: per way count, the ordered miss stream (see
-    :func:`_drive_misses` for the entry encoding), the dirty victims'
-    block addresses in stream order, the d-miss count and the dirty-victim
-    count.
+    Loads and stores are the variant accesses; pilot-resolved i-misses
+    are skipped (they are shared by every geometry).  Returns ``(misses,
+    dirty)``: per way count, the d-miss count and the dirty-victim count.
     """
     count = len(ways)
-    streams = [[] for _ in range(count)]
-    victims = [[] for _ in range(count)]
     misses = [0] * count
     dirty = [0] * count
-    levels = [
-        (j, ways[j], streams[j].append, victims[j].append) for j in range(count)
-    ]
-    appends = [entries.append for entries in streams]
+    levels = list(enumerate(ways))
     min_ways = ways[0]
     cap = ways[-1]
     op_imiss, op_store = OP_IMISS, OP_STORE
@@ -639,9 +622,6 @@ def _stack_pass_d(reduced, stacks, dirty_after, off, mask, ways):
     for code in stream:
         operand = next(stream)
         if code == op_imiss:
-            entry = operand << 2
-            for append in appends:
-                append(entry)
             continue
         block = operand >> off
         stack = stacks[block & mask]
@@ -654,17 +634,12 @@ def _stack_pass_d(reduced, stacks, dirty_after, off, mask, ways):
             if depth >= min_ways:
                 # Missed by every geometry with at most ``depth`` ways; the
                 # stack is deeper than each of them, so each one evicts.
-                for j, level_ways, append, victim_append in levels:
+                for j, level_ways in levels:
                     if level_ways > depth:
                         break
                     misses[j] += 1
-                    victim = stack[level_ways - 1]
-                    if dirty_after[victim] < level_ways:
+                    if dirty_after[stack[level_ways - 1]] < level_ways:
                         dirty[j] += 1
-                        append((operand << 2) | 3)
-                        victim_append(victim << off)
-                    else:
-                        append((operand << 2) | 1)
             del stack[depth]
             stack.insert(0, block)
             if code == op_store:
@@ -673,56 +648,34 @@ def _stack_pass_d(reduced, stacks, dirty_after, off, mask, ways):
                 dirty_after[block] = depth
         else:
             size = len(stack)
-            for j, level_ways, append, victim_append in levels:
+            for j, level_ways in levels:
                 misses[j] += 1
-                if size >= level_ways:
-                    victim = stack[level_ways - 1]
-                    if dirty_after[victim] < level_ways:
-                        dirty[j] += 1
-                        append((operand << 2) | 3)
-                        victim_append(victim << off)
-                        continue
-                append((operand << 2) | 1)
+                if size >= level_ways and dirty_after[stack[level_ways - 1]] < level_ways:
+                    dirty[j] += 1
             if size >= cap:
                 stack.pop()
             stack.insert(0, block)
             dirty_after[block] = 0 if code == op_store else never_dirty
-    return streams, victims, misses, dirty
+    return misses, dirty
 
 
 def _stack_pass_i(reduced, stacks, off, mask, ways):
     """Per-set LRU stack pass of an i-cache ladder's reduced stream.
 
     Fetches are the variant accesses (an L1i is never written, so no
-    victim is ever dirty); pilot-resolved d-misses go to every geometry's
-    stream unchanged, dirty victim included.  Returns ``(streams, victims,
-    misses)`` per way count, as :func:`_stack_pass_d` does.
+    victim is ever dirty); pilot-resolved d-misses are skipped.  The pass
+    tallies stack distances (a cold miss counts as distance ``ways[-1]``),
+    and an A-way geometry misses every access at distance A or more.
+    Returns the i-miss count per way count.
     """
-    count = len(ways)
-    streams = [[] for _ in range(count)]
-    victims = [[] for _ in range(count)]
-    misses = [0] * count
-    levels = [(j, ways[j], streams[j].append) for j in range(count)]
-    appends = [entries.append for entries in streams]
-    victim_appends = [entries.append for entries in victims]
-    min_ways = ways[0]
     cap = ways[-1]
+    distances = [0] * (cap + 1)
     op_fetch = OP_FETCH
-    wb_valid, wb_shift = PACKED_WRITEBACK_VALID, PACKED_WRITEBACK_SHIFT
     stream = iter(reduced)
     for code in stream:
         operand = next(stream)
         if code != op_fetch:
-            l1_packed = next(stream)
-            if l1_packed & wb_valid:
-                entry = (operand << 2) | 3
-                victim = l1_packed >> wb_shift
-                for append in victim_appends:
-                    append(victim)
-            else:
-                entry = (operand << 2) | 1
-            for append in appends:
-                append(entry)
+            next(stream)  # the pilot's packed outcome
             continue
         block = operand >> off
         stack = stacks[block & mask]
@@ -730,132 +683,19 @@ def _stack_pass_i(reduced, stacks, off, mask, ways):
             depth = stack.index(block)
             if depth == 0:
                 continue
-            if depth >= min_ways:
-                entry = operand << 2
-                for j, level_ways, append in levels:
-                    if level_ways > depth:
-                        break
-                    misses[j] += 1
-                    append(entry)
+            distances[depth] += 1
             del stack[depth]
         else:
-            entry = operand << 2
-            for j, _, append in levels:
-                misses[j] += 1
-                append(entry)
+            distances[cap] += 1
             if len(stack) >= cap:
                 stack.pop()
         stack.insert(0, block)
-    return streams, victims, misses
-
-
-def _drive_misses(stream, victims, l2_state, mem_state):
-    """Drive one geometry's ordered L1-miss stream through its LRU L2 and memory.
-
-    Each ``stream`` entry is one L1 miss, ``address << 2 | kind``: kind 0
-    is an i-miss, 1 a d-miss with no dirty victim, 3 a d-miss whose dirty
-    victim's block address is the next one in ``victims``.  Each resolves
-    exactly as the miss tail of :func:`dispatch_cache_ops_fast` resolves
-    it — L2 read fill with victim spill, and for a dirty L1 victim the
-    write-back buffer push and the L2 write-allocate — with the same stat
-    flush (:func:`_flush_l2`).  This loop stays apart from the kernel
-    because one stream word per miss is what keeps the stack pass cheap:
-    the kernel's op alphabet takes two or three.  Returns ``(l1i_memory,
-    l1d_memory, l2_accesses, memory_accesses)``.
-    """
-    l2_stats, l2_sets, l2_off, l2_idx, l2_mask, l2_ways = l2_state[:6]
-    l2_shift1 = l2_off + 1
-    entry_shift = l2_off + 2
-    wb_buffer = mem_state[4]
-    wb_pending = wb_buffer._pending
-    wb_entries = wb_buffer.num_entries
-    next_victim = iter(victims).__next__
-    l2m = l2_wb = l2_wm = wb_over = 0
-    l1i_memory = 0
-    l1d_memory = 0
-    for entry in stream:
-        b2 = entry >> entry_shift
-        t2 = b2 >> l2_idx
-        bl2 = l2_sets[b2 & l2_mask]
-        p2 = bl2.pop(t2, None)
-        if p2 is not None:
-            bl2[t2] = p2
-            if not entry & 2:
-                continue
-            transfers = 0
-        else:
-            l2m += 1
-            transfers = 1
-            if len(bl2) >= l2_ways:
-                if bl2.pop(next(iter(bl2))) & 1:
-                    l2_wb += 1
-                    transfers = 2
-            bl2[t2] = b2 << l2_shift1
-        if entry & 2:
-            # Dirty L1 victim: buffer push, then the L2 write-allocate.
-            wb_addr = next_victim()
-            if len(wb_pending) >= wb_entries:
-                wb_over += 1
-                wb_pending.popleft()
-            wb_pending.append(wb_addr)
-            b3 = wb_addr >> l2_off
-            t3 = b3 >> l2_idx
-            bl3 = l2_sets[b3 & l2_mask]
-            p3 = bl3.pop(t3, None)
-            if p3 is not None:
-                bl3[t3] = p3 | 1
-            else:
-                l2_wm += 1
-                transfers += 1
-                if len(bl3) >= l2_ways:
-                    if bl3.pop(next(iter(bl3))) & 1:
-                        l2_wb += 1
-                        transfers += 1
-                bl3[t3] = (b3 << l2_shift1) | 1
-        if entry & 1:
-            l1d_memory += transfers
-        else:
-            l1i_memory += transfers
-
-    reads = len(stream)
-    writes = len(victims)
-    _flush_l2(l2_stats, mem_state, reads, writes, l2m, l2_wm, l2_wb, wb_over)
-    return l1i_memory, l1d_memory, reads + writes, l1i_memory + l1d_memory
+    return [sum(distances[level_ways:]) for level_ways in ways]
 
 
 # ---------------------------------------------------------------------------
 # The dispatch kernel
 # ---------------------------------------------------------------------------
-
-def _flush_l2(l2_stats, mem_state, reads, writes, l2m, l2_wm, l2_wb, wb_over):
-    """Flush one L2 miss stream's L2, memory and write-back-buffer deltas.
-
-    ``reads`` L2 read fills (one per L1 miss) and ``writes`` dirty-victim
-    write-allocates, of which ``l2m`` and ``l2_wm`` missed; ``l2_wb`` dirty
-    L2 victims spilled to memory and ``wb_over`` write-back buffer
-    overflows.
-    """
-    if reads:
-        l2_stats.accesses += reads + writes
-        l2_stats.reads += reads
-        l2_stats.writes += writes
-        l2_stats.hits += reads - l2m + writes - l2_wm
-        l2_stats.misses += l2m + l2_wm
-        l2_stats.read_misses += l2m
-        l2_stats.write_misses += l2_wm
-        l2_stats.fills += l2m + l2_wm
-        l2_stats.writebacks += l2_wb
-    if l2m or l2_wm or l2_wb:
-        mem_reads, mem_writes, mem_bytes, l2_block, _ = mem_state
-        mem_reads.value += l2m + l2_wm
-        mem_writes.value += l2_wb
-        mem_bytes.value += (l2m + l2_wm + l2_wb) * l2_block
-    if writes:
-        wb_buffer = mem_state[4]
-        wb_buffer.enqueued += writes
-        wb_buffer.overflows += wb_over
-        wb_buffer.drained += wb_over
-
 
 def dispatch_cache_ops_fast(ops, shared, hierarchy, first=None):
     """The dispatch kernel: one hierarchy through one interval's op stream.
@@ -879,8 +719,7 @@ def dispatch_cache_ops_fast(ops, shared, hierarchy, first=None):
     tail: the body of
     :meth:`~repro.cache.hierarchy.CacheHierarchy._miss_packed` as dict ops
     and counter bumps — the LRU L2 read fill with its victim spill, then
-    for a dirty L1d victim the write-back buffer push and the L2
-    write-allocate.  The replay path never consumes the miss latency,
+    for a dirty L1d victim the L2 write-allocate.  The replay path never consumes the miss latency,
     which is all ``_miss_packed`` computes beyond that.  The tail relies on
     the stock hierarchy :meth:`LadderEngine.replay_many` checks for, and on
     the L1i never being written (its victims are never dirty).  Stat
@@ -900,10 +739,6 @@ def dispatch_cache_ops_fast(ops, shared, hierarchy, first=None):
         hierarchy.l1d._kernel_state()
     )
     l2_stats, l2_sets, l2_off, l2_idx, l2_mask, l2_ways = hierarchy.l2._kernel_state()[:6]
-    mem_state = hierarchy._memory_state()
-    wb_buffer = mem_state[4]
-    wb_pending = wb_buffer._pending
-    wb_entries = wb_buffer.num_entries
     i_shift1 = i_off + 1
     d_shift1 = d_off + 1
     l2_shift1 = l2_off + 1
@@ -911,7 +746,7 @@ def dispatch_cache_ops_fast(ops, shared, hierarchy, first=None):
     op_fetch, op_load, op_imiss = OP_FETCH, OP_LOAD, OP_IMISS
     ia = ih = 0
     da = dw = dh = dwm = dwb = 0
-    l2m = l2_wm = l2_wb = wb_over = 0
+    l2m = l2_wm = l2_wb = 0
     l1i_memory = l1d_memory = 0
     stream = iter(ops)
     for code in stream:
@@ -975,7 +810,7 @@ def dispatch_cache_ops_fast(ops, shared, hierarchy, first=None):
         if filtered:
             continue
         # The one miss tail: the L2 read fill, then a dirty L1d victim's
-        # buffer push and L2 write-allocate.
+        # L2 write-allocate.
         b2 = operand >> l2_off
         t2 = b2 >> l2_idx
         bl2 = l2_sets[b2 & l2_mask]
@@ -994,10 +829,6 @@ def dispatch_cache_ops_fast(ops, shared, hierarchy, first=None):
                     transfers = 2
             bl2[t2] = b2 << l2_shift1
         if wb_addr is not None:
-            if len(wb_pending) >= wb_entries:
-                wb_over += 1
-                wb_pending.popleft()
-            wb_pending.append(wb_addr)
             b3 = wb_addr >> l2_off
             t3 = b3 >> l2_idx
             bl3 = l2_sets[b3 & l2_mask]
@@ -1042,8 +873,21 @@ def dispatch_cache_ops_fast(ops, shared, hierarchy, first=None):
     reads = l1i_misses + l1d_misses
     if filtered:
         l1i_memory, l1d_memory = first
-    else:
-        _flush_l2(l2_stats, mem_state, reads, l1d_writebacks, l2m, l2_wm, l2_wb, wb_over)
+    elif reads:
+        l2_stats.accesses += reads + l1d_writebacks
+        l2_stats.reads += reads
+        l2_stats.writes += l1d_writebacks
+        l2_stats.hits += reads - l2m + l1d_writebacks - l2_wm
+        l2_stats.misses += l2m + l2_wm
+        l2_stats.read_misses += l2m
+        l2_stats.write_misses += l2_wm
+        l2_stats.fills += l2m + l2_wm
+        l2_stats.writebacks += l2_wb
+        if l2m or l2_wm or l2_wb:
+            mem_reads, mem_writes, mem_bytes, l2_block = hierarchy._memory_state()
+            mem_reads.value += l2m + l2_wm
+            mem_writes.value += l2_wb
+            mem_bytes.value += (l2m + l2_wm + l2_wb) * l2_block
     return (
         fetches + ia, l1i_misses, l1i_memory,
         l1d_misses, l1d_memory, l1d_writebacks,

@@ -59,7 +59,7 @@ class TestDataPath:
         hierarchy.data_access(stride, True)
         outcome = hierarchy.data_access(2 * stride, True)
         assert outcome.l2_accesses == 2  # fill plus the victim writeback
-        assert hierarchy.writeback_buffer.enqueued == 1
+        assert hierarchy.l2.stats.writes == 1
 
 
 class TestInstructionPath:
@@ -78,7 +78,7 @@ class TestWritebackAbsorption:
         accesses = hierarchy.absorb_l1_writebacks([0x100, 0x2000, 0x40000])
         assert accesses == 3
         assert hierarchy.l2.stats.accesses == 3
-        assert hierarchy.writeback_buffer.enqueued == 3
+        assert hierarchy.l2.stats.writes == 3
 
     def test_absorb_empty_list_is_noop(self, hierarchy):
         assert hierarchy.absorb_l1_writebacks([]) == 0

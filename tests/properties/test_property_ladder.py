@@ -18,8 +18,9 @@ RANDOM and dynamic rungs mixed in: that pins the stack-distance tier
 selection to standalone runs.
 
 The L2 is drawn too: the default one, which no drawn trace overflows (so
-the pass takes the compulsory-miss filter and never simulates it), or one
-shrunk until it evicts (so the pass is refused and simulates it).  The
+the pass takes the compulsory-miss filter, never simulates it and forms
+stack groups), or one shrunk until it evicts (so the pass is refused,
+simulates it and replays each static geometry through the kernel).  The
 dynamic rung's bound makes it resize, so resize flushes reach both.
 """
 

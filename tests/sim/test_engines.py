@@ -45,6 +45,15 @@ def trace():
     return TraceSpec("gcc", 6_000).materialize()
 
 
+def _resizing(organization, miss_bound, sense_interval_accesses):
+    """A dynamic setup whose bound (misses per sense interval) the L1 crosses,
+    so it resizes; settling and back-off are off so every interval may act."""
+    return L1Setup(organization, DynamicResizing(
+        miss_bound, 8 * 1024, sense_interval_accesses=sense_interval_accesses,
+        settle_intervals=0, reversal_backoff_intervals=0,
+    ))
+
+
 def _build_setups(system, kind):
     """Fresh setups per run: strategies and organizations are stateful."""
     if kind == "fixed":
@@ -56,17 +65,11 @@ def _build_setups(system, kind):
         org = SelectiveWays(system.l1i)
         return None, L1Setup(org, StaticResizing(org.config_for_capacity(16 * 1024)))
     if kind == "hybrid-dynamic-d":
-        org = HybridSetsAndWays(system.l1d)
-        strategy = DynamicResizing(
-            miss_bound=0.02, size_bound_bytes=8 * 1024, sense_interval_accesses=256
-        )
-        return L1Setup(org, strategy), None
+        return _resizing(HybridSetsAndWays(system.l1d), 60, 256), None
     if kind == "dynamic-both":
-        d_org = SelectiveSets(system.l1d)
-        i_org = SelectiveWays(system.l1i)
         return (
-            L1Setup(d_org, DynamicResizing(0.03, 8 * 1024, sense_interval_accesses=512)),
-            L1Setup(i_org, DynamicResizing(0.01, 8 * 1024, sense_interval_accesses=512)),
+            _resizing(SelectiveSets(system.l1d), 120, 512),
+            _resizing(SelectiveWays(system.l1i), 120, 512),
         )
     raise AssertionError(kind)
 
@@ -148,6 +151,11 @@ class TestEquivalence:
         reference = run("reference")
         tiers = ladder.stats_snapshot()
         assert run("columnar") == reference
+        if "dynamic" in kind and interval < len(trace):
+            # Only non-final interval closes resize.
+            assert reference["l1d_resizes"] > 0
+            if kind == "dynamic-both":
+                assert reference["l1i_resizes"] > 0
         # A single run is a one-rung ladder, not a fused pass on the ladder
         # tier counters.
         assert ladder.stats_snapshot() == tiers

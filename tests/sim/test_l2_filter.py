@@ -16,6 +16,7 @@ import pytest
 from repro.common.config import CacheGeometry, L2Config, SystemConfig
 from repro.common.units import KIB
 from repro.resizing.dynamic_strategy import DynamicResizing
+from repro.resizing.hybrid import HybridSetsAndWays
 from repro.resizing.selective_sets import SelectiveSets
 from repro.resizing.selective_ways import SelectiveWays
 from repro.resizing.static_strategy import StaticResizing
@@ -69,6 +70,17 @@ def _ladder(system, side):
         60, 4 * KIB, sense_interval_accesses=256, settle_intervals=0,
         reversal_backoff_intervals=0,
     )))
+    return [(None, None)] + [(rung, None) if side == "d" else (None, rung) for rung in rungs]
+
+
+def _hybrid_ladder(system, side):
+    """A baseline and every static rung of a hybrid ladder, the largest twice."""
+    geometry = system.l1d if side == "d" else system.l1i
+    configs = HybridSetsAndWays(geometry).ladder()
+    rungs = [
+        L1Setup(HybridSetsAndWays(geometry), StaticResizing(config))
+        for config in configs + configs[:1]
+    ]
     return [(None, None)] + [(rung, None) if side == "d" else (None, rung) for rung in rungs]
 
 
@@ -156,6 +168,34 @@ class TestGate:
         context = Simulator(SYSTEM)._prepare_run(trace, None, None, 400, 0)
         context.hierarchy.l2.access(0)
         assert LadderEngine().replay_many(trace, [context])["ladder_l2_filtered_passes"] == 0
+
+
+class TestTierRule:
+    """Stack groups form only under the filter; a refused pass still shares geometries."""
+
+    @pytest.mark.parametrize("side", ["d", "i"])
+    @pytest.mark.parametrize("l2", [None, (32 * KIB, 2)], ids=["default-l2", "32k-2way"])
+    def test_sixteen_way_hybrid_ladder(self, side, l2):
+        base = SYSTEM if l2 is None else _with_l2(*l2)
+        system = base.with_l1(
+            l1d=base.l1d.with_capacity(base.l1d.capacity_bytes, 16),
+            l1i=base.l1i.with_capacity(base.l1i.capacity_bytes, 16),
+        )
+        trace = TraceSpec("gcc", 4_000).materialize()
+        kwargs = {"interval_instructions": 700, "warmup_instructions": 300}
+        before = ladder.stats_snapshot()
+        fused = [
+            result.to_dict()
+            for result in run_fused(Simulator(system), trace, _hybrid_ladder(system, side), **kwargs)
+        ]
+        tiers = {key: value - before[key] for key, value in ladder.stats_snapshot().items()}
+        assert fused == _standalone(system, trace, _hybrid_ladder(system, side), **kwargs)
+        assert tiers["ladder_l2_filtered_passes"] == (l2 is None)
+        if l2 is None:
+            assert tiers["ladder_stack_groups"] > 0
+        else:
+            assert tiers["ladder_stack_groups"] == 0
+            assert tiers["ladder_shared_rungs"] > 0
 
 
 class TestFilterMemo:

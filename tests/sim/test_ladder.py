@@ -89,6 +89,23 @@ class _ReplacementSetup(L1Setup):
         return ResizableCache(geometry, self.organization, self.replacement, name=name)
 
 
+def _resizing(organization, miss_bound=60, size_bound=4 * 1024, sense=256):
+    """A dynamic setup that really resizes.
+
+    ``miss_bound`` is misses per sense interval; 60 per 256 accesses is a
+    bound the L1s cross on the test traces, and settling and back-off are
+    off so every sense interval may act.
+    """
+    return L1Setup(organization, DynamicResizing(
+        miss_bound, size_bound, sense_interval_accesses=sense,
+        settle_intervals=0, reversal_backoff_intervals=0,
+    ))
+
+
+def _resizes(payload):
+    return payload["l1d_resizes"] + payload["l1i_resizes"]
+
+
 def _coalesced_setups(system, target):
     """Every organization's full ladder in one pass, plus the fallbacks.
 
@@ -109,10 +126,7 @@ def _coalesced_setups(system, target):
         rungs.append(_ReplacementSetup(
             SelectiveWays(geometry), StaticResizing(smallest), replacement
         ))
-    rungs.append(L1Setup(
-        SelectiveSets(geometry),
-        DynamicResizing(0.02, 8 * 1024, sense_interval_accesses=256),
-    ))
+    rungs.append(_resizing(SelectiveSets(geometry)))
     setups = [(None, None)]
     setups += [(rung, None) if target == DCACHE else (None, rung) for rung in rungs]
     return setups
@@ -201,19 +215,14 @@ class TestEngineEquivalence:
         assert tiers["ladder_fallback_rungs"] >= 3
         assert tiers["ladder_shared_rungs"] >= 2  # baseline and duplicate rung
         assert (tiers["ladder_stack_groups"] > 0) == (associativity > 1)
+        assert _resizes(fused[-1]) > 0  # the dynamic rung
 
     def test_fused_matches_standalone_dynamic_rungs(self, system, trace):
         """Dynamic strategies resize mid-run; the pilot path must still agree."""
         def setups():
             return [
-                (L1Setup(
-                    SelectiveSets(system.l1d),
-                    DynamicResizing(0.02, 8 * 1024, sense_interval_accesses=256),
-                ), None),
-                (L1Setup(
-                    SelectiveSets(system.l1d),
-                    DynamicResizing(0.05, 16 * 1024, sense_interval_accesses=512),
-                ), None),
+                (_resizing(SelectiveSets(system.l1d), 60, 8 * 1024), None),
+                (_resizing(SelectiveSets(system.l1d), 120, 16 * 1024, sense=512), None),
                 (None, None),
             ]
 
@@ -230,20 +239,15 @@ class TestEngineEquivalence:
             )
         ]
         assert fused == standalone
+        assert all(_resizes(payload) > 0 for payload in fused[:2])
 
     def test_fused_matches_standalone_heterogeneous(self, system, trace):
         """Rungs resizing *both* L1s take the general path; still identical."""
         def setups():
             return [
                 (
-                    L1Setup(
-                        SelectiveSets(system.l1d),
-                        DynamicResizing(0.03, 8 * 1024, sense_interval_accesses=512),
-                    ),
-                    L1Setup(
-                        SelectiveWays(system.l1i),
-                        DynamicResizing(0.01, 8 * 1024, sense_interval_accesses=512),
-                    ),
+                    _resizing(SelectiveSets(system.l1d), 120, 8 * 1024, sense=512),
+                    _resizing(SelectiveWays(system.l1i), 120, 8 * 1024, sense=512),
                 ),
                 (None, None),
                 (
@@ -261,6 +265,7 @@ class TestEngineEquivalence:
         ]
         fused = [r.to_dict() for r in run_fused(Simulator(system), trace, setups())]
         assert fused == standalone
+        assert fused[0]["l1d_resizes"] > 0 and fused[0]["l1i_resizes"] > 0
 
     def test_single_rung_fused_equals_plain_run(self, system, trace):
         fused = run_fused(Simulator(system), trace, [(None, None)])
@@ -327,14 +332,8 @@ def _static(system, side):
 
 def _dynamic_both(system):
     return {
-        "d_setup": L1Setup(
-            SelectiveSets(system.l1d),
-            DynamicResizing(0.03, 8 * 1024, sense_interval_accesses=512),
-        ),
-        "i_setup": L1Setup(
-            SelectiveWays(system.l1i),
-            DynamicResizing(0.01, 8 * 1024, sense_interval_accesses=512),
-        ),
+        "d_setup": _resizing(SelectiveSets(system.l1d), 120, 8 * 1024, sense=512),
+        "i_setup": _resizing(SelectiveWays(system.l1i), 120, 8 * 1024, sense=512),
     }
 
 
@@ -409,6 +408,7 @@ class TestPilotRule:
         assert spy == []  # no pilot built or looked up
         reference = Simulator(system, engine="reference").run(fresh, **setups(system))
         assert result.to_dict() == reference.to_dict()
+        assert result.to_dict()["l1d_resizes"] > 0
 
 
 def _rung_jobs(system, organization, interval=500, n_instructions=3_000):
