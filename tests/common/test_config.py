@@ -124,6 +124,10 @@ class TestOtherConfigs:
         with pytest.raises(ConfigurationError):
             CoreConfig(rob_entries=0)
 
+    def test_core_rejects_zero_writeback_buffer(self):
+        with pytest.raises(ConfigurationError):
+            CoreConfig(writeback_buffer_entries=0)
+
 
 class TestSystemConfig:
     def test_defaults_are_consistent(self):
@@ -149,6 +153,11 @@ class TestSystemConfig:
         assert "64 entries / 32 entries" in text
         assert "512K 4-way" in text
         assert "80 + 5" in text
+
+    def test_describe_prints_configured_writeback_buffer(self):
+        # Table 2 text only: no engine simulates the write-back buffer.
+        text = SystemConfig().with_core(CoreConfig(writeback_buffer_entries=16)).describe()
+        assert "writeback buffer / mshr 16 entries / 8 entries" in text
 
     def test_invalid_address_width_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -9,6 +9,7 @@ against standalone runs of the reference engine, which always simulates
 the L2, and the filter memo against an independent per-op model.
 """
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -22,7 +23,16 @@ from repro.resizing.selective_ways import SelectiveWays
 from repro.resizing.static_strategy import StaticResizing
 from repro.sim import ladder, predecode
 from repro.sim.ladder import LadderEngine, run_fused
-from repro.sim.predecode import OP_FETCH, decoded_for, l2_filter_for, replay_runs
+from repro.sim.predecode import (
+    OP_DMISS,
+    OP_FETCH,
+    OP_IMISS,
+    OP_LOAD,
+    OP_STORE,
+    decoded_for,
+    l2_filter_for,
+    replay_runs,
+)
 from repro.sim.runner import TraceSpec
 from repro.sim.simulator import L1Setup, Simulator, _block_mask
 from repro.workloads.trace import InstructionRecord, Trace
@@ -196,6 +206,90 @@ class TestTierRule:
         else:
             assert tiers["ladder_stack_groups"] == 0
             assert tiers["ladder_shared_rungs"] > 0
+
+
+def _lru_model(accesses, sets, ways, offset_bits):
+    """Misses and dirty victims of one LRU geometry over ``(is_store, address)``."""
+    stacks = [[] for _ in range(sets)]
+    dirty = set()
+    misses = victims = 0
+    for is_store, address in accesses:
+        block = address >> offset_bits
+        stack = stacks[block % sets]
+        if block in stack:
+            stack.remove(block)
+        else:
+            misses += 1
+            if len(stack) == ways:
+                victim = stack.pop()
+                if victim in dirty:
+                    victims += 1
+                    dirty.discard(victim)
+        stack.insert(0, block)
+        if is_store:
+            dirty.add(block)
+    return misses, victims
+
+
+def _random_accesses(seed, count=4_000, blocks=48):
+    rng = random.Random(seed)
+    return [(rng.random() < 0.3, rng.randrange(blocks) << 6 | rng.randrange(64)) for _ in range(count)]
+
+
+class TestStackPass:
+    """The stack tier's passes count every geometry's misses as separate LRU caches would."""
+
+    SETS, WAYS, OFFSET_BITS = 4, [1, 2, 4, 8], 6
+
+    def _d_stream(self, accesses, seed):
+        """A d-ladder's reduced stream: loads and stores, pilot i-misses between them."""
+        rng = random.Random(seed)
+        stream = []
+        for is_store, address in accesses:
+            if rng.random() < 0.2:
+                stream += [OP_IMISS, rng.randrange(1 << 20)]
+            stream += [OP_STORE if is_store else OP_LOAD, address]
+        return stream
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_d_pass_counts_misses_and_dirty_victims(self, seed):
+        accesses = _random_accesses(seed)
+        stacks = [[] for _ in range(self.SETS)]
+        misses, dirty = ladder._stack_pass_d(
+            self._d_stream(accesses, seed), stacks, {}, self.OFFSET_BITS, self.SETS - 1, self.WAYS
+        )
+        expected = [_lru_model(accesses, self.SETS, ways, self.OFFSET_BITS) for ways in self.WAYS]
+        assert list(zip(misses, dirty)) == expected
+        assert all(count > 0 for count in dirty)
+
+    def test_i_pass_counts_misses(self):
+        rng = random.Random(3)
+        fetches = [(False, address) for _, address in _random_accesses(3)]
+        stream = []
+        for _, address in fetches:
+            if rng.random() < 0.2:
+                stream += [OP_DMISS, rng.randrange(1 << 20), 0]
+            stream += [OP_FETCH, address]
+        stacks = [[] for _ in range(self.SETS)]
+        misses = ladder._stack_pass_i(stream, stacks, self.OFFSET_BITS, self.SETS - 1, self.WAYS)
+        expected = [_lru_model(fetches, self.SETS, ways, self.OFFSET_BITS)[0] for ways in self.WAYS]
+        assert misses == expected
+
+    def test_d_pass_state_carries_across_intervals(self):
+        accesses = _random_accesses(4)
+        stream = self._d_stream(accesses, 4)
+        whole = ladder._stack_pass_d(
+            stream, [[] for _ in range(self.SETS)], {}, self.OFFSET_BITS, self.SETS - 1, self.WAYS
+        )
+        half = len(stream) // 4 * 2
+        stacks, dirty_after = [[] for _ in range(self.SETS)], {}
+        parts = [
+            ladder._stack_pass_d(
+                part, stacks, dirty_after, self.OFFSET_BITS, self.SETS - 1, self.WAYS
+            )
+            for part in (stream[:half], stream[half:])
+        ]
+        assert [[a + b for a, b in zip(*counts)] for counts in zip(*parts)] == list(whole)
 
 
 class TestFilterMemo:
