@@ -78,6 +78,15 @@ STREAM_INTERVAL = 0.5
 #: this bounds how long the event loop waits to answer a settled read.
 SERVE_SWITCH_INTERVAL = 0.0005
 
+#: The collector's oldest-generation threshold while serving: a full
+#: collection runs after this many gen-1 collections (CPython's default is
+#: 10).  A full pass walks every live object with the GIL held, and the
+#: handle table keeps up to 4096 settled handles of about eight tracked
+#: objects each, so a pass grows to several ms as handles settle.  At the
+#: default a busy runner thread set one off about every half second, and
+#: about 1% of settled reads waited behind one.
+SERVE_FULL_COLLECTION_THRESHOLD = 100
+
 _STATUS_REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 413: "Payload Too Large", 429: "Too Many Requests",
@@ -674,17 +683,21 @@ def _as_service_error(status: int, message: str) -> ServiceError:
 def serving_interpreter() -> Iterator[None]:
     """Tune the process for serving while the runner thread simulates.
 
-    Sets the GIL switch interval to :data:`SERVE_SWITCH_INTERVAL` and moves
-    everything alive at entry (imports, the built service) into the
+    Sets the GIL switch interval to :data:`SERVE_SWITCH_INTERVAL`, makes
+    full collections rarer (:data:`SERVE_FULL_COLLECTION_THRESHOLD`) and
+    moves everything alive at entry (imports, the built service) into the
     collector's permanent generation, so later gen-2 passes skip the boot
-    heap.  Both are restored on exit, also on an exception.  A heap some
-    caller already froze is left as it is: unfreezing it would not restore
-    it.  Nothing else in the package sets the switch interval or freezes
-    the heap, and ``run-all`` never enters this.
+    heap.  All three are restored on exit, also on an exception.  A heap
+    some caller already froze is left as it is: unfreezing it would not
+    restore it.  Nothing else in the package sets the switch interval or
+    the collector's thresholds or freezes the heap, and ``run-all`` never
+    enters this.
     """
     previous_interval = sys.getswitchinterval()
+    previous_thresholds = gc.get_threshold()
     freeze = gc.get_freeze_count() == 0
     sys.setswitchinterval(SERVE_SWITCH_INTERVAL)
+    gc.set_threshold(*previous_thresholds[:2], SERVE_FULL_COLLECTION_THRESHOLD)
     if freeze:
         gc.collect()
         gc.freeze()
@@ -693,6 +706,7 @@ def serving_interpreter() -> Iterator[None]:
     finally:
         if freeze:
             gc.unfreeze()
+        gc.set_threshold(*previous_thresholds)
         sys.setswitchinterval(previous_interval)
 
 
@@ -713,4 +727,5 @@ __all__ = [
     "serving_interpreter",
     "MAX_WAIT_SECONDS",
     "SERVE_SWITCH_INTERVAL",
+    "SERVE_FULL_COLLECTION_THRESHOLD",
 ]

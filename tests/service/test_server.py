@@ -19,7 +19,11 @@ import urllib.request
 import pytest
 
 from repro.service import server
-from repro.service.server import SERVE_SWITCH_INTERVAL, serving_interpreter
+from repro.service.server import (
+    SERVE_FULL_COLLECTION_THRESHOLD,
+    SERVE_SWITCH_INTERVAL,
+    serving_interpreter,
+)
 
 
 def job_payload(**overrides):
@@ -357,20 +361,27 @@ class TestStreaming:
 class TestServingInterpreter:
     def test_sets_and_restores_the_switch_interval_and_freeze(self):
         before_interval = sys.getswitchinterval()
+        before_thresholds = gc.get_threshold()
         before_frozen = gc.get_freeze_count()
         assert before_frozen == 0
         with serving_interpreter():
             assert sys.getswitchinterval() == pytest.approx(SERVE_SWITCH_INTERVAL)
+            assert gc.get_threshold() == (
+                *before_thresholds[:2], SERVE_FULL_COLLECTION_THRESHOLD
+            )
             assert gc.get_freeze_count() > 0
         assert sys.getswitchinterval() == before_interval
+        assert gc.get_threshold() == before_thresholds
         assert gc.get_freeze_count() == before_frozen
 
     def test_restores_both_on_an_exception(self):
         before_interval = sys.getswitchinterval()
+        before_thresholds = gc.get_threshold()
         with pytest.raises(RuntimeError, match="boom"):
             with serving_interpreter():
                 raise RuntimeError("boom")
         assert sys.getswitchinterval() == before_interval
+        assert gc.get_threshold() == before_thresholds
         assert gc.get_freeze_count() == 0
 
     def test_leaves_a_heap_frozen_by_the_caller_alone(self):
@@ -389,6 +400,7 @@ class TestServingInterpreter:
 
         async def fake_serve_forever(self):
             seen["interval"] = sys.getswitchinterval()
+            seen["threshold"] = gc.get_threshold()[2]
             seen["frozen"] = gc.get_freeze_count()
             return 0
 
@@ -397,6 +409,7 @@ class TestServingInterpreter:
         config = server.ServeConfig(port=0, cache_dir=str(tmp_path / "cache"))
         assert server.serve(config) == 0
         assert seen["interval"] == pytest.approx(SERVE_SWITCH_INTERVAL)
+        assert seen["threshold"] == SERVE_FULL_COLLECTION_THRESHOLD
         assert seen["frozen"] > 0
         assert sys.getswitchinterval() == before_interval
         assert gc.get_freeze_count() == 0
