@@ -818,7 +818,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except KeyboardInterrupt:
         # Graceful Ctrl-C: the runner already killed and reaped its pool and
         # unlinked every shared-memory segment (drain's interrupt handler);
-        # the job cache holds every completed job, written atomically.  One
+        # the job cache holds every completed job, each one append.  One
         # summary line, no traceback, and the conventional 128+SIGINT code.
         runner = context.runner if context is not None else None
         if runner is not None:
@@ -834,9 +834,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     finally:
         # Unlink every published shared-memory segment (and join any pool)
         # even when the evaluation errors out, so no /dev/shm space
-        # outlives the process.
+        # outlives the process; then close the job cache's segment files.
         if context is not None:
             context.runner.close()
+            if context.runner.cache is not None:
+                context.runner.cache.close()
     elapsed = time.time() - started
 
     if profiler is not None:

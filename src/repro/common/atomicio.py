@@ -1,10 +1,10 @@
 """Atomic, checksummed file writes shared by every on-disk artifact.
 
-Three producers used to hand-roll the same write-temp-rename dance — the
-job cache, the trace cache, and ad-hoc ``open(path, "w")`` writes for
-``--output`` rows and the benchmark baseline (the last two were not atomic
-at all, so a crash mid-write could leave a torn JSON file that later runs
-would choke on).  This module is the single implementation:
+Every whole-file artifact — trace-cache entries, checkpoint and service
+handle manifests, ``--output`` rows, the benchmark baseline — is written
+here, so a crash mid-write can never leave a torn file that later runs
+would choke on.  (The job cache appends records to a log instead; see
+:mod:`repro.sim.jobcache`.)  This module is the single implementation:
 
 * :func:`atomic_write_bytes` / :func:`atomic_write_text` /
   :func:`atomic_write_json` — write to ``<name>.tmp.<pid>.<tid>`` in the

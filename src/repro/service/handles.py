@@ -3,8 +3,9 @@
 Every accepted submission gets a **handle** derived from the work's
 content fingerprint (see :mod:`repro.service.codec`), and every handle is
 backed by a small JSON manifest under ``<cache-dir>/service/handles/``,
-written atomically at each state transition.  That manifest is what makes
-the service crash-safe:
+written atomically at admission and again when the handle settles (a job
+starting changes no persisted byte: "running" is stored as "queued").
+That manifest is what makes the service crash-safe:
 
 * a handle that reached ``done`` before a crash is served straight from
   its manifest after restart — completed work never answers 500 and is

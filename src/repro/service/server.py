@@ -290,6 +290,7 @@ class SweepService:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+        self.cache.close()
         print(
             f"drained: {self.counters['completed']} completed, "
             f"{self.counters['drained']} requeued for restart, exit 0",
@@ -312,8 +313,9 @@ class SweepService:
             # us here.
             await self._unpaused.wait()
             handle = item.handle
+            # No persist here: the manifest writes "running" as "queued",
+            # the bytes the admission already wrote.
             handle.mark_running()
-            self.handles.persist(handle)
 
             def apply_progress(event: dict, target: Handle = handle) -> None:
                 target.progress["completed"] = (

@@ -1424,8 +1424,8 @@ class SweepRunner:
         except KeyboardInterrupt:
             # Ctrl-C containment: kill and reap the pool, unlink every
             # shared-memory segment, and drop the pending graph.  The job
-            # cache stays consistent by construction — entries are written
-            # atomically and only after a result exists — so everything
+            # cache stays consistent by construction — each entry is one
+            # append, made only after a result exists — so everything
             # completed before the interrupt is already persisted and a
             # --resume run re-simulates only what was in flight.
             self._interrupted = True

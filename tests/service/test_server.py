@@ -307,6 +307,48 @@ class TestDrainAndRestart:
             assert revived.wait_done(handle)["state"] == "done"
         assert revived.metrics()["service_resumed"] == 2
 
+    def test_a_job_persists_its_manifest_at_admit_and_settle_only(
+        self, service_factory, monkeypatch
+    ):
+        from repro.service.handles import HandleStore
+
+        writes = []
+        persist = HandleStore.persist
+
+        def counting_persist(store, handle):
+            writes.append((handle.handle, handle.state))
+            persist(store, handle)
+
+        monkeypatch.setattr(HandleStore, "persist", counting_persist)
+        harness = service_factory()
+        status, body, _ = harness.submit_job(job_payload())
+        assert status == 202
+        handle = json.loads(body)["handle"]
+        assert harness.wait_done(handle)["state"] == "done"
+        assert writes == [(handle, "queued"), (handle, "done")]
+
+    def test_drain_mid_run_leaves_a_queued_manifest_a_restart_readmits(
+        self, service_factory, tmp_path
+    ):
+        cache_dir = str(tmp_path / "mid-run-cache")
+        harness = service_factory(cache_dir=cache_dir, drain_grace=0.0)
+        payload = {"trace": {"application": "gcc", "n_instructions": 120_000}}
+        status, body, _ = harness.submit_job(payload)
+        assert status == 202
+        handle = json.loads(body)["handle"]
+        deadline = time.monotonic() + 30
+        while json.loads(harness.get(f"/jobs/{handle}")[1])["state"] != "running":
+            assert time.monotonic() < deadline, "the job never started"
+            time.sleep(0.01)
+
+        assert harness.shutdown() == 0
+        manifest_path = tmp_path / "mid-run-cache" / "service" / "handles" / f"{handle}.json"
+        assert json.loads(manifest_path.read_text())["state"] == "queued"
+
+        revived = service_factory(cache_dir=cache_dir)
+        assert revived.wait_done(handle, timeout=120)["state"] == "done"
+        assert revived.metrics()["service_resumed"] == 1
+
     def test_restart_serves_completed_work_from_cache(self, service_factory, tmp_path):
         cache_dir = str(tmp_path / "restart-cache")
         first = service_factory(cache_dir=cache_dir)

@@ -390,8 +390,8 @@ class TestCacheCorruption:
         assert results == clean_results
         faults.reset()
 
-        # A fresh runner over the damaged cache: the torn entry reads as a
-        # corrupt miss, is deleted, and exactly one job re-simulates.
+        # A fresh runner over the damaged cache: the torn record reads as a
+        # corrupt miss, is dropped, and exactly one job re-simulates.
         second = SweepRunner(jobs=1, cache=JobCache(tmp_path / "cache"))
         healed = [
             dataclasses.asdict(second.submit(job).result()) for job in small_jobs
