@@ -731,14 +731,16 @@ def transport_stats_line(runner: SweepRunner) -> str:
 
 
 def ladder_stats_line(runner: SweepRunner) -> str:
-    """The ``--stats`` line naming the fused-ladder tier that served each rung."""
+    """The ``--stats`` line naming the fused-ladder tier that served each rung,
+    and how many cache hierarchies the passes built for their rungs."""
     tiers = runner.ladder_counters()
     return (
         f"ladder: {tiers['ladder_passes']} fused pass(es), "
         f"{tiers['ladder_stack_groups']} stack group(s); rungs by tier: "
         f"{tiers['ladder_stack_rungs']} stack, {tiers['ladder_shared_rungs']} shared, "
         f"{tiers['ladder_fallback_rungs']} per-rung; "
-        f"{tiers['ladder_l2_filtered_passes']} L2-filtered"
+        f"{tiers['ladder_l2_filtered_passes']} L2-filtered; "
+        f"{tiers['ladder_hierarchies']} cache hierarchies built"
     )
 
 

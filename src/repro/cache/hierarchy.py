@@ -122,12 +122,19 @@ class CacheHierarchy:
         l1d,
         l2: Optional[Cache] = None,
         memory: Optional[MainMemory] = None,
+        with_l2: bool = True,
     ) -> None:
+        """``with_l2=False`` leaves ``l2`` and ``memory`` None: only L1 hits
+        can be served, as in a fused pass that takes the compulsory-miss
+        filter (:mod:`repro.sim.ladder`)."""
         self.config = config
         self.l1i = l1i
         self.l1d = l1d
-        self.l2 = l2 if l2 is not None else Cache(config.l2.geometry, name="l2")
-        self.memory = memory if memory is not None else MainMemory(config.memory)
+        if with_l2:
+            l2 = l2 if l2 is not None else Cache(config.l2.geometry, name="l2")
+            memory = memory if memory is not None else MainMemory(config.memory)
+        self.l2 = l2
+        self.memory = memory
         self._l1_hit_latency = config.l1_timing.hit_latency
         self._l2_hit_latency = config.l2.hit_latency
         self._l1_block = config.l1d.block_bytes
@@ -136,7 +143,7 @@ class CacheHierarchy:
         # ready-made constant, and the shared L1+L2 hit latency term.
         self._l1d_packed = l1d.access_packed
         self._l1i_packed = l1i.access_packed
-        self._l2_packed = self.l2.access_packed
+        self._l2_packed = l2.access_packed if l2 is not None else None
         self._packed_l1_hit = HIER_L1_HIT | (self._l1_hit_latency << HIER_LATENCY_SHIFT)
         self._l1_l2_latency = self._l1_hit_latency + self._l2_hit_latency
 

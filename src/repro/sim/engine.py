@@ -1,10 +1,11 @@
 """Pluggable replay engines: the simulator's per-instruction hot loop.
 
 :class:`repro.sim.simulator.Simulator` is split into a thin orchestration
-shell (build the caches, hierarchy, timing and energy models; aggregate the
-final result) and a *replay engine* that owns the only per-instruction code
-in the project.  Engines are interchangeable and must be **bit-identical**:
-for any trace and setup, every engine produces exactly the same
+shell (build each run's accounting state, aggregate the final result) and
+a *replay engine* that owns the only per-instruction code in the project;
+the :class:`ReplayContext` between them builds its caches on first use.
+Engines are interchangeable and must be **bit-identical**: for any trace
+and setup, every engine produces exactly the same
 :class:`~repro.sim.results.SimulationResult` (``to_dict()`` equality is
 enforced by the cross-engine equivalence suite in
 ``tests/sim/test_engines.py`` and ``tests/properties/test_property_engines.py``).
@@ -16,21 +17,13 @@ Two engines ship:
   Kept as the executable specification (the one oracle) every fast path is
   checked against.
 * :class:`ColumnarEngine` (the default) — a single run is a one-rung fused
-  ladder: :meth:`repro.sim.ladder.LadderEngine.replay_many` with the run's
-  context as the only rung, so single runs and profiling ladders share one
-  walk and one mode rule (described in :mod:`repro.sim.ladder`).  The
-  walk slices each segment's flat cache-operation stream in O(1) out of
-  the memoized decode of the rows the run's plan replays
-  (:mod:`repro.sim.predecode` — fetch-block-change detection, memory-op
-  extraction with the store bit resolved, branches resolved against a
-  replica of the fresh predictor, since the predictor shares no state
-  with the caches; vectorized when NumPy is importable, memoized in
-  memory and in the on-disk trace cache).  One dispatch
-  kernel (:func:`repro.sim.ladder.dispatch_cache_ops_fast`) runs each
-  access inline against hoisted kernel state — the L1 access and, for a
-  miss, the stock L2/memory fill that ``_miss_packed`` (see
-  :mod:`repro.cache.hierarchy`) performs per call; the reference engine
-  keeps exercising the object-returning wrapper path.
+  ladder (:mod:`repro.sim.ladder`): each segment's cache-operation stream
+  is an O(1) slice of the memoized decode of the rows the run's plan
+  replays (:mod:`repro.sim.predecode`, branches resolved against a replica
+  of the fresh predictor), and one dispatch kernel
+  (:func:`repro.sim.ladder.dispatch_cache_ops_fast`) runs each access
+  inline against hoisted kernel state, where the reference engine
+  exercises the object-returning wrapper path.
 
 Engine selection: ``Simulator(engine=...)`` / ``Simulator.run(engine=...)``
 accept an engine name or instance; :class:`~repro.sim.runner.SimJob` carries
@@ -51,7 +44,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, Type, Union
 
+from repro.cache.hierarchy import CacheHierarchy
 from repro.common.errors import SimulationError
+from repro.cpu.branch import BimodalBranchPredictor
 from repro.metrics.counts import IntervalCounts
 from repro.workloads.trace import Trace
 
@@ -101,10 +96,13 @@ class ReplayContext:
     call :meth:`close_interval` at every interval boundary; the context owns
     the timing/energy aggregation, warmup bookkeeping and resizing decisions
     so those are identical across engines by construction.
+
+    Its hierarchy and branch predictor are built on first use, so a
+    fused-ladder rung that drives no cache never builds them.
     """
 
     __slots__ = (
-        "hierarchy", "predictor", "core_model", "accountant",
+        "system", "_hierarchy", "_predictor", "core_model", "accountant",
         "d_runtime", "i_runtime", "result",
         "interval_instructions", "warmup_instructions", "block_mask", "mlp",
         "counts", "total_seen", "measured_instructions", "measured_cycles",
@@ -113,8 +111,7 @@ class ReplayContext:
 
     def __init__(
         self,
-        hierarchy,
-        predictor,
+        system,
         core_model,
         accountant,
         d_runtime,
@@ -127,8 +124,9 @@ class ReplayContext:
         sample_every: int = 1,
         sample_warmup: int = 0,
     ) -> None:
-        self.hierarchy = hierarchy
-        self.predictor = predictor
+        self.system = system
+        self._hierarchy = None
+        self._predictor = None
         self.core_model = core_model
         self.accountant = accountant
         self.d_runtime = d_runtime
@@ -148,6 +146,33 @@ class ReplayContext:
         #: Per measured interval (sampling only): (l1d_accesses, l1d_misses,
         #: l1i_accesses, l1i_misses) — the raw material of the error bars.
         self.interval_samples = []
+
+    @property
+    def hierarchy(self) -> CacheHierarchy:
+        """The run's cache hierarchy (see :meth:`build_hierarchy`)."""
+        return self.build_hierarchy()
+
+    def build_hierarchy(self, with_l2: bool = True) -> CacheHierarchy:
+        """The run's hierarchy over its two L1 caches, built on the first call.
+
+        ``with_l2=False`` leaves the L2 and memory out; a later call returns
+        the hierarchy the first one built, whatever it asks for.
+        """
+        if self._hierarchy is None:
+            l1i, l1d = self.i_runtime.cache, self.d_runtime.cache
+            self._hierarchy = CacheHierarchy(self.system, l1i, l1d, with_l2=with_l2)
+        return self._hierarchy
+
+    @property
+    def predictor(self):
+        """The run's branch predictor, a fresh default one unless set."""
+        if self._predictor is None:
+            self._predictor = BimodalBranchPredictor()
+        return self._predictor
+
+    @predictor.setter
+    def predictor(self, predictor) -> None:
+        self._predictor = predictor
 
     def sampling_plan(self, n: int):
         """The segment schedule of an ``n``-row trace (see :func:`sampling_plan`)."""
@@ -198,10 +223,10 @@ class ReplayContext:
 
         if not final:
             d_flush = d_runtime.observe_interval(
-                self.hierarchy, counts.l1d_accesses, counts.l1d_misses
+                self._hierarchy, counts.l1d_accesses, counts.l1d_misses
             )
             i_flush = i_runtime.observe_interval(
-                self.hierarchy, counts.l1i_accesses, counts.l1i_misses
+                self._hierarchy, counts.l1i_accesses, counts.l1i_misses
             )
             counts = IntervalCounts(memory_level_parallelism=self.mlp)
             self.counts = counts

@@ -48,8 +48,7 @@ resizes exactly one L1; the other is the full-size fixed cache in every
 rung, as in every baseline, static and dynamic run.  A fixed L1's hit/miss
 (and dirty-victim) sequence depends only on its own access stream, so it
 is *identical across rungs* and across runs of one trace.  The pass drives
-the first context's copy of that cache (the "pilot") once per op and
-shares the outcome:
+one copy of that cache (the "pilot") once per op and shares the outcome:
 
 * an L1 *hit* touches no per-rung state (cycles come from the interval
   counts), so the op leaves the per-rung stream for a shared count;
@@ -68,10 +67,7 @@ single runs fell below 1.5x when single runs took it).  Sampled plans
 follow the same rule over their own decode and pilot memos.  The
 remaining single runs, rungs resizing both sides and pilots the memo
 refuses (a warm or non-stock fixed L1) take the general mode: each rung
-dispatches the full shared stream.  With warm memos single 60k-instruction runs
-(best of 9 paired runs, mean over gcc, swim and vortex) took 22.7 →
-12.3 ms with both L1s fixed and 26.6 → 14.9 ms for a static i-side run;
-a never-seen trace's pilot build made them 1.2x.
+dispatches the full shared stream.
 
 Everything configuration-*dependent* — cache contents, resize decisions,
 flush writebacks, energy, cycles — stays in per-rung state, which is why
@@ -80,28 +76,17 @@ every rung's :class:`~repro.sim.results.SimulationResult` is
 ``tests/sim/test_ladder.py``, ``tests/properties/test_property_ladder.py``
 and the engine-equivalence suites).
 
-One caveat: in a pilot mode no rung's invariant-side cache *object* is
-ever driven — the pilot is the memoized pre-screen
-(:func:`repro.sim.predecode.pilot_for`, valid from a fresh fixed L1) — so
-their internal hit/miss counters stay zero.  Nothing in result assembly
-reads them — interval accounting works entirely off
-:class:`~repro.metrics.counts.IntervalCounts` — but introspecting
-``hierarchy.miss_ratios()`` after a piloted replay, a single run's
-included, would show an idle invariant side.  The memo is sparse — only
-the pilot's misses, built once per (trace, plan, side, pilot geometry) by
-the inline cache kernel — and each segment's reduced stream is rebuilt
-from it (:meth:`~repro.sim.predecode.PilotResolution.segment`): one slice
-of the decode's side-split op column (the variant side's ops,
-:attr:`~repro.sim.predecode.DecodedTrace.fetch_ops` or ``data_ops``) with
-the segment's misses spliced back in, exactly the ops the fixed L1 would
-have missed on.
-
-The same caveat covers the L2 and memory of every rung of an L2-filtered
-pass (the compulsory-miss filter below): no replay drives them.  Only
-resize flushes
-(:meth:`~repro.cache.hierarchy.CacheHierarchy.absorb_l1_writebacks`)
-still write into that idle L2, and their one effect on results,
-``counts.l2_accesses``, is the flush count whether they hit or not.
+**Lean rungs.**  Tiers and the L2-filter gate are decided from each
+rung's setup and system before any cache exists: a context starts with
+accounting state only.  Only the first rung of each dispatch-kernel unit
+builds a hierarchy, with no L2 in an L2-filtered pass, plus rung 0's pilot
+L1 as the key of the memoized pre-screen
+(:func:`repro.sim.predecode.pilot_for`).  That memo holds only the pilot's
+misses; each segment's reduced stream is one slice of the decode's
+side-split op column with them spliced back in
+(:meth:`~repro.sim.predecode.PilotResolution.segment`).  Results read
+only :class:`~repro.metrics.counts.IntervalCounts`, never cache objects,
+so a driven hierarchy's invariant-side L1 may stay idle.
 
 **One dispatch kernel.**  Every mode replays its rungs through
 :func:`dispatch_cache_ops_fast`; a mode only decides which ops the stream
@@ -114,19 +99,16 @@ through to one inline tail (L2 read fill, then a dirty L1d victim's L2
 write-allocate), the only code that simulates a fused pass's L2.  That
 tail is the stock hierarchy's miss path, an LRU
 :class:`~repro.cache.cache.Cache` L2 over
-:class:`~repro.mem.main_memory.MainMemory`, the only hierarchy
-:meth:`Simulator._prepare_run` builds; :meth:`LadderEngine.replay_many`
-checks it once per pass and raises :class:`SimulationError` for any other.
+:class:`~repro.mem.main_memory.MainMemory`, the only one a context builds;
+:meth:`LadderEngine.replay_many` refuses any other a caller built.
 
 **Stack-distance tier for static LRU rungs.**  Profiling ladders are
 mostly *static* rungs — a resizable L1 pinned to one (sets, ways)
 configuration for the whole run — and static rungs under LRU need not be
-simulated one by one.  In a pilot-mode pass the variant-side rungs whose
-cache is a cold
-:class:`~repro.cache.cache.Cache` or
-:class:`~repro.resizing.resizable_cache.ResizableCache` with LRU
-replacement, a static (or no) strategy and a cold L2 are grouped by
-their enabled set count.  When the pass took the L2 filter (below), every
+simulated one by one.  In a pilot-mode pass the rungs whose variant-side
+setup builds the stock (LRU) cache under a static (or no) strategy, with
+no cache of theirs built yet, are grouped by their enabled set count
+(:func:`_stack_key`).  When the pass took the L2 filter (below), every
 group with at least two distinct way counts is replayed by one per-set
 LRU stack pass (Mattson et al., IBM Systems Journal 1970) over the
 pilot-reduced stream, with each set's stack capped at the group's
@@ -160,10 +142,7 @@ geometry receives the same per-interval counts, then closes its own
 interval (energy depends on the organization, so each rung keeps its own
 accountant).  Outside a stack group each geometry is one dispatch-kernel
 unit; a set-count group with a single way count is too, since alone the
-stack pass costs more than the kernel.  The tier leaves the rungs'
-variant L1 objects (and the hierarchy of every rung that is not its
-geometry's first) idle, like the invariant-side caches above: results
-never read them.
+stack pass costs more than the kernel.
 
 Everything else replays each rung through the dispatch kernel, selected
 from properties of the rungs, never from an option: dynamic rungs, FIFO
@@ -171,9 +150,9 @@ and RANDOM L1 replacement and the general mode.
 :func:`stats_snapshot` counts which tier served each rung of every
 :func:`run_fused` pass (``ladder_stack_rungs``, ``ladder_shared_rungs``,
 ``ladder_fallback_rungs``) plus ``ladder_passes``,
-``ladder_l2_filtered_passes`` and ``ladder_stack_groups``; the runner
-merges them into ``--stats``.  Single runs are not ladder passes and are
-not counted.
+``ladder_l2_filtered_passes``, ``ladder_stack_groups`` and the hierarchies
+the passes built (``ladder_hierarchies``); the runner merges them into
+``--stats``.  Single runs are not ladder passes and are not counted.
 
 Compulsory-miss filter
 ----------------------
@@ -189,13 +168,15 @@ brought in.  So a rung's memory traffic per interval is the interval's
 first touches, by a fetch (``l1i_memory``) or by a load or store
 (``l1d_memory``), whatever its L1 does, and ``l2_accesses`` stays reads
 + writes.  :meth:`LadderEngine.replay_many` checks the gate once per
-pass: every rung has the first rung's L2 geometry and a cold L2, both L1
-block sizes are at most the L2's, and
+pass: every rung has the first rung's L2 geometry and no hierarchy a
+caller built (an unbuilt L2 is cold), both L1 block sizes are at most
+the L2's, and
 :func:`~repro.sim.predecode.l2_filter_for` returns a first-touch index
 for the decode (None once some set overflows).  A filtered pass skips
-the dispatch kernel's miss tail (one branch per miss) and may form stack
-groups; each segment's counts come from bisecting the index.  Sampled
-plans qualify too: the decode holds exactly the rows the plan replays.
+the dispatch kernel's miss tail (one branch per miss), builds no L2, and
+may form stack groups; each segment's counts come from bisecting the
+index, and resize flushes count as the L2 writes they are.  Sampled plans
+qualify too: the decode holds exactly the rows the plan replays.
 Refused passes (an external trace with a large footprint, a longer
 trace, a smaller L2) simulate the L2 through the miss tail, with no stack
 groups: a static ladder there runs one kernel pass per distinct
@@ -204,34 +185,31 @@ geometry.  The index is one pass per (trace, plan, L2 geometry), about
 pays.
 
 Amortization: K standalone runs cost ``K × (slice + decode + predict +
-full dispatch + close)``; the fused pass costs ``slice + decode + predict
-+ pilot + K × (reduced dispatch + close)``.  The shared side is roughly
-the price of one replay, so the win grows with K (the job layer fuses
-only the rungs the job cache cannot already serve — see
-:meth:`repro.sim.runner.SweepRunner.submit_ladder`).
+setup + full dispatch + close)``; the fused pass costs ``slice + decode +
+predict + pilot + K × (lean setup + reduced dispatch + close)``, so the
+win grows with K (the job layer fuses only the rungs the job cache cannot
+already serve — see :meth:`repro.sim.runner.SweepRunner.submit_ladder`).
 
 :func:`run_fused` is the entry point for ladders: it builds one context
 per ``(d_setup, i_setup)`` pair off a configured
 :class:`~repro.sim.simulator.Simulator` and finalizes each into its
 result.  :class:`LadderEngine` is deliberately *not* a registered
-:class:`~repro.sim.engine.ReplayEngine` — it replays many contexts at
-once.  The ``--engine`` flag picks how job-layer ladders run: under the
-default ``columnar`` engine they fuse; any other engine replays each rung
-as its own ``Simulator.run`` (:func:`repro.sim.runner.execute_ladder_job`).
+:class:`~repro.sim.engine.ReplayEngine`: it replays many contexts at once.
+Under any engine but the default ``columnar`` one, job-layer ladders
+replay each rung as its own ``Simulator.run``
+(:func:`repro.sim.runner.execute_ladder_job`).
 """
 
 from __future__ import annotations
 
-import gc
 from bisect import bisect_left
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.cache import PACKED_WRITEBACK_SHIFT, PACKED_WRITEBACK_VALID, Cache
 from repro.cache.replacement import ReplacementPolicy
 from repro.common.counters import CounterRegistry
 from repro.common.errors import SimulationError
-from repro.resizing.resizable_cache import ResizableCache
+from repro.mem.address import AddressMapper
 from repro.resizing.static_strategy import StaticResizing
 from repro.resizing.strategy import NoResizing
 from repro.sim.predecode import (
@@ -248,9 +226,7 @@ from repro.sim.results import SimulationResult
 from repro.sim.simulator import L1Setup, ReplayContext, Simulator, validate_run
 from repro.workloads.trace import Trace
 
-#: Cache types whose LRU behaviour the stack tier reproduces exactly, and
-#: the strategies that never resize after the initial configuration.
-_STACK_CACHES = (Cache, ResizableCache)
+#: The strategies that never resize after the initial configuration.
 _STATIC_STRATEGIES = (StaticResizing, NoResizing)
 
 #: Dirty threshold of a stack entry that is clean in every rung (see the
@@ -270,6 +246,7 @@ TIER_COUNTERS = (
     "ladder_stack_rungs",
     "ladder_shared_rungs",
     "ladder_fallback_rungs",
+    "ladder_hierarchies",
 )
 _STATS = CounterRegistry(dict.fromkeys(TIER_COUNTERS, 0))
 
@@ -288,10 +265,10 @@ class LadderEngine:
         All contexts must share the interval length, fetch-block geometry
         and sampling schedule (they do when built from one simulator, as
         :func:`run_fused` does); per-context cache/strategy state is free
-        to diverge — that is the point.  Each context's hierarchy must be
-        the stock one whose miss path the dispatch kernel inlines: an LRU
-        :class:`~repro.cache.cache.Cache` L2 over stock main memory; and
-        each predictor the fresh default one the decode replicates.
+        to diverge — that is the point.  A hierarchy a caller already built
+        must be the stock one whose miss path the dispatch kernel inlines:
+        an LRU :class:`~repro.cache.cache.Cache` L2 over stock main memory;
+        and a predictor, the fresh default one the decode replicates.
         Returns the pass's tier tally (every :data:`TIER_COUNTERS` entry
         but ``ladder_passes``; ``ladder_l2_filtered_passes`` is 1 when the
         pass took the compulsory-miss filter), which :func:`run_fused` adds
@@ -301,21 +278,21 @@ class LadderEngine:
         if not contexts:
             return tally
         first = contexts[0]
-        l2_geometry = first.hierarchy.l2.geometry
+        l2_geometry = first.system.l2.geometry
         filterable = True
         for ctx in contexts:
-            hierarchy = ctx.hierarchy
-            l2 = hierarchy.l2
-            if (
-                type(l2) is not Cache
-                or l2.replacement is not ReplacementPolicy.LRU
+            # An unbuilt hierarchy or predictor is the stock, cold one.
+            hierarchy = ctx._hierarchy
+            if hierarchy is not None and (
+                type(hierarchy.l2) is not Cache
+                or hierarchy.l2.replacement is not ReplacementPolicy.LRU
                 or hierarchy._memory_state() is None
             ):
                 raise SimulationError(
                     "fused ladder replay requires the stock hierarchy: an LRU "
                     "Cache L2 over MainMemory"
                 )
-            if not is_default_predictor(ctx.predictor):
+            if ctx._predictor is not None and not is_default_predictor(ctx._predictor):
                 raise SimulationError(
                     "fused ladder replay requires a fresh default branch predictor "
                     "in every rung: the memoized decode replicates it"
@@ -336,10 +313,11 @@ class LadderEngine:
                     "fused ladder replay requires every rung to share the "
                     "sampling schedule (sample_every/sample_warmup)"
                 )
+            system = ctx.system
             filterable = filterable and (
-                l2.geometry == l2_geometry and not l2.stats.accesses
-                and max(hierarchy.l1i.geometry.block_bytes,
-                        hierarchy.l1d.geometry.block_bytes) <= l2_geometry.block_bytes
+                hierarchy is None and system.l2.geometry == l2_geometry
+                and max(system.l1i.block_bytes, system.l1d.block_bytes)
+                <= l2_geometry.block_bytes
             )
         interval_instructions = first.interval_instructions
         decoded = decoded_for(
@@ -351,12 +329,11 @@ class LadderEngine:
         # the L1d, and so do rungs with both sides fixed; a d-cache ladder
         # pilots the L1i only from two rungs up.  Everything else takes the
         # general mode — the full shared stream per rung.
-        hierarchy = first.hierarchy
         side = pilot_res = None
         if all(not ctx.d_runtime.is_resizable for ctx in contexts):
-            side, pilot_res = "d", pilot_for(trace, decoded, "d", hierarchy.l1d)
+            side, pilot_res = "d", pilot_for(trace, decoded, "d", first.d_runtime.cache)
         elif len(contexts) > 1 and all(not ctx.i_runtime.is_resizable for ctx in contexts):
-            side, pilot_res = "i", pilot_for(trace, decoded, "i", hierarchy.l1i)
+            side, pilot_res = "i", pilot_for(trace, decoded, "i", first.i_runtime.cache)
         if pilot_res is None:
             side = None
         l2_filter = l2_filter_for(trace, decoded, l2_geometry) if filterable else None
@@ -364,6 +341,7 @@ class LadderEngine:
         units = _plan_units(contexts, side, l2_filter is not None)
         for unit in units:
             unit.count(tally)
+        tally["ladder_hierarchies"] = sum(ctx._hierarchy is not None for ctx in contexts)
         segments = _memo_segments(
             decoded, first.sampling_plan(len(trace)), side, pilot_res, l2_filter
         )
@@ -464,26 +442,23 @@ def _walk(units, segments, interval_instructions) -> None:
 def _stack_key(ctx, side):
     """A rung's ``(set-count group, ways)`` key, or None when it must fall back.
 
-    Only the rung's own properties decide: its variant-side cache must be
-    a cold stock cache under LRU whose configuration never changes, over
-    a cold L2 (:meth:`LadderEngine.replay_many` has already checked that
-    the hierarchy is the stock one).  The group part names everything the
-    rung's miss stream and L2 behaviour depend on besides the way count.
+    Decided from the setup: the variant side must build the stock (LRU)
+    cache at a configuration that never changes, and neither that cache
+    nor the rung's hierarchy may exist yet (unbuilt ones are cold).  The
+    group part names everything else the rung's miss stream and L2
+    behaviour depend on: the system and the enabled sets' address split.
     """
     runtime = ctx.d_runtime if side == "i" else ctx.i_runtime
-    cache = runtime.cache
-    hierarchy = ctx.hierarchy
     strategy = runtime.strategy
     if (
-        type(cache) not in _STACK_CACHES
-        or hierarchy.l2.stats.accesses
+        ctx._hierarchy is not None
+        or runtime._cache is not None
+        or type(runtime.setup).build is not L1Setup.build
         or not (strategy is None or type(strategy) in _STATIC_STRATEGIES)
     ):
         return None
-    stats, set_blocks, off, idx, mask, ways = cache._kernel_state()[:6]
-    if cache.replacement is not ReplacementPolicy.LRU or stats.accesses or any(set_blocks):
-        return None
-    return (hierarchy.config, hierarchy.l2.geometry, off, idx, mask), ways
+    off, idx, mask = AddressMapper(runtime.geometry.block_bytes, runtime.enabled_sets).shift_mask()
+    return (ctx.system, off, idx, mask), runtime.enabled_ways
 
 
 def _plan_units(contexts, side, filtered):
@@ -497,22 +472,23 @@ def _plan_units(contexts, side, filtered):
     dispatch kernel once for all of them (:class:`_KernelUnit`).
     Ineligible rungs each get their own unit.
     """
+    with_l2 = not filtered
     if side is None:
-        return [_KernelUnit([ctx]) for ctx in contexts]
+        return [_KernelUnit([ctx], with_l2) for ctx in contexts]
     units = []
     groups: Dict[tuple, Dict[int, list]] = {}
     for ctx in contexts:
         key = _stack_key(ctx, side)
         if key is None:
-            units.append(_KernelUnit([ctx]))
+            units.append(_KernelUnit([ctx], with_l2))
         else:
             group, ways = key
             groups.setdefault(group, {}).setdefault(ways, []).append(ctx)
     for group, by_ways in groups.items():
         if filtered and len(by_ways) > 1:
-            units.append(_StackGroup(side, group[2], group[4], by_ways))
+            units.append(_StackGroup(side, group[1], group[3], by_ways))
         else:
-            units.extend(_KernelUnit(members) for members in by_ways.values())
+            units.extend(_KernelUnit(members, with_l2) for members in by_ways.values())
     return units
 
 
@@ -521,13 +497,14 @@ class _KernelUnit:
 
     :func:`dispatch_cache_ops_fast` drives that hierarchy with the mode's
     stream and returns the interval deltas every member receives.  A unit
-    of one rung is a plain per-rung replay.
+    of one rung is a plain per-rung replay.  Only that rung builds its
+    hierarchy, with no L2 in an L2-filtered pass.
     """
 
     __slots__ = ("hierarchy", "members")
 
-    def __init__(self, members):
-        self.hierarchy = members[0].hierarchy
+    def __init__(self, members, with_l2):
+        self.hierarchy = members[0].build_hierarchy(with_l2)
         self.members = members
 
     def contexts(self):
@@ -718,17 +695,13 @@ def dispatch_cache_ops_fast(ops, shared, hierarchy, first=None):
     included.  Every miss, inline or pilot-resolved, falls through to one
     tail: the body of
     :meth:`~repro.cache.hierarchy.CacheHierarchy._miss_packed` as dict ops
-    and counter bumps — the LRU L2 read fill with its victim spill, then
-    for a dirty L1d victim the L2 write-allocate.  The replay path never consumes the miss latency,
-    which is all ``_miss_packed`` computes beyond that.  The tail relies on
-    the stock hierarchy :meth:`LadderEngine.replay_many` checks for, and on
-    the L1i never being written (its victims are never dirty).  Stat
-    deltas accumulate in locals and are flushed into each cache's
-    ``stats`` before returning, so at every interval boundary (where
-    strategies and accounting look) the counters are exactly the per-call
+    and counter bumps (the latency it also computes is never consumed),
+    relying on the stock L2 and on the L1i never being written.  Stat
+    deltas are flushed into each cache's ``stats`` before returning, so at
+    every interval boundary the counters are exactly the per-call
     kernel's.  Under the L2 filter ``first`` is the interval's ``(i_first,
-    d_first)`` first-touch counts: a miss then skips the tail, the L2 stays
-    idle, and the memory deltas are those counts.
+    d_first)`` first-touch counts: misses skip the tail, the hierarchy may
+    have no L2, and the memory deltas are those counts.
     """
     filtered = first is not None
     fetches, i_misses, d_misses, d_writebacks = shared
@@ -738,10 +711,11 @@ def dispatch_cache_ops_fast(ops, shared, hierarchy, first=None):
     (d_stats, d_sets, d_off, d_idx, d_mask, d_ways, d_refresh, d_random, d_selector) = (
         hierarchy.l1d._kernel_state()
     )
-    l2_stats, l2_sets, l2_off, l2_idx, l2_mask, l2_ways = hierarchy.l2._kernel_state()[:6]
+    if not filtered:
+        l2_stats, l2_sets, l2_off, l2_idx, l2_mask, l2_ways = hierarchy.l2._kernel_state()[:6]
+        l2_shift1 = l2_off + 1
     i_shift1 = i_off + 1
     d_shift1 = d_off + 1
-    l2_shift1 = l2_off + 1
     wb_valid, wb_shift = PACKED_WRITEBACK_VALID, PACKED_WRITEBACK_SHIFT
     op_fetch, op_load, op_imiss = OP_FETCH, OP_LOAD, OP_IMISS
     ia = ih = 0
@@ -918,39 +892,16 @@ def run_fused(
     if not setups:
         raise SimulationError("a fused ladder needs at least one rung")
     validate_run(trace, interval_instructions, sample_every, sample_warmup)
-    with _collector_paused():
-        contexts = [
-            simulator._prepare_run(
-                trace, d_setup, i_setup, interval_instructions, warmup_instructions,
-                sample_every=sample_every, sample_warmup=sample_warmup,
-            )
-            for d_setup, i_setup in setups
-        ]
-        tally = LadderEngine().replay_many(trace, contexts)
-        _STATS["ladder_passes"] += 1
-        for key, value in tally.items():
-            _STATS[key] += value
-        return [Simulator._finalize_run(context) for context in contexts]
+    contexts = [
+        simulator._prepare_run(
+            trace, d_setup, i_setup, interval_instructions, warmup_instructions,
+            sample_every=sample_every, sample_warmup=sample_warmup,
+        )
+        for d_setup, i_setup in setups
+    ]
+    tally = LadderEngine().replay_many(trace, contexts)
+    _STATS["ladder_passes"] += 1
+    for key, value in tally.items():
+        _STATS[key] += value
+    return [Simulator._finalize_run(context) for context in contexts]
 
-
-@contextmanager
-def _collector_paused():
-    """Hold off Python's cyclic garbage collector for one fused pass.
-
-    Building K rungs allocates thousands of containers per rung (per-set
-    dicts of every L1 and L2) that all stay alive until the pass ends.
-    With the collector running, those allocations trigger collections that
-    promote the live contexts and then sweep the whole heap again and
-    again; on a cold 20k-instruction ``run-all`` that is about a fifth of
-    the wall time.  Nothing in a pass depends on the collector (reference
-    counting frees everything acyclic), so it is paused for the pass and
-    restored to its previous state afterwards; any cyclic garbage the
-    pass left is collected by the next regular collection.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()

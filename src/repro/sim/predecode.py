@@ -103,7 +103,7 @@ OP_DMISS = 4
 DECODE_VERSION = 1
 
 #: The decode replicates the default predictor build
-#: (``Simulator._prepare_run`` always constructs this); a replay driven by
+#: (what ``ReplayContext.predictor`` builds); a replay driven by
 #: anything else is refused (:func:`is_default_predictor`).
 _PREDICTOR_TABLE = 4096
 

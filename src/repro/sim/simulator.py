@@ -14,12 +14,9 @@ Resizing flushes are routed into the L2 and charged to the following
 interval, so the energy and delay costs of resizing the paper discusses in
 Section 3 are all accounted for.
 
-The per-instruction loop itself lives in :mod:`repro.sim.engine`: the shell
-here builds the run (caches, hierarchy, models, result aggregation) and a
-pluggable :class:`~repro.sim.engine.ReplayEngine` walks the trace.  All
-engines are bit-identical; ``engine="reference"`` selects the historical
-per-record loop, ``engine="columnar"`` (the default) the structure-of-arrays
-fast path.
+The shell here builds each run's accounting state and aggregates its
+result; a pluggable, bit-identical :class:`~repro.sim.engine.ReplayEngine`
+(:mod:`repro.sim.engine`) walks the trace.
 """
 
 from __future__ import annotations
@@ -31,14 +28,13 @@ from repro.cache.cache import Cache
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.subarray import SubarrayMap
 from repro.common.config import CacheGeometry, SystemConfig
-from repro.common.errors import SimulationError
+from repro.common.errors import ResizingError, SimulationError
 from repro.common.units import format_size
-from repro.cpu.branch import BimodalBranchPredictor
 from repro.cpu.core_model import make_core_model
 from repro.cpu.timing import CoreTimingParameters
 from repro.energy.accounting import EnergyAccountant
 from repro.energy.technology import TechnologyParameters
-from repro.resizing.organization import ResizingOrganization
+from repro.resizing.organization import ResizingOrganization, SizeConfig, make_config
 from repro.resizing.resizable_cache import ResizableCache
 from repro.resizing.strategy import ResizingStrategy
 from repro.sim.engine import ReplayContext, ReplayEngine, get_engine
@@ -115,15 +111,19 @@ class L1Setup:
         """True when this setup builds a resizable cache."""
         return self.organization is not None
 
-    def build(self, geometry: CacheGeometry, name: str):
-        """Instantiate the cache object for this setup."""
-        if self.organization is None:
-            return Cache(geometry, name=name)
-        if self.organization.geometry != geometry:
+    def check_geometry(self, geometry: CacheGeometry, name: str) -> None:
+        """Reject an organization built for another geometry than ``name``'s."""
+        if self.organization is not None and self.organization.geometry != geometry:
             raise SimulationError(
                 f"organization geometry {self.organization.geometry.describe()} does not "
                 f"match the system's {name} geometry {geometry.describe()}"
             )
+
+    def build(self, geometry: CacheGeometry, name: str):
+        """Instantiate the cache object for this setup."""
+        if self.organization is None:
+            return Cache(geometry, name=name)
+        self.check_geometry(geometry, name)
         return ResizableCache(geometry, self.organization, name=name)
 
     def describe(self) -> str:
@@ -135,53 +135,62 @@ class L1Setup:
 
 
 class _L1Runtime:
-    """Book-keeping the simulator keeps per L1 cache during a run."""
+    """Book-keeping the simulator keeps per L1 cache during a run.
 
-    def __init__(self, cache, setup: L1Setup, geometry: CacheGeometry) -> None:
-        self.cache = cache
+    What the interval close reads is computed from the setup once, and
+    again at each resize: the enabled ``config`` (the full geometry for a
+    fixed cache), its subarray state, ways, sets and capacity, and the
+    extra tag bits.  So are the ``resize_count`` and ``flush_writebacks``
+    the result reports (a cold cache's jump to its initial configuration
+    is one resize that flushes nothing).  The cache object is built only
+    when a replay drives it (:attr:`cache`).
+    """
+
+    def __init__(self, setup: L1Setup, geometry: CacheGeometry, name: str) -> None:
+        setup.check_geometry(geometry, name)
         self.setup = setup
         self.geometry = geometry
-        self.is_resizable = isinstance(cache, ResizableCache)
-        self._full_state = SubarrayMap(geometry).full_state()
+        self.name = name
+        self.is_resizable = setup.is_resizable
         self.strategy = setup.strategy
-        if self.strategy is not None:
-            self.strategy.bind(setup.organization)
+        self._cache = None
         self.capacity_weight = 0.0  # sum of capacity * instructions
-        self.pending_flush_writebacks = 0
+        self.resize_count = self.flush_writebacks = 0
+        self._subarrays = SubarrayMap(geometry)
+        organization = setup.organization
+        self.resizing_tag_bits = 0 if organization is None else organization.resizing_tag_bits
+        config = make_config(geometry.associativity, geometry.num_sets, geometry.block_bytes)
+        if organization is not None:
+            config = organization.full_config
+        if self.strategy is not None:
+            self.strategy.bind(organization)
+            initial = self.strategy.initial_config()
+            if initial is not None and initial != config:
+                if not organization.contains(initial):
+                    raise ResizingError(
+                        f"{organization.name} does not offer {initial.label} "
+                        f"for {geometry.describe()}"
+                    )
+                config = initial
+                self.resize_count = 1
+        self._set_config(config)
 
-    def apply_initial_config(self) -> None:
-        """Apply the strategy's initial configuration (before the run starts)."""
-        if not self.is_resizable or self.strategy is None:
-            return
-        initial = self.strategy.initial_config()
-        if initial is not None and initial != self.cache.current_config:
-            self.cache.resize_to(initial)
-
-    @property
-    def subarray_state(self):
-        """Enabled-subarray state used by the energy model."""
-        if self.is_resizable:
-            return self.cache.subarray_state
-        return self._full_state
-
-    @property
-    def enabled_ways(self) -> int:
-        """Currently enabled associativity."""
-        return self.cache.associativity
-
-    @property
-    def current_capacity(self) -> float:
-        """Currently enabled capacity in bytes."""
-        if self.is_resizable:
-            return float(self.cache.current_capacity_bytes)
-        return float(self.geometry.capacity_bytes)
+    def _set_config(self, config: SizeConfig) -> None:
+        self.config = config
+        self.enabled_ways = config.ways
+        self.enabled_sets = config.sets
+        self.current_capacity = float(config.capacity_bytes)
+        self.subarray_state = self._subarrays.subarrays_for(config.ways, config.sets)
 
     @property
-    def resizing_tag_bits(self) -> int:
-        """Extra tag bits the energy model must charge for."""
-        if self.is_resizable:
-            return self.cache.resizing_tag_bits
-        return 0
+    def cache(self):
+        """The cache object, built cold at the current configuration on first use."""
+        cache = self._cache
+        if cache is None:
+            cache = self._cache = self.setup.build(self.geometry, self.name)
+            if self.is_resizable and self.config != cache.current_config:
+                cache.resize_to(self.config)
+        return cache
 
     @property
     def label(self) -> str:
@@ -189,17 +198,24 @@ class _L1Runtime:
         base = f"{format_size(self.geometry.capacity_bytes)} {self.geometry.associativity}-way"
         return f"{base} ({self.setup.describe()})"
 
-    def observe_interval(self, hierarchy: CacheHierarchy, accesses: int, misses: int) -> int:
-        """Run the strategy for one interval; returns flush-writeback count."""
-        if not self.is_resizable or self.strategy is None:
+    def observe_interval(self, hierarchy: Optional[CacheHierarchy], accesses: int,
+                         misses: int) -> int:
+        """Run the strategy for one interval; returns flush-writeback count.
+
+        Flushed dirty blocks go into ``hierarchy``'s L2 if it has one.
+        """
+        if self.strategy is None:
             return 0
-        decision = self.strategy.observe_interval(accesses, misses, self.cache.current_config)
-        if decision is None or decision == self.cache.current_config:
+        decision = self.strategy.observe_interval(accesses, misses, self.config)
+        if decision is None or decision == self.config:
             return 0
-        outcome = self.cache.resize_to(decision)
-        if outcome.writeback_addresses:
-            hierarchy.absorb_l1_writebacks(outcome.writeback_addresses)
-        return len(outcome.writeback_addresses)
+        writebacks = self.cache.resize_to(decision).writeback_addresses
+        self._set_config(decision)
+        self.resize_count += 1
+        self.flush_writebacks += len(writebacks)
+        if writebacks and hierarchy is not None and hierarchy.l2 is not None:
+            hierarchy.absorb_l1_writebacks(writebacks)
+        return len(writebacks)
 
 
 def validate_run(trace: Trace, interval_instructions: int, sample_every: int,
@@ -289,29 +305,25 @@ class Simulator:
         sample_every: int = 1,
         sample_warmup: int = 0,
     ) -> ReplayContext:
-        """Build one run's caches, models and :class:`ReplayContext`.
+        """Build one run's accounting state and :class:`ReplayContext`.
 
         Everything :meth:`run` constructs before handing control to the
         replay engine lives here so the fused ladder path
         (:mod:`repro.sim.ladder`) can build K independent contexts against
-        the *same* trace and replay them all from one decode pass.  The
-        caller is responsible for :func:`validate_run` (the fused path
+        the *same* trace and replay them all from one decode pass.  Only
+        accounting state is built here: each L1's runtime, the core model,
+        the energy accountant and the result.  The context builds its
+        caches, hierarchy and predictor when a replay first uses them.
+        The caller is responsible for :func:`validate_run` (the fused path
         validates once for the whole ladder).
         """
         system = self.system
-        d_setup = d_setup if d_setup is not None else L1Setup()
-        i_setup = i_setup if i_setup is not None else L1Setup()
-
-        l1d = d_setup.build(system.l1d, "l1d")
-        l1i = i_setup.build(system.l1i, "l1i")
-        hierarchy = CacheHierarchy(system, l1i=l1i, l1d=l1d)
-        d_runtime = _L1Runtime(l1d, d_setup, system.l1d)
-        i_runtime = _L1Runtime(l1i, i_setup, system.l1i)
-        d_runtime.apply_initial_config()
-        i_runtime.apply_initial_config()
-
-        core_model = make_core_model(system, self.timing)
-        predictor = BimodalBranchPredictor()
+        d_runtime = _L1Runtime(
+            d_setup if d_setup is not None else L1Setup(), system.l1d, "l1d"
+        )
+        i_runtime = _L1Runtime(
+            i_setup if i_setup is not None else L1Setup(), system.l1i, "l1i"
+        )
         accountant = EnergyAccountant(
             system,
             self.technology,
@@ -329,9 +341,8 @@ class Simulator:
         )
 
         context = ReplayContext(
-            hierarchy=hierarchy,
-            predictor=predictor,
-            core_model=core_model,
+            system=system,
+            core_model=make_core_model(system, self.timing),
             accountant=accountant,
             d_runtime=d_runtime,
             i_runtime=i_runtime,
@@ -368,11 +379,11 @@ class Simulator:
                 i_runtime.capacity_weight / context.measured_instructions
             )
         if d_runtime.is_resizable:
-            result.l1d_resizes = d_runtime.cache.resize_count
-            result.l1d_flush_writebacks = d_runtime.cache.flush_writebacks
+            result.l1d_resizes = d_runtime.resize_count
+            result.l1d_flush_writebacks = d_runtime.flush_writebacks
         if i_runtime.is_resizable:
-            result.l1i_resizes = i_runtime.cache.resize_count
-            result.l1i_flush_writebacks = i_runtime.cache.flush_writebacks
+            result.l1i_resizes = i_runtime.resize_count
+            result.l1i_flush_writebacks = i_runtime.flush_writebacks
         if context.sample_every > 1:
             samples = context.interval_samples
             result.sample_every = context.sample_every

@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache.cache import Cache
 from repro.common.config import CacheGeometry, CoreConfig, CoreKind, SystemConfig
 from repro.common.units import KIB
+from repro.resizing.resizable_cache import ResizableCache
+from repro.sim.jobcache import JobCache
 from repro.sim.simulator import Simulator
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.profiles import get_profile
@@ -27,6 +30,35 @@ def _reset_process_trace_cache():
     from repro.sim.runner import set_trace_cache
 
     set_trace_cache(None)
+
+
+@pytest.fixture(autouse=True)
+def close_caches(monkeypatch):
+    """Close every JobCache a test opens (its segment files stay open until
+    ``close()``, and a collected one warns under ``python -X dev``)."""
+    opened = []
+    init = JobCache.__init__
+
+    def tracking_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        opened.append(self)
+
+    monkeypatch.setattr(JobCache, "__init__", tracking_init)
+    yield
+    for cache in opened:
+        cache.close()
+
+
+@pytest.fixture
+def cache_builds(monkeypatch):
+    """The name of every ``Cache`` and ``ResizableCache`` built from here on."""
+    names = []
+    for cls in (Cache, ResizableCache):
+        def spy(self, *args, _init=cls.__init__, **kwargs):
+            names.append(kwargs.get("name"))
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", spy)
+    return names
 
 
 @pytest.fixture

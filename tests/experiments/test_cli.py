@@ -167,6 +167,8 @@ class TestResilienceFlags:
         tiers = re.search(r"(\d+) stack, (\d+) shared, (\d+) per-rung", line)
         assert sum(int(count) for count in tiers.groups()) == fused
         assert "0 stack group(s)" not in line
+        built = int(re.search(r"(\d+) cache hierarchies built", line).group(1))
+        assert 0 < built < fused
 
     def test_every_cold_run_all_pass_takes_the_l2_filter(self, tmp_path, capsys):
         # No paper trace overflows an L2 set, so every fused pass reads its

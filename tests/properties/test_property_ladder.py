@@ -22,12 +22,20 @@ the pass takes the compulsory-miss filter, never simulates it and forms
 stack groups), or one shrunk until it evicts (so the pass is refused,
 simulates it and replays each static geometry through the kernel).  The
 dynamic rung's bound makes it resize, so resize flushes reach both.
+
+The lean-rung property draws mixed ladders (fixed, static, dynamic and
+duplicate rungs on either side) over either L2 and also checks what the
+pass built: one hierarchy per dispatch-kernel unit, and an L2 only for
+those of a refused pass.
 """
+
+from contextlib import contextmanager
 
 from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
+from repro.cache.cache import Cache
 from repro.cache.replacement import ReplacementPolicy
 from repro.common.config import CacheGeometry, L2Config, SystemConfig
 from repro.common.units import KIB
@@ -37,6 +45,7 @@ from repro.resizing.resizable_cache import ResizableCache
 from repro.resizing.selective_sets import SelectiveSets
 from repro.resizing.selective_ways import SelectiveWays
 from repro.resizing.static_strategy import StaticResizing
+from repro.sim import ladder
 from repro.sim.ladder import run_fused
 from repro.sim.runner import TraceSpec
 from repro.sim.simulator import L1Setup, Simulator
@@ -256,3 +265,87 @@ def test_coalesced_ladders_agree_with_standalone_runs(
         )
     ]
     assert fused == standalone
+
+
+#: Rung kinds of a mixed ladder; "duplicate" repeats the full-size
+#: geometry of the fixed rung and of every other duplicate.
+_RUNG_KINDS = st.lists(
+    st.sampled_from(["fixed", "static", "dynamic", "duplicate"]), min_size=1, max_size=6
+)
+
+
+def _mixed_setups(factory, side, kinds):
+    geometry = _SYSTEM.l1d if side == "d" else _SYSTEM.l1i
+    configs = factory(geometry).ladder()
+    setups = []
+    for position, kind in enumerate(kinds):
+        if kind == "fixed":
+            setups.append((None, None))
+            continue
+        if kind == "dynamic":
+            strategy = DynamicResizing(
+                60, 4 * KIB, sense_interval_accesses=256,
+                settle_intervals=0, reversal_backoff_intervals=0,
+            )
+        else:
+            config = configs[0] if kind == "duplicate" else configs[position % len(configs)]
+            strategy = StaticResizing(config)
+        rung = L1Setup(factory(geometry), strategy)
+        setups.append((rung, None) if side == "d" else (None, rung))
+    return setups
+
+
+@contextmanager
+def _l2_builds():
+    """Count the L2 caches built inside the block."""
+    builds = []
+    original = Cache.__init__
+
+    def spy(cache, *args, **kwargs):
+        builds.append(kwargs.get("name") == "l2")
+        original(cache, *args, **kwargs)
+
+    Cache.__init__ = spy
+    try:
+        yield builds
+    finally:
+        Cache.__init__ = original
+
+
+@given(
+    application=_APPLICATIONS,
+    length=_LENGTHS,
+    interval=_INTERVALS,
+    factory=_ORGANIZATIONS,
+    side=st.sampled_from(["d", "i"]),
+    kinds=_RUNG_KINDS,
+    l2=_L2S,
+)
+@settings(max_examples=15, deadline=None)
+def test_lean_rungs_agree_with_standalone_runs(
+    application, length, interval, factory, side, kinds, l2,
+):
+    system = _system_with_l2(l2)
+    trace = TraceSpec(application, length).materialize()
+    warmup = length // 5
+    standalone = [
+        Simulator(system, engine="reference").run(
+            trace, d_setup=d_setup, i_setup=i_setup,
+            interval_instructions=interval, warmup_instructions=warmup,
+        ).to_dict()
+        for d_setup, i_setup in _mixed_setups(factory, side, kinds)
+    ]
+    before = ladder.stats_snapshot()
+    with _l2_builds() as builds:
+        fused = [
+            result.to_dict()
+            for result in run_fused(
+                Simulator(system), trace, _mixed_setups(factory, side, kinds),
+                interval_instructions=interval, warmup_instructions=warmup,
+            )
+        ]
+    tiers = {key: value - before[key] for key, value in ladder.stats_snapshot().items()}
+    assert fused == standalone
+    assert tiers["ladder_hierarchies"] == tiers["ladder_fallback_rungs"]
+    filtered = tiers["ladder_l2_filtered_passes"]
+    assert sum(builds) == (0 if filtered else tiers["ladder_hierarchies"])

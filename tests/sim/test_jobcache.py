@@ -22,23 +22,6 @@ from repro.sim.runner import (
 )
 
 
-@pytest.fixture(autouse=True)
-def close_caches(monkeypatch):
-    """Close every JobCache a test opens (its segment files stay open until
-    ``close()``, and a collected one warns under ``python -X dev``)."""
-    opened = []
-    init = JobCache.__init__
-
-    def tracking_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        opened.append(self)
-
-    monkeypatch.setattr(JobCache, "__init__", tracking_init)
-    yield
-    for cache in opened:
-        cache.close()
-
-
 def segments(cache):
     """The cache directory's segment files."""
     return sorted(cache.directory.glob("*.seg"))

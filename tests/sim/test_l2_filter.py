@@ -150,6 +150,22 @@ class TestGate:
         assert fused[-1]["l1d_flush_writebacks"] > 0
         assert fused == _standalone(SYSTEM, trace, _ladder(SYSTEM, "d"), **kwargs)
 
+    def test_a_flushing_dynamic_rung_builds_no_l2(self, cache_builds):
+        """Its flushes are counted as L2 writes, and nothing absorbs them."""
+        trace = TraceSpec("swim", 6_000).materialize()
+        kwargs = {"interval_instructions": 500}
+        setups = _ladder(SYSTEM, "d")
+        setups = [setups[0], setups[-1]]  # the baseline and the dynamic rung
+        standalone = _standalone(SYSTEM, trace, setups, **kwargs)
+        del cache_builds[:]  # the reference runs build their L2s
+        fused, took = _fused(SYSTEM, trace, setups, **kwargs)
+        assert took == 1 and "l2" not in cache_builds
+        dynamic, reference = fused[-1], standalone[-1]
+        assert dynamic["l1d_flush_writebacks"] > 0
+        for field in ("l2_accesses", "l1d_resizes", "l1d_flush_writebacks"):
+            assert dynamic[field] == reference[field]
+        assert fused == standalone
+
     @pytest.mark.parametrize("system", [
         _with_l2(8 * KIB, 1),
         _with_l2(32 * KIB, 2),
@@ -162,13 +178,14 @@ class TestGate:
         assert took == 0
         assert fused == _standalone(system, trace, _ladder(system, "d"), **kwargs)
 
-    def test_a_single_run_leaves_its_l2_idle(self):
+    def test_a_single_run_builds_no_l2(self):
         trace = _one_set_trace(L2.associativity)
         simulator = Simulator(SYSTEM)
         context = simulator._prepare_run(trace, None, None, 400, 0)
         tally = LadderEngine().replay_many(trace, [context])
         assert tally["ladder_l2_filtered_passes"] == 1
-        assert context.hierarchy.l2.stats.accesses == 0
+        assert tally["ladder_hierarchies"] == 1
+        assert context.hierarchy.l2 is None and context.hierarchy.memory is None
         assert Simulator._finalize_run(context).to_dict() == _standalone(
             SYSTEM, trace, [(None, None)], interval_instructions=400
         )[0]

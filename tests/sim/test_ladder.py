@@ -30,8 +30,9 @@ import pytest
 
 from repro.cache.cache import Cache
 from repro.cache.replacement import ReplacementPolicy
-from repro.common.config import CoreConfig, CoreKind, SystemConfig
+from repro.common.config import CacheGeometry, CoreConfig, CoreKind, L2Config, SystemConfig
 from repro.common.errors import SimulationError
+from repro.common.units import KIB
 from repro.cpu.branch import BimodalBranchPredictor
 from repro.mem.main_memory import MainMemory
 from repro.resizing.dynamic_strategy import DynamicResizing
@@ -290,7 +291,9 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("swap", ["fifo-l2", "memory-subclass"])
     def test_replay_many_requires_the_stock_hierarchy(self, system, trace, swap):
         """The dispatch kernel inlines an LRU ``Cache`` L2 over ``MainMemory``;
-        any other hierarchy is refused up front, never replayed."""
+        any other hierarchy a caller built (here by reading
+        ``context.hierarchy``, which builds the stock one) is refused up
+        front, never replayed."""
 
         class CountingMemory(MainMemory):
             pass
@@ -321,6 +324,71 @@ class TestEngineEquivalence:
         contexts[1].predictor = BimodalBranchPredictor(table_entries=1024)
         with pytest.raises(SimulationError, match="branch predictor"):
             LadderEngine().replay_many(trace, contexts[1:])
+
+
+def _tier_deltas(run):
+    before = ladder.stats_snapshot()
+    results = run()
+    return results, {key: value - before[key] for key, value in ladder.stats_snapshot().items()}
+
+
+class TestLeanRungs:
+    """Only the first rung of each dispatch-kernel unit builds caches."""
+
+    def test_preparing_a_run_builds_no_cache(self, system, trace, cache_builds):
+        organization = SelectiveSets(system.l1d)
+        setup = L1Setup(organization, StaticResizing(organization.ladder()[-1]))
+        context = Simulator(system)._prepare_run(trace, setup, None, 1_500, 0)
+        assert cache_builds == []
+        assert context._hierarchy is None and context._predictor is None
+        assert context.d_runtime.enabled_sets == organization.ladder()[-1].sets
+
+    @pytest.mark.parametrize("target", [DCACHE, ICACHE])
+    def test_a_filtered_static_ladder_builds_no_l2(self, trace, target, cache_builds):
+        base = SystemConfig()
+        system = base.with_l1(
+            l1d=base.l1d.with_capacity(base.l1d.capacity_bytes, 4),
+            l1i=base.l1i.with_capacity(base.l1i.capacity_bytes, 4),
+        )
+        # Hybrid rungs form stack groups, the last one twice is a shared
+        # geometry, and static FIFO and RANDOM rungs each run the kernel.
+        geometry = system.l1d if target == DCACHE else system.l1i
+        setups = _ladder_setups(system, HybridSetsAndWays, target)
+        setups.append(setups[-1])
+        for replacement in (ReplacementPolicy.FIFO, ReplacementPolicy.RANDOM):
+            rung = _ReplacementSetup(
+                SelectiveWays(geometry), StaticResizing(SelectiveWays(geometry).ladder()[-1]),
+                replacement,
+            )
+            setups.append((rung, None) if target == DCACHE else (None, rung))
+        _, tiers = _tier_deltas(lambda: run_fused(Simulator(system), trace, setups))
+        assert tiers["ladder_l2_filtered_passes"] == 1
+        assert tiers["ladder_stack_groups"] > 0 and tiers["ladder_shared_rungs"] > 0
+        assert tiers["ladder_fallback_rungs"] > 1
+        variant = "l1d" if target == DCACHE else "l1i"
+        assert cache_builds.count("l2") == 0
+        assert cache_builds.count(variant) == tiers["ladder_fallback_rungs"]
+        assert tiers["ladder_hierarchies"] == tiers["ladder_fallback_rungs"] < len(setups)
+
+    def test_a_refused_pass_builds_one_l2_per_driven_geometry(self, trace, cache_builds):
+        base = SystemConfig()
+        system = replace(base, l2=L2Config(geometry=CacheGeometry(
+            capacity_bytes=32 * KIB, associativity=2, block_bytes=64, subarray_bytes=KIB,
+        )))
+        ladder_configs = HybridSetsAndWays(system.l1d).ladder()
+        geometries = {(config.ways, config.sets) for config in ladder_configs}
+        geometries.add((system.l1d.associativity, system.l1d.num_sets))  # the baseline
+        fused, tiers = _tier_deltas(lambda: [
+            result.to_dict() for result in run_fused(
+                Simulator(system), trace, _ladder_setups(system, HybridSetsAndWays, DCACHE)
+            )
+        ])
+        assert tiers["ladder_l2_filtered_passes"] == 0 and tiers["ladder_stack_groups"] == 0
+        assert cache_builds.count("l2") == tiers["ladder_hierarchies"] == len(geometries)
+        assert fused == [
+            Simulator(system, engine="reference").run(trace, d_setup=d, i_setup=i).to_dict()
+            for d, i in _ladder_setups(system, HybridSetsAndWays, DCACHE)
+        ]
 
 
 def _static(system, side):

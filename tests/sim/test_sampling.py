@@ -9,6 +9,7 @@ committed fixture.
 """
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -255,13 +256,13 @@ class TestJobLayer:
     def test_external_trace_fingerprint_is_content_addressed(self, system, tmp_path):
         simulator = Simulator(system)
         moved = tmp_path / "same-bytes-other-path.rtxt"
-        moved.write_bytes(open(FIXTURE, "rb").read())
+        moved.write_bytes(Path(FIXTURE).read_bytes())
         original = make_job(simulator, ExternalTraceSpec(path=FIXTURE))
         relocated = make_job(simulator, ExternalTraceSpec(path=str(moved)))
         assert original.fingerprint() == relocated.fingerprint()
 
         edited = tmp_path / "edited.rtxt"
-        edited.write_text(open(FIXTURE).read() + "0x999999 I\n")
+        edited.write_text(Path(FIXTURE).read_text() + "0x999999 I\n")
         assert (
             make_job(simulator, ExternalTraceSpec(path=str(edited))).fingerprint()
             != original.fingerprint()

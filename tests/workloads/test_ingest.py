@@ -3,6 +3,7 @@
 import io
 import os
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -339,7 +340,7 @@ def test_external_spec_name_override():
 
 def test_external_spec_same_content_same_digest(tmp_path):
     copy = tmp_path / "moved-elsewhere.rtxt"
-    copy.write_bytes(open(FIXTURE, "rb").read())
+    copy.write_bytes(Path(FIXTURE).read_bytes())
     original = ExternalTraceSpec(path=FIXTURE)
     moved = ExternalTraceSpec(path=str(copy))
     assert original.content_digest() == moved.content_digest()
